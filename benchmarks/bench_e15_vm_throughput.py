@@ -1,23 +1,24 @@
 """E15 — execution-substrate throughput: the ``repro.vm`` bytecode engine
-vs the tree-walking interpreter.
+that every Machine runs vs the reference tree walker the test suite keeps
+as its differential oracle (``tests/oracle``).
 
 The paper's mechanism asks the execution phase to be cheap enough to leave
-permanently enabled; ROADMAP tracks a 5-10x interpreter-replacement target
-for the scalar core.  This experiment measures ``exec.steps`` throughput
-(preemption-point steps per second — both engines count steps identically,
-which E15a asserts first) on compute-dense workloads, and reports the
-sync-dominated case separately: P/V, channel, and scheduler costs are
-shared code, so Amdahl caps the visible speedup there.
+permanently enabled.  The VM replaced the tree walker as the only runtime
+engine; this experiment measures what that bought, as ``exec.steps``
+throughput (preemption-point steps per second — both count steps
+identically, which E15a asserts first) on compute-dense workloads, and
+reports the sync-dominated case separately: P/V, channel, and scheduler
+costs are shared code, so Amdahl caps the visible speedup there.
 
 Three claims:
 
-* **E15a (parity)** — for a fixed workload table, both engines agree on
-  ``total_steps``, per-process step counts, and printed output.  The step
+* **E15a (parity)** — for a fixed workload table, the VM and the oracle
+  agree on ``total_steps``, per-process step counts, and printed output.  The step
   counts become the deterministic ``counters`` section of
   ``BENCH_vm.json``, gated in CI by ``check_obs_regression.py`` against
   ``benchmarks/BENCH_vm.baseline.json``.
 * **E15b (throughput)** — on compute-dense workloads in full mode the VM
-  executes >= 2x the interpreter's steps/second (quick mode relaxes the
+  executes >= 2x the oracle's steps/second (quick mode relaxes the
   factor; CI runs quick).
 * **E15c (sync ceiling)** — on a sync-heavy workload the VM still wins,
   but by less; the row is reported so the Amdahl gap stays visible.
@@ -27,12 +28,16 @@ Standalone runs write ``BENCH_vm.json`` (``BENCH_VM_PATH`` overrides).
 
 import json
 import os
+import sys
 import time
 
 from conftest import SEED, compiled, report, run_standalone, scale
 
 from repro import Machine
 from repro.workloads import bank_race, compute_heavy, fib_recursive, matrix_sum
+
+sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
+from tests.oracle import oracle  # noqa: E402
 
 VM_JSON_PATH = os.environ.get("BENCH_VM_PATH", "BENCH_vm.json")
 
@@ -48,14 +53,13 @@ COUNTER_WORKLOADS = {
 _STATE: dict = {}
 
 
-def _run(source, engine, seed=None):
-    machine = Machine(
-        compiled(source),
-        seed=SEED if seed is None else seed,
-        mode="plain",
-        engine=engine,
-    )
-    return machine.run()
+def _run(source, engine):
+    """One plain run on the VM (``"vm"``) or on the oracle (``"interp"``)."""
+    machine = Machine(compiled(source), seed=SEED, mode="plain")
+    if engine == "vm":
+        return machine.run()
+    with oracle():
+        return machine.run()
 
 
 def _best_steps_per_second(source, engine, repeats):
@@ -71,7 +75,7 @@ def _best_steps_per_second(source, engine, repeats):
 
 
 def test_e15a_step_parity():
-    """Both engines take exactly the same preemption-point steps."""
+    """The VM and the oracle take exactly the same preemption-point steps."""
     counters = {}
     for name, source in COUNTER_WORKLOADS.items():
         interp = _run(source, "interp")
@@ -87,7 +91,7 @@ def test_e15a_step_parity():
 
 
 def test_e15b_compute_dense_throughput():
-    """Scalar-dense workloads: VM >= 2x interpreter steps/second."""
+    """Scalar-dense workloads: VM >= 2x oracle steps/second."""
     table = {
         "compute_heavy": compute_heavy(4, scale(120, 30)),
         "fib_recursive": fib_recursive(scale(17, 13)),
@@ -95,7 +99,7 @@ def test_e15b_compute_dense_throughput():
     }
     repeats = scale(3, 2)
     floor = scale(2.0, 1.2)
-    rows = [("workload", "steps", "interp steps/s", "vm steps/s", "speedup")]
+    rows = [("workload", "steps", "oracle steps/s", "vm steps/s", "speedup")]
     timings = {}
     worst = float("inf")
     for name, source in table.items():
@@ -114,7 +118,7 @@ def test_e15b_compute_dense_throughput():
         }
     report("E15 compute-dense throughput (exec.steps/s)", rows)
     _STATE.setdefault("timings", {}).update(timings)
-    assert worst >= floor, f"VM only {worst:.2f}x interpreter (floor {floor}x)"
+    assert worst >= floor, f"VM only {worst:.2f}x the oracle (floor {floor}x)"
 
 
 def test_e15c_sync_heavy_ceiling():
@@ -127,7 +131,7 @@ def test_e15c_sync_heavy_ceiling():
     report(
         "E15 sync-heavy ceiling (bank_race)",
         [
-            ("steps", "interp steps/s", "vm steps/s", "speedup"),
+            ("steps", "oracle steps/s", "vm steps/s", "speedup"),
             (steps, f"{interp_sps:,.0f}", f"{vm_sps:,.0f}", f"{speedup:.2f}x"),
         ],
     )
@@ -137,7 +141,7 @@ def test_e15c_sync_heavy_ceiling():
         "vm_steps_per_s": round(vm_sps, 1),
         "speedup": round(speedup, 3),
     }
-    assert speedup >= scale(1.1, 0.8), f"VM slower than interp: {speedup:.2f}x"
+    assert speedup >= scale(1.1, 0.8), f"VM slower than the oracle: {speedup:.2f}x"
 
 
 def test_e15z_write_vm_json():

@@ -63,7 +63,6 @@ def _machine(compiled, fastpath, seed=None):
         compiled,
         seed=SEED if seed is None else seed,
         mode="plain",
-        engine="vm",
         fastpath=fastpath,
     )
 

@@ -72,7 +72,7 @@ from repro.server import (  # noqa: E402
     SessionManager,
 )
 
-#: workload name -> (source, inputs); a slice of the vm-parity set that
+#: workload name -> (source, inputs); a slice of the vm-vs-oracle set that
 #: covers sync-heavy, race-y, and input-driven programs.
 WORKLOADS: dict[str, tuple[str, list | None]] = {
     "buggy_average": (workloads.buggy_average(5), [10, 20, 30, 40, 50]),

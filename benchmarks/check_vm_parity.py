@@ -1,14 +1,14 @@
 """CI gate: the bytecode VM must be observationally identical to the
-tree-walking interpreter.
+reference tree walker the test suite keeps as its oracle (``tests/oracle``).
 
 Usage::
 
     python benchmarks/check_vm_parity.py [--seed N] [--trace/--no-trace]
 
 Every workload in :mod:`repro.workloads` and every ``examples/*.pcl``
-program is executed twice — once with ``engine="interp"``, once with
-``engine="vm"`` — under identical seeds, modes, and inputs.  For each
-pair the gate diffs three surfaces:
+program is executed twice — once on the oracle, once on the VM that
+every :class:`~repro.Machine` runs — under identical seeds, modes, and
+inputs.  For each pair the gate diffs three surfaces:
 
 * the **persisted record** (``record_to_json``: logs, sync history,
   final shared state, failure/deadlock info, process metadata);
@@ -17,8 +17,8 @@ pair the gate diffs three surfaces:
 * the **deterministic observability counters** (``repro.obs`` registry,
   wall-clock timers filtered out at emission).
 
-Any byte that differs is a bug in one of the engines — the VM is not
-allowed to be "almost" the interpreter.  Runs are repeated in plain mode
+Any byte that differs is a bug in the VM or the oracle — the VM is not
+allowed to be "almost" the reference.  Runs are repeated in plain mode
 (no logging) as a second schedule-sensitivity probe; plain records are
 not persistable, so that pass compares output/failure/final-shared
 directly.
@@ -34,13 +34,15 @@ import json
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
 from repro import Machine, compile_program, obs  # noqa: E402
 from repro.obs.report import deterministic_counters, strip_meta_counters  # noqa: E402
 from repro.runtime.machine import DEFAULT_FASTPATH  # noqa: E402
 from repro.runtime.persist import record_to_json  # noqa: E402
 from repro import workloads  # noqa: E402
+from tests.oracle import oracle  # noqa: E402
 
 #: workload name -> (source, inputs); mirrors tests/analysis/test_lint_smoke.py
 WORKLOADS: dict[str, tuple[str, list | None]] = {
@@ -81,7 +83,7 @@ def example_programs() -> dict[str, tuple[str, list | None]]:
     return found
 
 
-def observe(source, seed, mode, trace, inputs, engine):
+def observe(source, seed, mode, trace, inputs):
     """One run -> (record surface, event surface, counter surface)."""
     compiled = compile_program(source)
     with obs.capture() as registry:
@@ -91,10 +93,9 @@ def observe(source, seed, mode, trace, inputs, engine):
             mode=mode,
             trace=trace,
             inputs=list(inputs) if inputs else None,
-            engine=engine,
         ).run()
-        # Fast-path/effect tallies legitimately differ per engine
-        # configuration; everything else must match to the byte.
+        # Fast-path/effect tallies exist only on the VM side; everything
+        # else must match to the byte.
         counters = strip_meta_counters(deterministic_counters(registry))
     persisted = None
     if mode == "logged":
@@ -125,15 +126,15 @@ def diff_surfaces(a: dict, b: dict) -> list[str]:
                 for name in sorted(set(a[key]) | set(b[key])):
                     left, right = a[key].get(name), b[key].get(name)
                     if left != right:
-                        problems.append(f"counter {name}: interp={left} vm={right}")
+                        problems.append(f"counter {name}: oracle={left} vm={right}")
             elif key == "events" and a[key] and b[key]:
                 for i, (left, right) in enumerate(zip(a[key], b[key])):
                     if left != right:
-                        problems.append(f"event[{i}]: interp={left} vm={right}")
+                        problems.append(f"event[{i}]: oracle={left} vm={right}")
                         break
                 if len(a[key]) != len(b[key]):
                     problems.append(
-                        f"event count: interp={len(a[key])} vm={len(b[key])}"
+                        f"event count: oracle={len(a[key])} vm={len(b[key])}"
                     )
             else:
                 problems.append(f"{key} differs")
@@ -155,9 +156,10 @@ def main(argv: list[str]) -> int:
     for name, (source, inputs) in programs.items():
         for mode, trace in configs:
             runs += 1
-            interp = observe(source, args.seed, mode, trace, inputs, "interp")
-            vm = observe(source, args.seed, mode, trace, inputs, "vm")
-            problems = diff_surfaces(interp, vm)
+            with oracle():
+                reference = observe(source, args.seed, mode, trace, inputs)
+            vm = observe(source, args.seed, mode, trace, inputs)
+            problems = diff_surfaces(reference, vm)
             if problems:
                 failures += 1
                 print(f"DIVERGED {name} [mode={mode} trace={trace}]")

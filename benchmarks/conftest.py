@@ -14,10 +14,6 @@ Every benchmark honours one shared convention:
 * ``--quick``   — shrink workloads so the full sweep finishes in well
   under a minute (the CI smoke configuration).  Timing-sensitive shape
   assertions are relaxed in quick mode; structural ones still hold.
-* ``--engine``  — default execution engine (``interp``/``vm``) for every
-  Machine the sweep builds, via
-  :func:`repro.runtime.machine.set_default_engine`; the differential
-  benches (E15) pass their engines explicitly and are unaffected.
 
 The flags work both under pytest (``pytest benchmarks/ --quick``) and
 standalone (``python benchmarks/bench_e1_logging_overhead.py --quick``) —
@@ -36,7 +32,6 @@ import time
 import traceback
 
 from repro import compile_program
-from repro.runtime.machine import set_default_engine
 
 # ---------------------------------------------------------------------------
 # The --seed/--quick convention.
@@ -64,15 +59,8 @@ def _parse_standalone_args() -> None:
     parser.add_argument(
         "--quick", action="store_true", help="shrunken CI-smoke workloads"
     )
-    parser.add_argument(
-        "--engine",
-        choices=("interp", "vm"),
-        default="interp",
-        help="default execution engine for every Machine the sweep builds",
-    )
     args = parser.parse_args()
     SEED, QUICK = args.seed, args.quick
-    set_default_engine(args.engine)
 
 
 if os.path.basename(sys.argv[0]).startswith("bench_"):
@@ -84,19 +72,12 @@ def pytest_addoption(parser):
     parser.addoption(
         "--quick", action="store_true", help="shrunken CI-smoke workloads"
     )
-    parser.addoption(
-        "--engine",
-        choices=("interp", "vm"),
-        default="interp",
-        help="default execution engine for every Machine the sweep builds",
-    )
 
 
 def pytest_configure(config):
     global SEED, QUICK
     SEED = config.getoption("--seed")
     QUICK = config.getoption("--quick")
-    set_default_engine(config.getoption("--engine"))
 
 
 def scale(normal, quick):

@@ -21,7 +21,7 @@ Signatures deliberately exclude schedule artifacts — ``unblock`` nodes,
 vector clocks, timestamps — so for the process-group workloads
 (:mod:`repro.workloads.mpi`), whose per-rank control flow is a pure
 function of the program text, a signature is identical under every
-scheduler seed and both execution engines.  Deviation is then evidence
+scheduler seed.  Deviation is then evidence
 about the *program*, not about the schedule.
 
 Obs counters (zero-leak when :mod:`repro.obs` is off):

@@ -759,7 +759,7 @@ def refine_with_effects(candidates: RaceCandidates, effects) -> RaceCandidates:
     *effects* is a :class:`~repro.analysis.effects.ProgramEffects`.  Its
     ``shared_sites`` set — ``(proc, node_id, var, write)`` tuples taken
     from the lowered bytecode — is a superset of every shared access the
-    VM (and, by engine parity, the interpreter) can perform at runtime
+    VM can perform at runtime
     (the hypothesis soundness suite asserts the containment against
     :func:`collect_access_sites`).  A pair endpoint absent from that set
     is therefore an access site the AST walk over-collected but no

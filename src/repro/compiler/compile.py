@@ -3,9 +3,11 @@
 During the preparatory phase the Compiler/Linker produces, along with the
 object code: the emulation package, the static program dependence graph,
 the simplified static graph, and the program database.  In this
-reproduction the "object code" and the "emulation package" are the same
-interpreter driven by different plans, so :class:`CompiledProgram` carries
-every preparatory-phase artifact in one bundle.
+reproduction the "object code" and the "emulation package" are one
+machine, the bytecode VM (:mod:`repro.vm`), driven by different plans:
+a logged run writes the log and replay re-executes e-blocks from it.
+So :class:`CompiledProgram` carries every preparatory-phase artifact in
+one bundle, plus the VM's lazily-built lowering (:meth:`vm_code`).
 """
 
 from __future__ import annotations

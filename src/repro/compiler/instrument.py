@@ -2,7 +2,7 @@
 
 The paper's Compiler/Linker emits object code whose only debugging cost is
 log generation at e-block boundaries plus sync-unit prelogs for shared
-variables.  Our "object code" is the interpreter plus this plan; the plan
+variables.  Our "object code" is the bytecode VM plus this plan; the plan
 is the complete description of the inserted logging:
 
 * procedure e-blocks: prelog (args + shared REF) at entry, postlog

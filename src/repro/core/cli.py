@@ -47,16 +47,15 @@ program, exiting non-zero on error-severity findings.  ``ppd localize
 ``--record``) and ranks faulty-process suspects against their peer
 group's consensus (:mod:`repro.analysis.localize`), exiting non-zero
 when a suspect is found.  ``ppd disasm
-<file> [--proc NAME]`` prints the :mod:`repro.vm` bytecode lowering, and
-``--engine {interp,vm}`` on ``replay``/``connect`` selects the
-execution engine.
+<file> [--proc NAME]`` prints the :mod:`repro.vm` bytecode lowering that
+every run and replay executes.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..runtime.machine import ExecutionRecord, resolve_engine
+from ..runtime.machine import ExecutionRecord
 from .controller import PPDSession
 from .deadlock import analyze_deadlock
 from .dynamic_graph import SUBGRAPH
@@ -74,11 +73,9 @@ class PPDCommandLine:
         autostart: bool = True,
         cache=None,
         pool=None,
-        engine: Optional[str] = None,
     ) -> None:
         self.record = record
-        self.engine = resolve_engine(engine)
-        self.session = PPDSession(record, cache=cache, pool=pool, engine=self.engine)
+        self.session = PPDSession(record, cache=cache, pool=pool)
         if autostart:
             self.session.start()
 
@@ -323,7 +320,7 @@ class PPDCommandLine:
         except OSError as error:
             return f"error: {error}"
         self.record = record
-        self.session = PPDSession(record, cache=self.session.cache, engine=self.engine)
+        self.session = PPDSession(record, cache=self.session.cache)
         self.session.start()
         return (
             f"loaded record from {path} "
@@ -538,8 +535,6 @@ def _build_parser():  # pragma: no cover - exercised via main()
     replay.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="persistent replay cache directory: a re-run over "
                              "the same record starts warm (env: PPD_CACHE_DIR)")
-    replay.add_argument("--engine", choices=("interp", "vm"), default="interp",
-                        help="execution engine for e-block re-execution (repro.vm)")
     _add_fault_flags(replay)
 
     disasm = sub.add_parser(
@@ -595,8 +590,6 @@ def _build_parser():  # pragma: no cover - exercised via main()
                           help="scheduler seed for program runs")
     localize.add_argument("--inputs", default=None, metavar="A,B,...",
                           help="comma-separated integer inputs for program runs")
-    localize.add_argument("--engine", choices=("interp", "vm"), default="interp",
-                          help="execution engine for program runs")
     localize.add_argument("--top", type=int, default=3, metavar="K",
                           help="suspects to report (default 3)")
     localize.add_argument("--json", action="store_true", dest="as_json",
@@ -617,8 +610,6 @@ def _build_parser():  # pragma: no cover - exercised via main()
     connect.add_argument("--seed", type=int, default=0, help="scheduler seed for --program")
     connect.add_argument("--inputs", default=None, metavar="A,B,...",
                          help="comma-separated integer inputs for --program")
-    connect.add_argument("--engine", choices=("interp", "vm"), default="interp",
-                         help="execution engine for --program runs on the server")
     return parser
 
 
@@ -671,9 +662,7 @@ def _main_replay(args) -> int:
         return 1
     cache_dir = args.cache_dir or os.environ.get("PPD_CACHE_DIR") or None
     cache = ReplayCache(spill_dir=cache_dir, write_through=bool(cache_dir))
-    with ReplayPool(
-        record, jobs=args.jobs, cache=cache, engine=args.engine
-    ) as pool:
+    with ReplayPool(record, jobs=args.jobs, cache=cache) as pool:
         for round_number in range(max(1, args.repeat)):
             started = time.perf_counter()
             results = pool.replay_batch(requests)
@@ -742,12 +731,7 @@ def _main_localize(args) -> int:
         inputs = (
             [int(part) for part in args.inputs.split(",")] if args.inputs else None
         )
-        record = Machine(
-            compile_program(source),
-            seed=args.seed,
-            inputs=inputs,
-            engine=args.engine,
-        ).run()
+        record = Machine(compile_program(source), seed=args.seed, inputs=inputs).run()
     cli = PPDCommandLine(record, autostart=False)
     if args.diff is not None:
         print(cli.execute(f"localize diff {args.diff}"))
@@ -868,9 +852,7 @@ def _main_connect(args) -> int:  # pragma: no cover - interactive
             inputs = (
                 [int(part) for part in args.inputs.split(",")] if args.inputs else None
             )
-            session = client.open_program(
-                source, seed=args.seed, inputs=inputs, engine=args.engine
-            )
+            session = client.open_program(source, seed=args.seed, inputs=inputs)
 
         def execute(line: str) -> str:
             if line.strip() == "quit":

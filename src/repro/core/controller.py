@@ -26,7 +26,7 @@ from typing import Optional, Union
 from ..obs import hooks as _obs
 from ..perf import ReplayCache, ReplayPool, replay_cache
 from ..runtime.logging import IntervalInfo, Prelog, innermost_open_interval
-from ..runtime.machine import ExecutionRecord, resolve_engine
+from ..runtime.machine import ExecutionRecord
 from .dynamic_graph import (
     DATA,
     SUBGRAPH,
@@ -71,12 +71,10 @@ class PPDSession:
         record: ExecutionRecord,
         cache: Optional[ReplayCache] = None,
         pool: Optional[ReplayPool] = None,
-        engine: Optional[str] = None,
     ) -> None:
         self.record = record
         self.compiled = record.compiled
-        self.engine = resolve_engine(engine)
-        self.emulation = EmulationPackage(record, engine=self.engine)
+        self.emulation = EmulationPackage(record)
         self.builder = DynamicGraphBuilder(
             self.compiled.static_graph, self.compiled.database
         )
@@ -102,9 +100,7 @@ class PPDSession:
         or ``"auto"`` — CPU-sized with the adaptive serial-vs-pooled
         dispatch policy, so small expansions never pay pool tax."""
         if self.pool is None:
-            self.pool = ReplayPool(
-                self.record, jobs=jobs, cache=self.cache, engine=self.engine
-            )
+            self.pool = ReplayPool(self.record, jobs=jobs, cache=self.cache)
         return self.pool
 
     # ------------------------------------------------------------------

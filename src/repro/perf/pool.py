@@ -62,7 +62,6 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
 
 from ..faults import state as _flt
 from ..obs import hooks as _obs
-from ..runtime.machine import resolve_engine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.emulation import EmulationPackage, ReplayResult
@@ -102,22 +101,22 @@ def default_jobs() -> int:
         return max(1, os.cpu_count() or 1)
 
 
-def _init_worker_shm(segment_name: str, engine: Optional[str] = None) -> None:
+def _init_worker_shm(segment_name: str) -> None:
     """Pool initializer, shm transport: attach the parent's segment and
     unpickle the record straight out of the mapping (zero-copy)."""
     global _WORKER_PACKAGE
     from ..core.emulation import EmulationPackage
     from .shm import load_pickled
 
-    _WORKER_PACKAGE = EmulationPackage(load_pickled(segment_name), engine=engine)
+    _WORKER_PACKAGE = EmulationPackage(load_pickled(segment_name))
 
 
-def _init_worker_pipe(blob: bytes, engine: Optional[str] = None) -> None:
+def _init_worker_pipe(blob: bytes) -> None:
     """Pool initializer, pipe fallback: unpickle the shipped record."""
     global _WORKER_PACKAGE
     from ..core.emulation import EmulationPackage
 
-    _WORKER_PACKAGE = EmulationPackage(pickle.loads(blob), engine=engine)
+    _WORKER_PACKAGE = EmulationPackage(pickle.loads(blob))
 
 
 def _replay_chunk(
@@ -214,7 +213,6 @@ class ReplayPool:
         record: "ExecutionRecord",
         jobs: Union[int, str, None] = None,
         cache: Optional["ReplayCache"] = None,
-        engine: Optional[str] = None,
         max_respawns: int = 2,
         retry_backoff_s: float = 0.05,
         worker_timeout_s: Optional[float] = 60.0,
@@ -226,7 +224,6 @@ class ReplayPool:
         else:
             self.jobs = max(1, int(jobs))
         self.cache = cache
-        self.engine = resolve_engine(engine)
         #: How many times a dead/hung executor is rebuilt before the pool
         #: permanently degrades to inline replay for this record.
         self.max_respawns = max(0, max_respawns)
@@ -488,7 +485,7 @@ class ReplayPool:
         if self._local is None:
             from ..core.emulation import EmulationPackage
 
-            self._local = EmulationPackage(self.record, engine=self.engine)
+            self._local = EmulationPackage(self.record)
         started = time.perf_counter()
         result = self._local.replay(
             pid, interval_id, uid_base=0, prelog_overrides=overrides
@@ -529,14 +526,10 @@ class ReplayPool:
                 self._shm_failed = True
         if self._segment is not None:
             self.transport = "shm"
-            return (
-                _init_worker_shm,
-                (self._segment.name, self.engine),
-                len(self._segment.name),
-            )
+            return _init_worker_shm, (self._segment.name,), len(self._segment.name)
         self.transport = "pipe"
         blob = self._record_payload()
-        return _init_worker_pipe, (blob, self.engine), len(blob)
+        return _init_worker_pipe, (blob,), len(blob)
 
     def _ensure_executor(self) -> Optional[ProcessPoolExecutor]:
         if self._executor is not None:

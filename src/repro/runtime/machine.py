@@ -23,11 +23,12 @@ import random
 import sys
 import time as _time
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-# The generator-based interpreter uses ~10 Python frames per PCL call
-# frame; raise the recursion ceiling so reasonably deep PCL recursion
-# (depth ~2000) works, and runaway recursion is caught gracefully below.
+# Replay delegates every PCL call through the generator protocol (a few
+# Python frames per PCL call frame); raise the recursion ceiling so PCL
+# recursion up to MAX_CALL_DEPTH replays, and runaway recursion is
+# caught gracefully by that limit instead.
 if sys.getrecursionlimit() < 24_000:
     sys.setrecursionlimit(24_000)
 
@@ -39,7 +40,6 @@ from ..obs import hooks as _obs
 from .channels import Channel, Entry, Message, RendezvousExchange
 from .clocks import VectorClock
 from .errors import AssertionFailure, PCLRuntimeError
-from .interp import Interp
 from .logging import (
     InputLog,
     LogFile,
@@ -56,6 +56,9 @@ from .scheduler import Scheduler
 from .sync import Lock, Semaphore, SyncToken
 from .tracing import Segment, SyncHistory, SyncNodeRec, TraceEvent, Tracer
 from .values import PCLArray, default_value
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (repro.vm imports this module)
+    from ..vm.executor import VMExec
 
 #: Cap on per-segment access-site lists (reporting material only).
 _MAX_SITES = 64
@@ -154,31 +157,6 @@ class ExecutionRecord:
         return sum(len(log) for log in self.logs.values())
 
 
-#: Process-wide default execution engine; ``engine=None`` anywhere
-#: resolves to this.  The benchmarks' ``--engine`` flag flips it so one
-#: switch reruns the whole suite on the bytecode VM.
-DEFAULT_ENGINE = "interp"
-
-
-def resolve_engine(engine: Optional[str]) -> str:
-    """Validate an engine selector, defaulting ``None`` to the process-wide
-    :data:`DEFAULT_ENGINE`."""
-    if engine is None:
-        return DEFAULT_ENGINE
-    if engine not in ("interp", "vm"):
-        raise ValueError(f"unknown engine {engine!r}")
-    return engine
-
-
-def set_default_engine(engine: str) -> None:
-    """Set the engine that ``engine=None`` resolves to (e.g. from a CLI
-    or benchmark ``--engine`` flag)."""
-    global DEFAULT_ENGINE
-    if engine not in ("interp", "vm"):
-        raise ValueError(f"unknown engine {engine!r}")
-    DEFAULT_ENGINE = engine
-
-
 def _fastpath_from_env() -> bool:
     value = os.environ.get("PPD_VM_FASTPATH")
     if value is None:
@@ -189,19 +167,13 @@ def _fastpath_from_env() -> bool:
 #: Process-wide default for the VM's verified fast path (effect-proven
 #: yield elision + superinstruction fusion); ``fastpath=None`` resolves
 #: to this.  On by default; ``PPD_VM_FASTPATH=off`` (or 0/no/false)
-#: disables it — the vm-parity CI job runs the full matrix both ways.
+#: disables it — the vm-vs-oracle CI job runs the full matrix both ways.
 DEFAULT_FASTPATH = _fastpath_from_env()
 
 
 def resolve_fastpath(fastpath: Optional[bool]) -> bool:
     """Default ``None`` to the process-wide :data:`DEFAULT_FASTPATH`."""
     return DEFAULT_FASTPATH if fastpath is None else bool(fastpath)
-
-
-def set_default_fastpath(fastpath: bool) -> None:
-    """Set what ``fastpath=None`` resolves to (CLI / benchmark flags)."""
-    global DEFAULT_FASTPATH
-    DEFAULT_FASTPATH = bool(fastpath)
 
 
 class Machine:
@@ -220,17 +192,13 @@ class Machine:
         max_steps: int = 2_000_000,
         interventions: Optional[dict[tuple[int, int], list[tuple[str, Any]]]] = None,
         breakpoints: Optional[set[str]] = None,
-        engine: Optional[str] = None,
         fastpath: Optional[bool] = None,
     ) -> None:
         if mode not in ("plain", "logged"):
             raise ValueError(f"unknown mode {mode!r}")
         self.compiled = compiled
         self.mode = mode
-        self.engine = resolve_engine(engine)
-        #: the verified fast path is a VM-only rewrite; the interpreter
-        #: never sees fused code, so the flag is inert there
-        self.fastpath = self.engine == "vm" and resolve_fastpath(fastpath)
+        self.fastpath = resolve_fastpath(fastpath)
         #: set per run-loop iteration: True while the schedule is
         #: pre-committed to the sole READY process (elision window)
         self.fastpath_commit = False
@@ -303,19 +271,11 @@ class Machine:
     # Main loop
     # ------------------------------------------------------------------
 
-    def _new_executor(self, process: Process):
-        """Build this machine's execution engine for one process.
+    def _new_executor(self, process: Process) -> VMExec:
+        """Build the bytecode executor (:mod:`repro.vm`) for one process."""
+        from ..vm.executor import VMExec
 
-        Both engines expose the same generator surface (``run_process`` /
-        ``exec_proc_body`` / ``exec_stmt``) and identical observable
-        behaviour; ``engine="vm"`` swaps the tree walker for the bytecode
-        dispatch loop in :mod:`repro.vm`.
-        """
-        if self.engine == "vm":
-            from ..vm.executor import VMExec
-
-            return VMExec(self, process)
-        return Interp(self, process)
+        return VMExec(self, process)
 
     def run(self) -> ExecutionRecord:
         """Execute the program to completion, failure, or deadlock."""
@@ -1068,13 +1028,13 @@ class Machine:
         )
         process.interval_stack.pop()
 
-    def maybe_skip_loop(self, interp: Interp, stmt: ast.Stmt, block: EBlock | None):
+    def maybe_skip_loop(self, executor: VMExec, stmt: ast.Stmt, block: EBlock | None):
         """Normal execution never skips loops; the replay engine overrides."""
         if False:  # pragma: no cover - generator-shaping trick
             yield
         return False
 
-    def maybe_skip_chunk(self, interp: Interp, block: EBlock):
+    def maybe_skip_chunk(self, executor: VMExec, block: EBlock):
         """Normal execution never skips chunks; the replay engine overrides."""
         if False:  # pragma: no cover - generator-shaping trick
             yield
@@ -1082,14 +1042,14 @@ class Machine:
 
     def call_user_proc(
         self,
-        interp: Interp,
+        executor: VMExec,
         call_expr: ast.CallExpr,
         procdef: ast.ProcDef,
         args: list[Any],
         call_uid: int,
     ):
         """Execute a user call inline (the replay engine may skip instead)."""
-        result = yield from interp.exec_proc_body(
+        result = yield from executor.exec_proc_body(
             procdef, args, call_expr.node_id, call_uid
         )
         return result
@@ -1116,7 +1076,7 @@ class Machine:
     def before_stmt(self, process: Process, stmt: ast.Stmt) -> None:
         """Pre-statement hook: breakpoints and what-if interventions (§5.7).
 
-        Only invoked by the interpreter when breakpoints or interventions
+        Only invoked by the executor when breakpoints or interventions
         exist (``hooks_needed``), so the common case pays nothing.
         """
         if self.breakpoints and stmt.stmt_label in self.breakpoints:
@@ -1146,7 +1106,7 @@ class Machine:
 
     @property
     def hooks_needed(self) -> bool:
-        """Whether the interpreter must call before_stmt at every statement."""
+        """Whether the executor must call before_stmt at every statement."""
         return bool(self.breakpoints or self.interventions)
 
     @property
@@ -1222,7 +1182,6 @@ def run_program(
     quantum: int = 1,
     max_steps: int = 2_000_000,
     policy=None,
-    engine: Optional[str] = None,
 ) -> ExecutionRecord:
     """Compile (if needed) and run a PCL program in one call."""
     from ..compiler.compile import compile_program
@@ -1240,6 +1199,5 @@ def run_program(
         input_seed=input_seed,
         quantum=quantum,
         max_steps=max_steps,
-        engine=engine,
     )
     return machine.run()

@@ -32,7 +32,7 @@ class Frame:
 
 
 class Process:
-    """One PCL process: interpreter generator plus bookkeeping.
+    """One PCL process: executor generator plus bookkeeping.
 
     The generator yields at every preemption point (statement boundaries and
     shared-memory accesses); the scheduler drives it one step at a time,

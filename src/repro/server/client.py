@@ -264,13 +264,10 @@ class DebugClient:
         *,
         seed: int = 0,
         inputs: Optional[list[Any]] = None,
-        engine: str = "interp",
     ) -> "RemoteSession":
         """Upload a PCL program; the server runs it (logged) and opens a
         session over the execution record."""
-        response = self.call(
-            "open", program=source, seed=seed, inputs=inputs, engine=engine
-        )
+        response = self.call("open", program=source, seed=seed, inputs=inputs)
         return RemoteSession(self, response.data["session"], response.data.get("info", {}))
 
     def open_record(

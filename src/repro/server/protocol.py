@@ -8,18 +8,19 @@ plus session lifecycle operations.
 
 Request line::
 
-    {"args":["average"],"id":7,"op":"why","session":"s1","v":1}
+    {"args":["average"],"id":7,"op":"why","session":"s1","v":2}
 
-``open`` carries its parameters inline (exactly one source):
+``open`` carries its parameters inline (exactly one source, a string;
+``program`` may add an integer ``seed`` and an ``inputs`` integer list):
 
-    {"id":1,"op":"open","program":"proc main() {...}","seed":0,"v":1}
-    {"id":1,"op":"open","record_json":"{...}","v":1}
-    {"id":1,"op":"open","record_path":"/tmp/run.ppd.json","v":1}
+    {"id":1,"inputs":[10,20],"op":"open","program":"proc main() {...}","seed":0,"v":2}
+    {"id":1,"op":"open","record_json":"{...}","v":2}
+    {"id":1,"op":"open","record_path":"/tmp/run.ppd.json","v":2}
 
 Response line::
 
-    {"id":7,"ok":true,"output":"average <- ...","v":1}
-    {"error":{"code":"unknown-session","message":"..."},"id":7,"ok":false,"v":1}
+    {"id":7,"ok":true,"output":"average <- ...","v":2}
+    {"error":{"code":"unknown-session","message":"..."},"id":7,"ok":false,"v":2}
 
 Structured errors carry a machine-readable ``code`` (see
 :data:`ERROR_CODES`) and a human message — never a stack trace.
@@ -31,8 +32,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-#: Protocol revision; bumped on any incompatible wire change.
-PROTOCOL_VERSION = 1
+#: Protocol revision; bumped on any incompatible wire change (2: ``open``
+#: no longer takes an ``engine``, and its fields are type-checked).
+PROTOCOL_VERSION = 2
 
 #: Hard cap on one wire line (requests may upload whole persist records).
 MAX_LINE_BYTES = 32 * 1024 * 1024
@@ -275,10 +277,25 @@ def validate_request(request: Request) -> None:
                 "bad-request",
                 "open requires exactly one of program/record_json/record_path",
             )
-        engine = request.payload.get("engine")
-        if engine is not None and engine not in ("interp", "vm"):
-            raise ProtocolError(
-                "bad-request", "open 'engine' must be 'interp' or 'vm'"
-            )
+        _validate_open_fields(request.payload, sources[0])
     if request.op == "close" and request.session is None:
         raise ProtocolError("bad-request", "close requires a 'session'")
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _validate_open_fields(payload: dict[str, Any], source: str) -> None:
+    """Type-check ``open``'s inline fields before anything acts on them (a
+    non-string ``record_path`` would otherwise reach ``open()`` as a file
+    descriptor)."""
+    if not isinstance(payload[source], str):
+        raise ProtocolError("bad-request", f"open field {source!r} must be a string")
+    if not _is_int(payload.get("seed", 0)):
+        raise ProtocolError("bad-request", "open field 'seed' must be an integer")
+    inputs = payload.get("inputs")
+    if inputs is not None and not (
+        isinstance(inputs, list) and all(_is_int(value) for value in inputs)
+    ):
+        raise ProtocolError("bad-request", "open field 'inputs' must be a list of integers")

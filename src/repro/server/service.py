@@ -345,9 +345,8 @@ class DebugService:
             if payload.get("program") is not None:
                 return self.sessions.open_program(
                     payload["program"],
-                    seed=_int_field(payload, "seed", 0),
+                    seed=payload.get("seed", 0),
                     inputs=payload.get("inputs"),
-                    engine=payload.get("engine"),
                 )
             if payload.get("record_json") is not None:
                 return self.sessions.open_record_json(payload["record_json"])
@@ -387,13 +386,6 @@ class DebugService:
         if "error" in box:
             raise box["error"]
         return box["result"]
-
-
-def _int_field(payload: dict[str, Any], key: str, default: int) -> int:
-    value = payload.get(key, default)
-    if not isinstance(value, int):
-        raise ProtocolError("bad-request", f"open field {key!r} must be an integer")
-    return value
 
 
 def _close_socket(conn: socket.socket) -> None:

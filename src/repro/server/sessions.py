@@ -36,7 +36,7 @@ from ..core.cli import PPDCommandLine
 from ..faults import state as _flt
 from ..obs import hooks as _obs
 from ..perf import ReplayCache, replay_cache
-from ..runtime.machine import ExecutionRecord, resolve_engine, run_program
+from ..runtime.machine import ExecutionRecord, run_program
 from ..runtime.persist import PersistError, load_record, record_from_json, record_to_json
 
 #: Commands that mutate session state and must be replayed on rehydration.
@@ -70,7 +70,6 @@ class _Entry:
     last_used: float = 0.0
     rehydrations: int = 0
     commands: int = 0
-    engine: str = "interp"
 
 
 def _close_pool(cli: Optional[PPDCommandLine]) -> None:
@@ -82,18 +81,14 @@ def _close_pool(cli: Optional[PPDCommandLine]) -> None:
             pass
 
 
-def _build_cli(
-    record: ExecutionRecord,
-    cache: Optional[ReplayCache] = None,
-    engine: Optional[str] = None,
-) -> PPDCommandLine:
+def _build_cli(record: ExecutionRecord, cache: Optional[ReplayCache] = None) -> PPDCommandLine:
     """A command line over *record*; deadlocked/odd records that cannot
     autostart fall back to a cold session (same behaviour every time, so
     rehydration stays deterministic)."""
     try:
-        return PPDCommandLine(record, cache=cache, engine=engine)
+        return PPDCommandLine(record, cache=cache)
     except (KeyError, ValueError):
-        return PPDCommandLine(record, autostart=False, cache=cache, engine=engine)
+        return PPDCommandLine(record, autostart=False, cache=cache)
 
 
 class SessionManager:
@@ -141,12 +136,10 @@ class SessionManager:
         *,
         seed: int = 0,
         inputs: Optional[list[Any]] = None,
-        engine: Optional[str] = None,
     ) -> tuple[str, dict[str, Any]]:
         """Execute *source* (logged mode) and open a session over the run."""
-        engine = resolve_engine(engine)
-        record = run_program(source, seed=seed, inputs=inputs, mode="logged", engine=engine)
-        return self._admit(record, origin=f"program(seed={seed})", engine=engine)
+        record = run_program(source, seed=seed, inputs=inputs, mode="logged")
+        return self._admit(record, origin=f"program(seed={seed})")
 
     def open_record_json(self, text: str) -> tuple[str, dict[str, Any]]:
         """Open a session over an uploaded persist-record document."""
@@ -156,11 +149,8 @@ class SessionManager:
         """Open a session over a record file on the server's filesystem."""
         return self._admit(load_record(path), origin=path)
 
-    def _admit(
-        self, record: ExecutionRecord, origin: str, engine: Optional[str] = None
-    ) -> tuple[str, dict[str, Any]]:
-        engine = resolve_engine(engine)
-        cli = self._make_cli(record, engine)
+    def _admit(self, record: ExecutionRecord, origin: str) -> tuple[str, dict[str, Any]]:
+        cli = self._make_cli(record)
         now = self._time()
         with self._lock:
             sid = f"s{next(self._next_id)}"
@@ -174,7 +164,6 @@ class SessionManager:
                 cli=cli,
                 created=now,
                 last_used=now,
-                engine=engine,
             )
             self._entries[sid] = entry
             self._order.append(sid)
@@ -321,10 +310,10 @@ class SessionManager:
             self._order.append(sid)
             return entry
 
-    def _make_cli(self, record: ExecutionRecord, engine: str) -> PPDCommandLine:
+    def _make_cli(self, record: ExecutionRecord) -> PPDCommandLine:
         """A command line over *record*, with a replay pool attached when
         the manager is configured for one and not running degraded."""
-        cli = _build_cli(record, self.replay_cache, engine=engine)
+        cli = _build_cli(record, self.replay_cache)
         if self.pool_jobs is not None and not self.degraded:
             cli.session.attach_pool(jobs=self.pool_jobs)
         return cli
@@ -347,7 +336,7 @@ class SessionManager:
                     "injected rehydrate failure (repro.faults session.rehydrate)"
                 )
             record = load_record(entry.spill_path)
-            cli = self._make_cli(record, entry.engine)
+            cli = self._make_cli(record)
             for line in entry.journal:
                 cli.execute(line)
         except Exception:
@@ -407,7 +396,6 @@ class SessionManager:
             "live": entry.cli is not None,
             "commands": entry.commands,
             "rehydrations": entry.rehydrations,
-            "engine": entry.engine,
             "idle_s": round(self._time() - entry.last_used, 3),
         }
         cli = entry.cli

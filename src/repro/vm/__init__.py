@@ -1,13 +1,13 @@
-"""Bytecode VM execution substrate.
+"""Bytecode VM: the execution engine of every :class:`repro.Machine`.
 
-An alternative execution engine for compiled PCL programs: the AST is
-lowered once to flat bytecode (:mod:`repro.vm.bytecode`) and executed on
-a trampolined dispatch loop (:mod:`repro.vm.executor`) that suspends at
-exactly the interpreter's preemption points and e-block boundaries.
-Selected with ``engine="vm"`` on :class:`repro.Machine` (and ``--engine``
-on the CLI); observable behaviour — records, logs, trace events,
-deterministic counters — is byte-identical to the tree-walking
-interpreter, which CI enforces differentially.
+Compiled PCL programs are lowered once to flat bytecode
+(:mod:`repro.vm.bytecode`) and executed on a trampolined dispatch loop
+(:mod:`repro.vm.executor`) that suspends at the scheduler's preemption
+points and at e-block boundaries.  The same executor writes the log
+during a logged run and re-executes e-blocks during replay.  A reference
+tree walker is kept in the test suite only, as a differential oracle:
+CI checks that records, logs, trace events and deterministic counters
+are byte-identical under both.
 """
 
 from .bytecode import Code, ProgramCode, compile_proc, compile_stmt

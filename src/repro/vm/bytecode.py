@@ -1,10 +1,9 @@
 """AST -> flat bytecode lowering for the PCL virtual machine.
 
-The tree-walking interpreter (:mod:`repro.runtime.interp`) re-discovers
-the shape of every statement on every execution: each expression node
-costs a fresh generator, each statement an ``isinstance`` ladder.  The
-VM pays those costs **once per program**, at lowering time, and executes
-a flat instruction list afterwards:
+A tree walker re-discovers the shape of every statement on every
+execution: each expression node costs a fresh generator, each statement
+an ``isinstance`` ladder.  The VM pays those costs **once per program**,
+at lowering time, and executes a flat instruction list afterwards:
 
 * expressions are linearized onto an operand stack (constants folded
   into ``CONST`` operands, names interned);
@@ -17,13 +16,13 @@ a flat instruction list afterwards:
 Instructions are plain tuples ``(opcode, *operands)``; operands refer
 to AST nodes and e-blocks directly, so the executor can hand them to
 the owning :class:`~repro.runtime.machine.Machine` unchanged — which is
-what keeps logs and trace events byte-identical to the interpreter's.
+what keeps logs and trace events byte-identical to those of the
+reference tree walker the tests compare against.
 
 A parallel ``stmt_at`` table maps every instruction index back to the
 innermost statement being executed there, giving the executor the same
-error-attachment behaviour as the interpreter's nested ``exec_stmt``
-frames, and the disassembler (:mod:`repro.vm.disasm`) its source
-anchors.
+error-attachment behaviour as a walker's nested ``exec_stmt`` frames,
+and the disassembler (:mod:`repro.vm.disasm`) its source anchors.
 """
 
 from __future__ import annotations
@@ -399,7 +398,7 @@ class _Compiler:
                 self.emit(CALL_PURE, intern(node.name), len(node.args))
             else:
                 # Resolve the callee once; an unknown name keeps the
-                # interpreter's raise-at-call-time behaviour.
+                # reference walker's raise-at-call-time behaviour.
                 try:
                     procdef = self.compiled.program.proc(node.name)
                 except KeyError:

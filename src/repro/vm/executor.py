@@ -1,13 +1,12 @@
 """The PCL bytecode executor: a trampolined dispatch loop.
 
-:class:`VMExec` is a drop-in replacement for
-:class:`repro.runtime.interp.Interp` — same constructor, same
-``run_process`` / ``exec_proc_body`` / ``exec_stmt`` generator surface,
-same yield protocol — so the scheduler, the logging machinery, and the
-replay emulation drive it without knowing which engine they got.
+:class:`VMExec` executes one process for every :class:`Machine`: the
+logged run (the paper's object code) and e-block replay (the emulation
+package) both drive it through the same ``run_process`` /
+``exec_proc_body`` / ``exec_stmt`` generator surface and yield protocol.
 
-Where the interpreter suspends by threading a ``yield from`` chain
-through one Python generator per active AST node, the VM keeps explicit
+A tree walker would suspend by threading a ``yield from`` chain through
+one Python generator per active AST node; the VM instead keeps explicit
 :class:`_VMFrame` records (code, instruction pointer, operand stack,
 open block entries) and runs them all from a **single** dispatch
 generator.  A preemption point is a plain ``yield`` in the loop; a PCL
@@ -17,11 +16,11 @@ program costs O(1) Python frames instead of O(depth).
 Parity contract: every observable effect — the order of scheduler
 yields, ``process.steps`` increments, log appends, trace events and
 their ``reads`` lists, error messages and attached sites — matches the
-interpreter exactly.  The block-entry list per frame replaces the
-interpreter's ``try/finally`` nesting: ``break``/``continue``/
-``return`` and escaping exceptions unwind it innermost-first, running
-the same ``on_loop_exit`` / ``on_chunk_exit`` / ``end_accept`` hooks
-the interpreter's ``finally`` clauses would.
+reference tree walker the test suite keeps as its differential oracle.
+The block-entry list per frame replaces the walker's ``try/finally``
+nesting: ``break``/``continue``/``return`` and escaping exceptions
+unwind it innermost-first, running the same ``on_loop_exit`` /
+``on_chunk_exit`` / ``end_accept`` hooks its ``finally`` clauses would.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from typing import Any, Generator, Optional
 from ..lang import ast
 from ..lang.pretty import expr_to_str
 from ..runtime.errors import AssertionFailure, PCLRuntimeError
-from ..runtime.interp import MAX_CALL_DEPTH, _Break, _Continue, _Return
 from ..runtime.machine import Machine
 from ..runtime.process import Frame, Process
 from ..runtime.tracing import (
@@ -53,6 +51,29 @@ from ..runtime.values import (
     format_value,
 )
 from . import bytecode as bc
+
+#: Maximum PCL call depth.  The trampoline itself needs no Python frame
+#: per PCL call, but replay delegates calls through the generator
+#: protocol (a few Python frames each), and the limit's failure message
+#: is part of the persisted record, so the value must not change.
+MAX_CALL_DEPTH = 1000
+
+
+class _Return(Exception):
+    """A ``return`` propagating out of a delegated body or replay root."""
+
+    def __init__(self, value: Any, ret_uid: int) -> None:
+        self.value = value
+        self.ret_uid = ret_uid
+
+
+class _Break(Exception):
+    pass
+
+
+class _Continue(Exception):
+    pass
+
 
 #: Block-entry kinds (first element of a block tuple).
 _LOOP = 0
@@ -100,7 +121,7 @@ class VMExec:
         self.table = machine.compiled.table
         #: read buffer for the statement being traced: (def key, def uid).
         #: Deliberately the same mutable-rebinding discipline as the
-        #: interpreter's, including its interactions with in-flight
+        #: reference walker's, including its interactions with in-flight
         #: argument marks — parity over elegance.
         self._reads: list[tuple[str, int]] = []
         self._frame_uid_counter = 0
@@ -120,7 +141,7 @@ class VMExec:
         self._arg_reads: list[list[list[tuple[str, int]]]] = []
 
     # ------------------------------------------------------------------
-    # Interp-compatible entry points
+    # Entry points (the generator surface Machine and replay drive)
     # ------------------------------------------------------------------
 
     def run_process(self, procdef: ast.ProcDef, args: list[Any]) -> Generator:
@@ -217,7 +238,7 @@ class VMExec:
         return None
 
     # ------------------------------------------------------------------
-    # Unwinding (the interpreter's try/finally nesting, made explicit)
+    # Unwinding (the reference walker's try/finally nesting, made explicit)
     # ------------------------------------------------------------------
 
     def _attach_innermost(self, frames: list[_VMFrame], error: BaseException) -> None:
@@ -252,7 +273,7 @@ class VMExec:
     def _unwind_error(self, frames: list[_VMFrame], error: BaseException) -> Generator:
         """Unwind everything, running exit hooks, then re-raise.
 
-        Matches exception propagation through the interpreter's nested
+        Matches exception propagation through the reference walker's nested
         generators: loop/chunk/accept ``finally`` bodies run innermost
         first; procedure epilogues (``on_proc_exit``, the frame pop) are
         *not* ``finally``-protected there and are skipped here too.  An
@@ -302,7 +323,7 @@ class VMExec:
                     yield from self._unwind_error(frames, error)
                 process.frames.pop()
                 return self._deliver(frames, vframe, value, ret_uid)
-        # A replay-root statement: propagate like the interpreter would.
+        # A replay-root statement: propagate like the reference walker would.
         raise _Return(value, ret_uid)
 
     def _unwind_loop(self, frames: list[_VMFrame], want_continue: bool) -> Generator:
@@ -328,7 +349,7 @@ class VMExec:
                 except BaseException as error:  # noqa: BLE001
                     yield from self._escalate(frames, entry, error)
             # No loop in this frame: a break/continue crossing a procedure
-            # boundary skips the epilogue, exactly like the interpreter.
+            # boundary skips the epilogue, exactly like the reference walker.
             frames.pop()
         raise _Continue() if want_continue else _Break()
 
@@ -1340,7 +1361,7 @@ class VMExec:
                         ip += 1
                     elif op == 44:  # CALL_BEGIN
                         if ins[2] is None:
-                            # Unknown callee: raise where the interpreter
+                            # Unknown callee: raise where the reference walker
                             # would, before evaluating any argument.
                             self.program.proc(ins[1].name)
                         self._arg_reads.append([])

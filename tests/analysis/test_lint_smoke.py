@@ -95,7 +95,7 @@ PCL_EXAMPLES = sorted(EXAMPLES_DIR.glob("*.pcl"))
 
 
 def test_pcl_examples_exist():
-    """The vm-parity CI job runs every examples/*.pcl under both engines."""
+    """The vm-vs-oracle CI job runs every examples/*.pcl on the VM and the oracle."""
     assert len(PCL_EXAMPLES) >= 6, PCL_EXAMPLES
 
 

@@ -1,8 +1,9 @@
 """Faulty-process localization: signatures, consensus, ranking, surfaces.
 
 The contract under test: signatures are schedule-independent (identical
-across scheduler seeds and engines), clean process groups localize as
-clean, a seeded deviant ranks first, and the ``localize`` report is
+across scheduler seeds, and on the VM and the reference tree walker),
+clean process groups localize as clean, a seeded deviant ranks first,
+and the ``localize`` report is
 byte-identical through the in-session command, the ``ppd localize`` CLI,
 and the server verb.
 """
@@ -32,9 +33,11 @@ from repro.workloads.mpi import (
     scatter_gather,
 )
 
+from tests.oracle import oracle
 
-def run(source, seed=0, engine="interp"):
-    return Machine(compile_program(source), seed=seed, engine=engine).run()
+
+def run(source, seed=0):
+    return Machine(compile_program(source), seed=seed).run()
 
 
 def signatures_of(record):
@@ -148,21 +151,24 @@ proc main() {
 
 
 class TestDeterminism:
-    def verdicts(self, source, seed, engine):
-        result = localize_record(run(source, seed=seed, engine=engine))
+    def verdicts(self, source, seed):
+        result = localize_record(run(source, seed=seed))
         return [(s.pid, s.name, round(s.score, 12)) for s in result.suspects]
 
     @pytest.mark.parametrize("family", ["scatter_gather", "master_worker"])
     def test_ranking_is_seed_independent(self, family):
         source = mpi_workload(family, 6, deviant=2)
-        base = self.verdicts(source, 0, "interp")
-        assert base == self.verdicts(source, 31, "interp")
-        assert base == self.verdicts(source, 1234, "interp")
+        base = self.verdicts(source, 0)
+        assert base == self.verdicts(source, 31)
+        assert base == self.verdicts(source, 1234)
 
     @pytest.mark.parametrize("family", ["ring_allreduce", "broadcast_tree"])
     def test_ranking_is_engine_independent(self, family):
+        """The VM ranks exactly like the reference tree walker."""
         source = mpi_workload(family, 6, deviant=2)
-        assert self.verdicts(source, 0, "interp") == self.verdicts(source, 0, "vm")
+        with oracle():
+            reference = self.verdicts(source, 0)
+        assert self.verdicts(source, 0) == reference
 
     def test_ranking_survives_persistence(self):
         # Segment step counts are persisted, so a rehydrated record (the

@@ -1,6 +1,6 @@
 """Property: a seeded deviant process is localized across the whole
 configuration space — every family, every supported fault, any deviant
-rank, any scheduler seed, both engines.
+rank, any scheduler seed.
 
 This is the paper-level claim behind ``ppd localize``: because
 signatures exclude schedule artifacts, the suspect ranking is evidence
@@ -24,9 +24,9 @@ CASES = [
 ]
 
 
-def localize(family, fault, deviant, seed, engine):
+def localize(family, fault, deviant, seed):
     source = mpi_workload(family, RANKS, deviant=deviant, fault=fault)
-    record = Machine(compile_program(source), seed=seed, engine=engine).run()
+    record = Machine(compile_program(source), seed=seed).run()
     assert record.failure is None and record.deadlock is None
     return localize_record(record)
 
@@ -35,12 +35,11 @@ def localize(family, fault, deviant, seed, engine):
     case=st.sampled_from(CASES),
     deviant=st.integers(min_value=1, max_value=RANKS - 1),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
-    engine=st.sampled_from(["interp", "vm"]),
 )
 @settings(max_examples=30, deadline=None)
-def test_seeded_deviant_ranks_in_top_k(case, deviant, seed, engine):
+def test_seeded_deviant_ranks_in_top_k(case, deviant, seed):
     family, fault, prefix = case
-    result = localize(family, fault, deviant, seed, engine)
+    result = localize(family, fault, deviant, seed)
     top = result.top(3)
     assert top, f"{family}/{fault}: no suspect at all"
     names = [suspect.name for suspect in top]
@@ -52,11 +51,10 @@ def test_seeded_deviant_ranks_in_top_k(case, deviant, seed, engine):
 @given(
     family=st.sampled_from(sorted(MPI_FAMILIES)),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
-    engine=st.sampled_from(["interp", "vm"]),
 )
 @settings(max_examples=15, deadline=None)
-def test_clean_runs_stay_clean(family, seed, engine):
+def test_clean_runs_stay_clean(family, seed):
     source = mpi_workload(family, RANKS)
-    record = Machine(compile_program(source), seed=seed, engine=engine).run()
+    record = Machine(compile_program(source), seed=seed).run()
     result = localize_record(record)
     assert result.is_clean, [(s.name, s.score) for s in result.top(3)]

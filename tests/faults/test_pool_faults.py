@@ -177,7 +177,7 @@ class TestShmUnderFaults:
 
     def test_vm_engine_identical_under_crash(self, record, expected):
         with faults.inject("pool.crash:n=1"):
-            with make_pool(record, engine="vm") as pool:
+            with make_pool(record) as pool:
                 results = pool.replay_batch(all_intervals(record))
                 assert pool.respawns == 1
         assert surfaces(results) == expected

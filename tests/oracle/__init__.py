@@ -1,0 +1,42 @@
+"""The differential test oracle: the reference PCL tree walker.
+
+Every :class:`repro.Machine` runs on the bytecode VM.  The tree walker in
+:mod:`tests.oracle.interp` is kept only so the VM can be checked against
+an independent implementation of the same semantics: the parity tests,
+the hypothesis differentials, ``benchmarks/check_vm_parity.py`` and E15
+run a program once inside :func:`oracle` and once outside it, then
+compare every observable surface.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import Iterator
+
+from repro.runtime.machine import Machine
+
+from .interp import Interp
+
+
+def _oracle_executor(machine: Machine, process) -> Interp:
+    # The walker has no fast path; say so, so the machine's fast-path
+    # bookkeeping (and anything that reports it) stays off.
+    machine.fastpath = False
+    machine.fastpath_commit = False
+    return Interp(machine, process)
+
+
+@contextmanager
+def oracle() -> Iterator[None]:
+    """Run every machine built or replayed inside the block on the walker.
+
+    Patches :meth:`Machine._new_executor`, which both ``Machine.run`` and
+    ``EmulationPackage.replay`` call, so logged runs and e-block replays
+    both switch.  Not thread-safe.
+    """
+    saved = Machine._new_executor
+    Machine._new_executor = _oracle_executor
+    try:
+        yield
+    finally:
+        Machine._new_executor = saved

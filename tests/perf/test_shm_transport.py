@@ -11,6 +11,7 @@ The load-bearing invariants:
 * shm pools ship segment *names*, not record bytes.
 """
 
+import contextlib
 import gc
 import pickle
 
@@ -23,6 +24,8 @@ from repro.perf.pool import _COLD_STEPS
 from repro.perf.shm import RecordSegment, load_pickled, shm_available
 from repro.perf.wire import result_from_wire, result_to_wire
 from repro.workloads import fig41_program, fig61_program
+
+from tests.oracle import oracle
 
 needs_shm = pytest.mark.skipif(not shm_available(), reason="no POSIX shared memory")
 
@@ -122,18 +125,20 @@ class TestWireCodec:
 class TestShmPool:
     @pytest.mark.parametrize("engine", ["interp", "vm"])
     def test_pooled_byte_identical_over_shm(self, record, engine):
-        """The tentpole invariant under the new transport, both engines."""
-        package = EmulationPackage(record, engine=engine)
+        """Pooled replay over shm equals serial replay on the VM and on the
+        reference tree walker (``interp``, :mod:`tests.oracle`)."""
         requests = all_intervals(record)
         before = leaked_segments()
-        with ReplayPool(record, jobs=2, engine=engine) as pool:
+        with ReplayPool(record, jobs=2) as pool:
             pooled = pool.replay_batch(requests)
             assert pool.describe()["transport"] == "shm"
-        for (pid, interval_id), result in zip(requests, pooled):
-            serial = package.replay(pid, interval_id, uid_base=0)
-            assert transcript(result) == transcript(serial)
-            assert result.trace_of_sync == serial.trace_of_sync
-            assert result.final_shared == serial.final_shared
+        package = EmulationPackage(record)
+        with oracle() if engine == "interp" else contextlib.nullcontext():
+            serial = [package.replay(pid, iid, uid_base=0) for pid, iid in requests]
+        for result, expected in zip(pooled, serial):
+            assert transcript(result) == transcript(expected)
+            assert result.trace_of_sync == expected.trace_of_sync
+            assert result.final_shared == expected.final_shared
         assert leaked_segments() == before
 
     def test_shm_ships_names_not_record_bytes(self, record):

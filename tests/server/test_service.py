@@ -223,6 +223,29 @@ class TestStructuredErrors:
         assert b'"ok":false' in reply
         assert b"bad-json" in reply
 
+    def test_bad_record_path_is_bad_request_and_daemon_keeps_serving(self, service):
+        """A non-string ``record_path`` is rejected before ``open()`` can
+        treat it as a file descriptor, and the daemon answers afterwards."""
+        with make_client(service) as client:
+            with pytest.raises(ServerError) as excinfo:
+                client.call("open", record_path=3)
+            assert excinfo.value.code == "bad-request"
+            assert client.ping() == "pong"
+            session = client.open_program(buggy_average(5), seed=0, inputs=AVG_INPUTS)
+            assert session.execute("output") == local_cli(
+                buggy_average(5), inputs=AVG_INPUTS
+            ).execute("output")
+
+    def test_protocol_1_request_gets_bad_version_reply(self, service):
+        import socket
+
+        from tests.server.test_protocol import V1_REPLY, V1_REQUEST
+
+        with socket.create_connection((service.host, service.port), timeout=10) as sock:
+            sock.sendall(V1_REQUEST.encode() + b"\n")
+            reply = sock.makefile("rb").readline()
+        assert reply.decode() == V1_REPLY + "\n"
+
     def test_per_request_timeout(self, tmp_path):
         service = make_service(request_timeout_s=0.05, spool_dir=str(tmp_path))
         try:

@@ -1,11 +1,12 @@
 """Hypothesis differential fuzzing: random programs from the existing
-fuzz generators must produce byte-identical records under both engines.
+fuzz generators must produce byte-identical records on the VM and on the
+reference tree walker (:mod:`tests.oracle`).
 
 Reuses :func:`tests.test_fuzz.programs` (sequential programs with
 functions, branches, loops, inputs) and
 :func:`tests.test_fuzz_parallel.parallel_programs` (random worker/counter
 topologies with semaphores and channels) — the same distributions that
-gate the interpreter, now pointed at the VM."""
+gate the runtime, pointed at the VM and the oracle."""
 
 from __future__ import annotations
 

@@ -20,6 +20,7 @@ from repro.workloads import (
     producer_consumer,
 )
 
+from tests.oracle import oracle
 from tests.vm.util import surface
 
 CASES = [
@@ -39,7 +40,6 @@ def run(source, *, fastpath, seed=0, mode="logged", trace=True, inputs=None):
         mode=mode,
         trace=trace,
         inputs=list(inputs) if inputs else None,
-        engine="vm",
         fastpath=fastpath,
     ).run()
 
@@ -57,7 +57,6 @@ def test_elision_actually_happens_on_compute_dense_code():
         compile_program(compute_heavy(3, 4)),
         seed=0,
         mode="plain",
-        engine="vm",
         fastpath=True,
     )
     record = machine.run()
@@ -74,7 +73,6 @@ def test_elision_is_disabled_while_other_processes_are_ready():
         compile_program(bank_race(2, 2)),
         seed=0,
         mode="plain",
-        engine="vm",
         fastpath=True,
     )
     record = machine.run()
@@ -84,14 +82,15 @@ def test_elision_is_disabled_while_other_processes_are_ready():
 
 
 def test_interp_engine_ignores_fastpath_flag():
+    """The oracle has no fast path: the flag is inert under it."""
     machine = Machine(
         compile_program(compute_heavy(2, 2)),
         seed=0,
         mode="plain",
-        engine="interp",
         fastpath=True,
     )
-    machine.run()
+    with oracle():
+        machine.run()
     assert machine.fastpath is False
     assert machine.fastpath_elided == 0
 

@@ -24,7 +24,6 @@ def _run(compiled, *, fastpath, inputs, mode="logged", trace=True):
         mode=mode,
         trace=trace,
         inputs=list(inputs),
-        engine="vm",
         fastpath=fastpath,
     ).run()
 

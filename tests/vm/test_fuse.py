@@ -143,10 +143,10 @@ def test_fused_execution_matches_raw(name):
     for mode, trace in (("plain", False), ("logged", True)):
         raw = Machine(
             compile_program(source), seed=0, mode=mode, trace=trace,
-            inputs=list(inputs) if inputs else None, engine="vm", fastpath=False,
+            inputs=list(inputs) if inputs else None, fastpath=False,
         ).run()
         fused = Machine(
             compile_program(source), seed=0, mode=mode, trace=trace,
-            inputs=list(inputs) if inputs else None, engine="vm", fastpath=True,
+            inputs=list(inputs) if inputs else None, fastpath=True,
         ).run()
         assert surface(raw) == surface(fused), (name, mode)

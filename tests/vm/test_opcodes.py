@@ -1,6 +1,6 @@
 """Per-opcode units: for each language construct, (a) the compiler emits
 the expected opcodes, and (b) the VM's dispatch of those opcodes is
-observationally identical to the interpreter — including the error
+observationally identical to the reference tree walker — including the error
 paths, whose messages and attached failure sites must match byte for
 byte."""
 
@@ -293,15 +293,15 @@ def test_compile_emits_expected_opcodes(name, source, opcodes, inputs):
 
 @pytest.mark.parametrize("name,source,opcodes,inputs", CASES, ids=[c[0] for c in CASES])
 def test_dispatch_matches_interp(name, source, opcodes, inputs):
-    interp, _vm = assert_engines_agree(source, inputs=inputs)
-    assert interp.failure is None, (name, interp.failure)
+    reference, _vm = assert_engines_agree(source, inputs=inputs)
+    assert reference.failure is None, (name, reference.failure)
 
 
 @pytest.mark.parametrize("name,source", ERROR_CASES, ids=[c[0] for c in ERROR_CASES])
 def test_error_paths_match_interp(name, source):
-    interp, vm = assert_engines_agree(source)
-    assert interp.failure is not None, name
-    assert interp.failure.message == vm.failure.message
+    reference, vm = assert_engines_agree(source)
+    assert reference.failure is not None, name
+    assert reference.failure.message == vm.failure.message
 
 
 def test_every_opcode_is_covered_somewhere():

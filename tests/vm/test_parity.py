@@ -1,6 +1,6 @@
 """Whole-system differential parity: every shipped workload and example
-program is byte-identical under ``engine="interp"`` and ``engine="vm"``,
-and the VM can stand in for the interpreter during e-block replay."""
+program is byte-identical on the VM and on the reference tree walker
+(:mod:`tests.oracle`), and e-block replay agrees under both."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from repro.core import EmulationPackage
 from repro.runtime import build_interval_index
 from repro import workloads
 
+from tests.oracle import oracle
 from tests.vm.util import assert_engines_agree
 
 WORKLOADS = {
@@ -55,47 +56,52 @@ def test_workload_parity_plain_other_seed(name):
 def test_example_parity(path):
     with open(path) as handle:
         source = handle.read()
-    interp, _ = assert_engines_agree(source)
-    assert interp.failure is None and interp.deadlock is None, path
+    reference, _ = assert_engines_agree(source)
+    assert reference.failure is None and reference.deadlock is None, path
 
 
 def test_examples_exist():
-    """The vm-parity CI job globs examples/*.pcl — keep the set non-empty."""
+    """The vm-vs-oracle CI job globs examples/*.pcl — keep the set non-empty."""
     assert len(EXAMPLES) >= 6, EXAMPLES
 
 
+def _replay_transcripts(record):
+    package = EmulationPackage(record)
+    transcripts = []
+    for pid, log in sorted(record.logs.items()):
+        for info in build_interval_index(log).values():
+            if info.is_open:
+                continue
+            result = package.replay(pid, info.interval_id, uid_base=0)
+            transcripts.append(
+                (
+                    pid,
+                    info.interval_id,
+                    result.halted,
+                    result.failure_message,
+                    [event.to_json() for event in result.events],
+                    sorted(result.final_shared.items()),
+                    result.diagnostics,
+                )
+            )
+    return transcripts
+
+
 def test_vm_replays_recorded_intervals():
-    """A record produced by the interpreter replays identically when the
+    """A record produced by the oracle replays identically when the
     emulation package re-executes its e-blocks on the VM."""
     source, inputs = WORKLOADS["producer_consumer"]
-    record = Machine(compile_program(source), seed=0, mode="logged", inputs=inputs).run()
-    by_engine = {}
-    for engine in ("interp", "vm"):
-        package = EmulationPackage(record, engine=engine)
-        transcripts = []
-        for pid, log in sorted(record.logs.items()):
-            for info in build_interval_index(log).values():
-                if info.is_open:
-                    continue
-                result = package.replay(pid, info.interval_id, uid_base=0)
-                transcripts.append(
-                    (
-                        pid,
-                        info.interval_id,
-                        result.halted,
-                        result.failure_message,
-                        [event.to_json() for event in result.events],
-                        sorted(result.final_shared.items()),
-                        result.diagnostics,
-                    )
-                )
-        by_engine[engine] = transcripts
-    assert by_engine["interp"] == by_engine["vm"]
+    with oracle():
+        record = Machine(compile_program(source), seed=0, mode="logged", inputs=inputs).run()
+        reference = _replay_transcripts(record)
+    assert _replay_transcripts(record) == reference
 
 
 def test_engine_validation():
+    """The engine selector is gone: passing one fails loudly instead of
+    being silently ignored."""
     compiled = compile_program(WORKLOADS["fig41"][0])
-    with pytest.raises(ValueError):
-        Machine(compiled, engine="jit")
-    with pytest.raises(ValueError):
-        EmulationPackage(Machine(compiled, seed=0, mode="logged").run(), engine="jit")
+    with pytest.raises(TypeError):
+        Machine(compiled, engine="vm")
+    with pytest.raises(TypeError):
+        EmulationPackage(Machine(compiled, seed=0, mode="logged").run(), engine="vm")

@@ -1,5 +1,6 @@
-"""Shared helpers for the VM differential tests: run a program under both
-engines and assert the complete observable surface is identical."""
+"""Shared helpers for the VM differential tests: run a program on the VM
+and on the reference tree walker (:mod:`tests.oracle`) and assert the
+complete observable surface is identical."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ import json
 
 from repro import Machine, compile_program
 from repro.runtime.persist import record_to_json
+
+from tests.oracle import oracle
 
 
 def surface(record) -> dict:
@@ -44,22 +47,23 @@ def surface(record) -> dict:
     return out
 
 
-def run_engine(source, engine, *, seed=0, mode="logged", trace=True, inputs=None):
+def run_machine(source, *, seed=0, mode="logged", trace=True, inputs=None):
     return Machine(
         compile_program(source),
         seed=seed,
         mode=mode,
         trace=trace,
         inputs=list(inputs) if inputs else None,
-        engine=engine,
     ).run()
 
 
-def assert_engines_agree(source, *, seed=0, mode="logged", trace=True, inputs=None):
-    """Run under interp and vm; fail on the first differing surface key."""
-    interp = run_engine(source, "interp", seed=seed, mode=mode, trace=trace, inputs=inputs)
-    vm = run_engine(source, "vm", seed=seed, mode=mode, trace=trace, inputs=inputs)
-    left, right = surface(interp), surface(vm)
+def assert_engines_agree(source, **options):
+    """Run under the oracle and the VM; fail on the first differing surface
+    key.  Returns ``(oracle_record, vm_record)``."""
+    with oracle():
+        reference = run_machine(source, **options)
+    vm = run_machine(source, **options)
+    left, right = surface(reference), surface(vm)
     for key in left:
         assert left[key] == right[key], (key, left[key], right[key])
-    return interp, vm
+    return reference, vm

@@ -4,7 +4,7 @@ Every family must compile and run to completion (no failure, no deadlock)
 clean and under every supported fault — a seeded fault is a *behavioural*
 deviation, never a hang — and the per-rank behaviour must be a pure
 function of the program text (identical output for any scheduler seed is
-covered by the vm-parity gate; here we check the family-level contract).
+covered by the vm-vs-oracle gate; here we check the family-level contract).
 """
 
 import pytest
@@ -20,8 +20,8 @@ from repro.workloads.mpi import (
 )
 
 
-def run(source, seed=0, engine="interp"):
-    return Machine(compile_program(source), seed=seed, engine=engine).run()
+def run(source, seed=0):
+    return Machine(compile_program(source), seed=seed).run()
 
 
 def text(record) -> str:
