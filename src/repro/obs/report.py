@@ -48,7 +48,8 @@ def build_report(
             }
         report["log"] = {
             "total_entries": record.log_entry_count(),
-            "total_bytes": record.log_bytes(),
+            # == record.log_bytes(), without serialising every log again
+            "total_bytes": sum(info["bytes"] for info in per_process.values()),
             "per_process": per_process,
         }
     if session is not None:

@@ -52,20 +52,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def record_digest(record: "ExecutionRecord") -> str:
-    """A stable content digest of an execution record.
+    """The cache key of an execution record: the first 24 hex characters
+    of its persist envelope's content digest.
 
     Two records with identical persisted form (same program, seed, logs,
     history, stop reason) share replay results — that is what makes the
-    cache survive session eviction/rehydration cycles.  The digest is
-    computed once per record object and stashed on it.
+    cache survive session eviction/rehydration cycles and
+    ``save_record``/``load_record`` round trips.  The digest is computed
+    once per record, by whichever comes first of a save, a spill, a load
+    (which stashes the digest it verified) or this call, and stashed on
+    the record (:func:`repro.runtime.persist.record_content_digest`).
     """
-    cached = getattr(record, "_ppd_digest", None)
-    if cached is None:
-        from ..runtime.persist import record_to_json
+    from ..runtime.persist import record_content_digest
 
-        cached = hashlib.sha256(record_to_json(record).encode("utf-8")).hexdigest()[:24]
-        record._ppd_digest = cached  # type: ignore[attr-defined]
-    return cached
+    return record_content_digest(record)[:24]
 
 
 @dataclass

@@ -222,10 +222,37 @@ def _history_from_json(body: dict[str, Any]) -> SyncHistory:
 
 
 def record_to_json(record: ExecutionRecord) -> str:
-    """Serialise a logged execution record as one JSON document."""
+    """Serialise a logged execution record as one JSON document.
+
+    The content digest computed for the envelope is stashed on *record*
+    as its name (:func:`record_content_digest`), so a record that has
+    been saved or spilled is never serialised again just to be named.
+    """
+    body = _record_body(record)
+    body["digest"] = _content_digest(body)
+    record._ppd_digest = body["digest"]  # type: ignore[attr-defined]
+    return json.dumps(body, separators=(",", ":"))
+
+
+def record_content_digest(record: ExecutionRecord) -> str:
+    """The persist envelope's content digest of *record*: its name.
+
+    :func:`record_to_json` and :func:`record_from_json` stash the digest
+    they compute or verify; a record that was never saved or loaded pays
+    one body build and one canonical dump here, once.
+    """
+    digest = getattr(record, "_ppd_digest", None)
+    if digest is None:
+        digest = _content_digest(_record_body(record))
+        record._ppd_digest = digest  # type: ignore[attr-defined]
+    return digest
+
+
+def _record_body(record: ExecutionRecord) -> dict[str, Any]:
+    """The persist envelope of *record*, without its ``digest``."""
     if record.mode != "logged":
         raise ValueError("only 'logged' records are worth persisting")
-    body = {
+    return {
         "version": FORMAT_VERSION,
         "source": record.compiled.program.source,
         "policy": dataclasses.asdict(record.compiled.policy),
@@ -254,8 +281,6 @@ def record_to_json(record: ExecutionRecord) -> str:
         "sync_state": dataclasses.asdict(record.sync_state),
         "inputs_consumed": record.inputs_consumed,
     }
-    body["digest"] = _content_digest(body)
-    return json.dumps(body, separators=(",", ":"))
 
 
 def _content_digest(body: dict[str, Any]) -> str:
@@ -304,15 +329,18 @@ def record_from_json(text: str, *, path: str | None = None) -> ExecutionRecord:
         ) from error
     # Content digest, verified after the structural parse so structural
     # breakage keeps its precise field-naming diagnostics.  Records
-    # written before the digest entered the envelope still load.
+    # written before the digest entered the envelope still load, and are
+    # named lazily by record_content_digest.
     claimed = body.get("digest")
-    if claimed is not None and claimed != _content_digest(body):
-        raise RecordDigestError(
-            "corrupt record: content digest mismatch "
-            "(bit rot, tampering, or a torn write)",
-            path=path,
-            field="digest",
-        )
+    if claimed is not None:
+        if claimed != _content_digest(body):
+            raise RecordDigestError(
+                "corrupt record: content digest mismatch "
+                "(bit rot, tampering, or a torn write)",
+                path=path,
+                field="digest",
+            )
+        record._ppd_digest = claimed  # type: ignore[attr-defined]
     return record
 
 

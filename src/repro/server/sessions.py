@@ -142,21 +142,31 @@ class SessionManager:
         return self._admit(record, origin=f"program(seed={seed})")
 
     def open_record_json(self, text: str) -> tuple[str, dict[str, Any]]:
-        """Open a session over an uploaded persist-record document."""
-        return self._admit(record_from_json(text), origin="upload")
+        """Open a session over an uploaded persist-record document; the
+        verified upload itself becomes the session's spill."""
+        return self._admit(record_from_json(text), origin="upload", text=text)
 
     def open_record_path(self, path: str) -> tuple[str, dict[str, Any]]:
         """Open a session over a record file on the server's filesystem."""
         return self._admit(load_record(path), origin=path)
 
-    def _admit(self, record: ExecutionRecord, origin: str) -> tuple[str, dict[str, Any]]:
+    def _admit(
+        self, record: ExecutionRecord, origin: str, text: Optional[str] = None
+    ) -> tuple[str, dict[str, Any]]:
+        """Open a session over *record*, spilling its persisted form:
+        *text* when the caller holds the verified document, else a fresh
+        serialisation.  Serialising or loading a record names it (the
+        persist content digest is the replay-cache key), so starting the
+        session serialises nothing more."""
+        if text is None:
+            text = record_to_json(record)
         cli = self._make_cli(record)
         now = self._time()
         with self._lock:
             sid = f"s{next(self._next_id)}"
             spill_path = os.path.join(self.spool_dir, f"{sid}.ppd.json")
             with open(spill_path, "w") as handle:
-                handle.write(record_to_json(record))
+                handle.write(text)
             entry = _Entry(
                 sid=sid,
                 origin=origin,

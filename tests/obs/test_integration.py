@@ -194,3 +194,10 @@ class TestDisabledPath:
         record = _run_average(average_compiled)
         assert record.preemptions >= 0
         assert record.context_switches >= len(record.process_names) - 1
+
+    def test_report_totals_match_record_without_obs(self):
+        record = Machine(compile_program(bank_race(3, 4)), seed=2, mode="logged").run()
+        log = obs.build_report(record)["log"]
+        assert len(log["per_process"]) > 1
+        assert log["total_entries"] == record.log_entry_count()
+        assert log["total_bytes"] == record.log_bytes()

@@ -1,8 +1,12 @@
 """Session-store tests: LRU eviction, idle timeout, transparent rehydration."""
 
+import json
+
 import pytest
 
 from repro import obs
+from repro.perf import ReplayCache
+from repro.runtime import record_to_json, run_program
 from repro.server import SessionManager, SessionNotFound
 from repro.workloads import bank_race, buggy_average, nested_calls
 
@@ -126,7 +130,7 @@ class TestEviction:
 
 class TestOpenSources:
     def test_open_record_json_and_path(self, tmp_path, mgr):
-        from repro.runtime import record_to_json, run_program, save_record
+        from repro.runtime import save_record
 
         record = run_program(nested_calls(), seed=0)
         sid_json, _ = mgr.open_record_json(record_to_json(record))
@@ -141,3 +145,49 @@ class TestOpenSources:
 
         with pytest.raises(PersistError):
             mgr.open_record_json("{broken")
+
+
+def average_upload():
+    """The persisted form of ``open_average``'s run, indented so that it
+    differs from what ``record_to_json`` would write (the content digest
+    covers values, not layout, so it still verifies)."""
+    record = run_program(buggy_average(5), seed=0, inputs=AVG_INPUTS)
+    return json.dumps(json.loads(record_to_json(record)), indent=1)
+
+
+class TestUploadSpill:
+    def test_upload_is_spilled_byte_for_byte(self, tmp_path):
+        spool = tmp_path / "spool"
+        mgr = SessionManager(spool_dir=str(spool))
+        text = average_upload()
+        mgr.open_record_json(text)
+        (spill,) = spool.iterdir()
+        assert spill.read_text() == text
+        mgr.close_all()
+
+    def test_evicted_upload_rehydrates_from_its_spill(self, tmp_path):
+        mgr = SessionManager(max_live=1, spool_dir=str(tmp_path))
+        sid, _ = mgr.open_record_json(average_upload())
+        commands = ["where", "why average", "races", "stats", "output"]
+        before = {cmd: mgr.execute(sid, cmd) for cmd in commands}
+        mgr.open_program(nested_calls(), seed=0)  # evicts the upload
+        assert not mgr.is_live(sid)
+        after = {cmd: mgr.execute(sid, cmd) for cmd in commands}
+        assert after == before
+        assert mgr.list_info()[-1]["rehydrations"] == 1
+        mgr.close_all()
+
+    def test_program_and_upload_share_cache_entries(self, tmp_path):
+        cache = ReplayCache()
+        mgr = SessionManager(spool_dir=str(tmp_path), cache=cache)
+        commands = ["where", "why average", "expandable"]
+        sid, _ = open_average(mgr)
+        by_program = [mgr.execute(sid, cmd) for cmd in commands]
+        misses = cache.stats.misses
+        hits = cache.stats.hits
+        assert misses > 0
+        sid, _ = mgr.open_record_json(average_upload())
+        assert [mgr.execute(sid, cmd) for cmd in commands] == by_program
+        assert cache.stats.misses == misses
+        assert cache.stats.hits > hits
+        mgr.close_all()
