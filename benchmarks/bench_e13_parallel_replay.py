@@ -35,22 +35,6 @@ REPLAY_JSON_PATH = os.environ.get("BENCH_REPLAY_PATH", "BENCH_replay.json")
 _STATE: dict = {}
 
 
-def _cpus() -> int:
-    """CPUs actually usable by this process, preferring the 3.13+
-    affinity-and-cgroup-aware count (sched_getaffinity under-reports in
-    some container runtimes, which made this bench claim ``cpus: 1`` on
-    multi-core runners)."""
-    counter = getattr(os, "process_cpu_count", None)
-    if counter is not None:
-        counted = counter()
-        if counted:
-            return max(1, counted)
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return max(1, os.cpu_count() or 1)
-
-
 def _record():
     if "record" not in _STATE:
         record = Machine(
@@ -129,15 +113,13 @@ def test_e13_serial_vs_pooled():
         auto_pool.replay_batch(requests)
         auto = auto_pool.describe()
 
-    cpus = _cpus()
+    cpus = default_jobs()
     speedup = serial_s / pooled_s if pooled_s else float("inf")
     _STATE.setdefault("timings", {}).update({
         "jobs": JOBS,
         "physical_jobs": min(JOBS, cpus),
         "cpus": cpus,
-        "default_jobs": default_jobs(),
         "parallel": parallel,
-        "transport": info["transport"],
         "chunks": info["chunks"],
         "bytes_shipped": info["bytes_shipped"],
         "auto_jobs": auto["jobs"],

@@ -213,7 +213,7 @@ def check_pool_faults(gate: Gate, records: dict, seed: int) -> None:
             gate.record(
                 f"{label}: {name} no shm segments leaked",
                 not leaked,
-                detail=str(leaked) if leaked else f"transport={info['transport']}",
+                detail=str(leaked) if leaked else "",
             )
 
 

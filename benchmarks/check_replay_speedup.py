@@ -9,10 +9,10 @@ Default: ``BENCH_replay.json`` (produced by a standalone
 
 The §7 claim is that re-executing e-blocks on the multiprocessor is a
 *win*, not just possible — so on any runner with ≥2 usable CPUs and a
-pool that really forked workers (``jobs >= 2``, ``parallel: true``,
-shared-memory transport notwithstanding), ``pooled_speedup`` must exceed
-1.0.  Byte-identity is gated separately (the bench asserts it inline);
-this gate only keeps the performance claim honest.
+pool that really forked workers (``jobs >= 2``, ``parallel: true``),
+``pooled_speedup`` must exceed 1.0.  Byte-identity is gated separately
+(the bench asserts it inline); this gate only keeps the performance
+claim honest.
 
 On a single-CPU runner the pool cannot win by construction — process
 fan-out adds dispatch overhead with no parallelism to pay for it — so
@@ -51,7 +51,7 @@ def main(argv: list[str]) -> int:
     jobs = timings.get("jobs", 0)
     speedup = timings.get("pooled_speedup", 0.0)
     detail = (
-        f"jobs={jobs} cpus={cpus} transport={timings.get('transport', '?')} "
+        f"jobs={jobs} cpus={cpus} "
         f"serial={timings.get('serial_s', '?')}s pooled={timings.get('pooled_s', '?')}s"
     )
 

@@ -386,10 +386,7 @@ class PPDCommandLine:
                 f"pool: jobs={pool['jobs']} batches={pool['batches']} "
                 f"chunks={pool.get('chunks', 0)} "
                 f"submitted={pool['submitted']} executed={pool['executed']} "
-                f"fallbacks={pool['fallbacks']} respawns={pool.get('respawns', 0)}"
-            )
-            lines.append(
-                f"pool transport: {pool.get('transport') or '(cold)'} "
+                f"fallbacks={pool['fallbacks']} respawns={pool.get('respawns', 0)} "
                 f"bytes_shipped={pool.get('bytes_shipped', 0)}"
             )
             if pool.get("adaptive"):
@@ -660,8 +657,7 @@ def _main_replay(args) -> int:
     if not requests:
         print("record has no logged intervals to replay")
         return 1
-    cache_dir = args.cache_dir or os.environ.get("PPD_CACHE_DIR") or None
-    cache = ReplayCache(spill_dir=cache_dir, write_through=bool(cache_dir))
+    cache = ReplayCache(spill_dir=args.cache_dir or os.environ.get("PPD_CACHE_DIR") or None)
     with ReplayPool(record, jobs=args.jobs, cache=cache) as pool:
         for round_number in range(max(1, args.repeat)):
             started = time.perf_counter()
@@ -682,7 +678,6 @@ def _main_replay(args) -> int:
         )
     print(
         f"pool: executed={info['executed']} chunks={info['chunks']} "
-        f"transport={info['transport'] or 'inline'} "
         f"bytes_shipped={info['bytes_shipped']} "
         f"fallbacks={info['fallbacks']} "
         f"worker_seconds={info['worker_seconds']};{policy} "
@@ -840,19 +835,26 @@ def _main_disasm(args) -> int:
 
 
 def _main_connect(args) -> int:  # pragma: no cover - interactive
+    import sys
+
     from ..server import DebugClient, ServerError
 
     client = DebugClient.connect(args.addr, retries=10)
     with client:
-        if args.record:
-            session = client.open_record(args.record)
-        else:
-            with open(args.program) as handle:
-                source = handle.read()
-            inputs = (
-                [int(part) for part in args.inputs.split(",")] if args.inputs else None
-            )
-            session = client.open_program(source, seed=args.seed, inputs=inputs)
+        try:
+            if args.record:
+                session = client.open_record(args.record)
+            else:
+                with open(args.program) as handle:
+                    source = handle.read()
+                inputs = (
+                    [int(part) for part in args.inputs.split(",")] if args.inputs else None
+                )
+                session = client.open_program(source, seed=args.seed, inputs=inputs)
+        except ServerError as error:
+            # The server rejected the upload: a corrupt record or bad PCL.
+            print(f"error: {error}", file=sys.stderr)
+            return 2
 
         def execute(line: str) -> str:
             if line.strip() == "quit":
@@ -876,10 +878,18 @@ def _main_connect(args) -> int:  # pragma: no cover - interactive
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point for ``ppd`` / ``python -m repro``."""
+    """Entry point for ``ppd`` / ``python -m repro``.
+
+    Bad input — a file that cannot be read, a corrupt or tampered record
+    (quarantined as :func:`~repro.runtime.persist.load_record` does it),
+    or malformed PCL — prints one ``error:`` line to stderr and exits 2
+    instead of a traceback; 1 stays "found something" for ``lint`` and
+    ``localize``."""
     import sys
 
     from .. import faults
+    from ..lang.errors import PCLError
+    from ..runtime.persist import PersistError
 
     try:
         faults.activate_from_env()
@@ -892,16 +902,20 @@ def main(argv: list[str] | None = None) -> int:
     except faults.FaultSpecError as error:
         print(f"error: bad --faults spec: {error}", file=sys.stderr)
         return 2
-    if args.command == "serve":
-        return _main_serve(args)
-    if args.command == "replay":
-        return _main_replay(args)
-    if args.command == "disasm":
-        return _main_disasm(args)
-    if args.command == "analyze":
-        return _main_analyze(args)
-    if args.command == "lint":
-        return _main_lint(args)
-    if args.command == "localize":
-        return _main_localize(args)
-    return _main_connect(args)
+    try:
+        if args.command == "serve":
+            return _main_serve(args)
+        if args.command == "replay":
+            return _main_replay(args)
+        if args.command == "disasm":
+            return _main_disasm(args)
+        if args.command == "analyze":
+            return _main_analyze(args)
+        if args.command == "lint":
+            return _main_lint(args)
+        if args.command == "localize":
+            return _main_localize(args)
+        return _main_connect(args)
+    except (OSError, PersistError, PCLError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2

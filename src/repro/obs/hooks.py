@@ -51,7 +51,7 @@ Counter catalogue (names are a stable API; see README "Observability"):
 ``graph.consensus_compares``     process-vs-consensus comparisons ranked
 ``perf.cache.hits|misses``       shared replay-cache lookups (§5.3 "as necessary")
 ``perf.cache.evictions``         LRU evictions from the shared replay cache
-``perf.cache.spills``            evicted entries written to the spill directory
+``perf.cache.spills``            entries written through to the spill directory
 ``perf.cache.spill_hits``        misses served by reloading a spilled entry
 ``perf.cache.entries``           gauge: resident cache entries
 ``perf.cache.events``            gauge: total regenerated events resident
@@ -59,9 +59,8 @@ Counter catalogue (names are a stable API; see README "Observability"):
 ``perf.pool.submitted``          replay requests submitted to the pool
 ``perf.pool.executed``           replays actually executed (not cache-served)
 ``perf.pool.chunks``             cost-balanced worker chunks dispatched (batching)
-``perf.pool.bytes_shipped``      record bytes shipped to workers at pool init
-                                 (+ ``{transport=shm|pipe}``) — the zero-copy win:
-                                 shm ships segment *names*, pipe ships the blob
+``perf.pool.bytes_shipped``      record bytes shipped to workers at pool init —
+                                 segment *names*, the zero-copy win
 ``perf.pool.fallbacks``          pool degradations to in-process serial replay
                                  (+ ``{cause=...}`` naming why)
 ``perf.pool.seconds``            timer: wall time per replay batch
@@ -309,14 +308,12 @@ def on_replay_pool(
     )
 
 
-def on_pool_transport(transport: str, nbytes: int) -> None:
+def on_pool_shipped(nbytes: int) -> None:
     """Record bytes shipped to a fresh executor's workers (pool init or
-    respawn).  The shm transport ships segment *names* — a few dozen
-    bytes — where the pipe fallback ships the whole pickled record."""
+    respawn): shared-memory segment *names*, a few dozen bytes."""
     with _perf_lock:
         registry.counter("perf.pool.bytes_shipped").inc(nbytes)
-        registry.counter("perf.pool.bytes_shipped", transport=transport).inc(nbytes)
-    tracer.emit("perf.pool.transport", transport=transport, nbytes=nbytes)
+    tracer.emit("perf.pool.shipped", nbytes=nbytes)
 
 
 def on_shm(event: str, nbytes: int = 0) -> None:

@@ -15,7 +15,8 @@ determinism is the licence for everything in this package:
 * :class:`~repro.perf.cache.ReplayCache` is a bounded, thread-safe LRU
   of replay results keyed by record digest + interval, shared across
   :class:`~repro.core.controller.PPDSession`\\ s and all
-  :mod:`repro.server` sessions, with optional spill-to-disk;
+  :mod:`repro.server` sessions, optionally written through to a
+  directory so later processes start warm;
 * :class:`~repro.perf.order_index.OrderIndex` turns repeated
   ``simultaneous()`` queries over the parallel dynamic graph into O(1)
   amortized lookups (per-pid sorted sync-node arrays + monotone
@@ -63,28 +64,24 @@ _shared_cache: Optional[ReplayCache] = None
 def replay_cache() -> ReplayCache:
     """The shared replay cache used by default across every
     :class:`~repro.core.controller.PPDSession` and debug-service session
-    in this process.  Honours ``PPD_CACHE_DIR``: when set, the cache is
-    created in persistent (write-through spill) mode over that directory,
-    so a cold process on a previously-seen record starts warm."""
+    in this process.  Honours ``PPD_CACHE_DIR``: when set, the cache
+    writes through to that directory, so a cold process on a
+    previously-seen record starts warm."""
     global _shared_cache
     if _shared_cache is None:
-        cache_dir = os.environ.get(CACHE_DIR_ENV) or None
-        _shared_cache = ReplayCache(spill_dir=cache_dir, write_through=bool(cache_dir))
+        _shared_cache = ReplayCache(spill_dir=os.environ.get(CACHE_DIR_ENV) or None)
     return _shared_cache
 
 
 def configure_cache(
     max_events: int = 200_000,
     spill_dir: Optional[str] = None,
-    write_through: bool = False,
 ) -> ReplayCache:
-    """Replace the process-wide cache (e.g. to bound it differently,
-    enable spill-to-disk, or make it persistent with ``write_through``).
-    Returns the new cache."""
+    """Replace the process-wide cache (e.g. to bound it differently, or
+    to make it persistent by writing through to ``spill_dir``).  Returns
+    the new cache."""
     global _shared_cache
-    _shared_cache = ReplayCache(
-        max_events=max_events, spill_dir=spill_dir, write_through=write_through
-    )
+    _shared_cache = ReplayCache(max_events=max_events, spill_dir=spill_dir)
     return _shared_cache
 
 

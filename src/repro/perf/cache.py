@@ -13,13 +13,12 @@ rehydration journal replays against warm entries.
 The cache is bounded by total regenerated-event count (an event, not an
 entry, is the unit of memory here) with LRU eviction, and is safe to
 share across the debug service's request threads.  With ``spill_dir``
-set, evicted entries are pickled to disk and quietly reloaded on the
-next miss — a second-level cache keyed the same way.  With
-``write_through`` additionally set, *every* admitted entry is spilled at
-insert time, making the directory a durable replica: point a later
-process at the same directory (``PPD_CACHE_DIR`` / ``--cache-dir``) and
-a cold ``ppd connect`` on a previously-seen record starts warm — keys
-are record digests, so this is content-addressed, not path-addressed.
+set, *every* admitted entry is also pickled to disk at insert time
+(write-through), and a miss quietly reloads it — a second-level cache
+keyed the same way and a durable replica: point a later process at the
+same directory (``PPD_CACHE_DIR`` / ``--cache-dir``) and a cold ``ppd
+connect`` on a previously-seen record starts warm — keys are record
+digests, so this is content-addressed, not path-addressed.
 
 Spill files are written temp-then-rename (a crash mid-write leaves no
 readable garbage behind) and framed with a magic marker plus a SHA-256
@@ -111,27 +110,15 @@ class ReplayCache:
         self,
         max_events: int = 200_000,
         spill_dir: Optional[str] = None,
-        write_through: bool = False,
     ) -> None:
         if max_events < 1:
             raise ValueError("max_events must be >= 1")
         self.max_events = max_events
         self.spill_dir = spill_dir
-        #: Persistent mode (``PPD_CACHE_DIR`` / ``--cache-dir``): every
-        #: admitted entry is spilled immediately, not only on eviction, so
-        #: the spill directory is a complete replica and a *new process*
-        #: opening a previously-seen record starts warm.  Entries that
-        #: were themselves loaded from a spill are not re-written.
-        self.write_through = bool(write_through and spill_dir)
         self.stats = CacheStats()
         self._lock = threading.RLock()
         self._entries: "OrderedDict[tuple[str, int, int], ReplayResult]" = OrderedDict()
         self._resident_events = 0
-        #: Measured per-interval replay wall seconds, keyed like entries.
-        #: Never evicted (a float per interval), persisted per digest.
-        self._seconds: dict[tuple[str, int, int], float] = {}
-        #: Digests whose on-disk seconds file has already been merged in.
-        self._seconds_loaded: set[str] = set()
 
     # ------------------------------------------------------------------
 
@@ -197,89 +184,6 @@ class ReplayCache:
                 return
             self._insert(key, result)
 
-    # ------------------------------------------------------------------
-    # Replay-cost history (LPT chunking weights, see perf/pool.py)
-    # ------------------------------------------------------------------
-
-    def note_seconds(
-        self, record: "ExecutionRecord", pid: int, interval_id: int, seconds: float
-    ) -> None:
-        """Record the measured wall seconds of one interval replay.
-
-        History survives the process when ``spill_dir`` is set: each
-        record digest gets one small JSON sidecar (temp-then-rename, like
-        replay spills), so a later session over the same record chunks by
-        *measured* cost instead of the step-count seed.
-        """
-        key = self.key_for(record, pid, interval_id)
-        with self._lock:
-            self._seconds[key] = float(seconds)
-        if self.spill_dir:
-            self._persist_seconds(key[0])
-
-    def seconds_for(
-        self, record: "ExecutionRecord", pid: int, interval_id: int
-    ) -> Optional[float]:
-        """Measured replay seconds of one interval, or None if never seen."""
-        key = self.key_for(record, pid, interval_id)
-        with self._lock:
-            value = self._seconds.get(key)
-        if value is not None:
-            return value
-        self._load_seconds(key[0])
-        with self._lock:
-            return self._seconds.get(key)
-
-    def _seconds_path(self, digest: str) -> str:
-        return os.path.join(self.spill_dir or "", f"{digest}.seconds.json")
-
-    def _persist_seconds(self, digest: str) -> None:
-        import json
-
-        with self._lock:
-            payload = {
-                f"{pid}:{interval_id}": value
-                for (d, pid, interval_id), value in self._seconds.items()
-                if d == digest
-            }
-        try:
-            os.makedirs(self.spill_dir or "", exist_ok=True)
-            path = self._seconds_path(digest)
-            with open(path + ".tmp", "w") as handle:
-                json.dump(payload, handle, sort_keys=True)
-            os.replace(path + ".tmp", path)
-        except OSError:
-            self.stats.spill_errors += 1
-            if _obs.enabled:
-                _obs.on_recovery("cache.spill_errors")
-
-    def _load_seconds(self, digest: str) -> None:
-        if not self.spill_dir:
-            return
-        with self._lock:
-            if digest in self._seconds_loaded:
-                return
-            self._seconds_loaded.add(digest)
-        import json
-
-        try:
-            with open(self._seconds_path(digest)) as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return
-        if not isinstance(payload, dict):
-            return
-        merged: dict[tuple[str, int, int], float] = {}
-        for text_key, value in payload.items():
-            try:
-                pid_text, _, interval_text = text_key.partition(":")
-                merged[(digest, int(pid_text), int(interval_text))] = float(value)
-            except (TypeError, ValueError):
-                continue  # one bad entry never poisons the rest
-        with self._lock:
-            for key, value in merged.items():
-                self._seconds.setdefault(key, value)  # fresh measurements win
-
     def clear(self, reset_stats: bool = False) -> None:
         with self._lock:
             self._entries.clear()
@@ -295,7 +199,6 @@ class ReplayCache:
             info["events"] = self._resident_events
             info["max_events"] = self.max_events
             info["spill_dir"] = self.spill_dir or ""
-            info["write_through"] = self.write_through
         return info
 
     def __len__(self) -> int:
@@ -314,16 +217,14 @@ class ReplayCache:
     ) -> None:
         self._entries[key] = result
         self._resident_events += self._weight(result)
-        if self.write_through and not from_spill:
+        if not from_spill:  # an entry loaded from its spill is already on disk
             self._spill(key, result)
         while self._resident_events > self.max_events and len(self._entries) > 1:
-            old_key, old_result = self._entries.popitem(last=False)
+            _, old_result = self._entries.popitem(last=False)
             self._resident_events -= self._weight(old_result)
             self.stats.evictions += 1
             if _obs.enabled:
                 _obs.on_replay_cache("eviction")
-            if not self.write_through:  # write-through already persisted it
-                self._spill(old_key, old_result)
         if _obs.enabled:
             _obs.on_replay_cache_size(len(self._entries), self._resident_events)
 

@@ -14,18 +14,12 @@ The dispatch pipeline (DESIGN §3.15):
   respawned worker (after ``pool.crash``/``pool.hang`` faults) re-attaches
   the same segment, so recovery never re-serializes the record.  The
   parent owns the segment and guarantees the unlink — on ``close()``, on
-  permanent degradation, and via a finalizer.  Where POSIX shared memory
-  is unavailable the pool falls back to the old pipe transport
-  (``describe()["transport"]`` says which).
+  permanent degradation, and via a finalizer.
 * **Cost-balanced chunks.**  Intervals are grouped into at most
-  ``jobs × 2`` chunks by an LPT greedy packing over per-interval cost:
-  measured replay wall seconds where the attached cache has history
-  (each executed interval feeds its timing back via
-  :meth:`~repro.perf.cache.ReplayCache.note_seconds`, persisted next to
-  the spill files), otherwise step mass (prelog/postlog step counters,
-  seeded from :attr:`~repro.runtime.tracing.Segment.step_count` for
-  records whose logs predate them), so one submit amortizes dispatch
-  over many e-blocks and no worker is left holding one giant interval.
+  ``jobs × 2`` chunks by an LPT greedy packing over per-interval step
+  mass (``postlog.steps - prelog.steps``), so one submit amortizes
+  dispatch over many e-blocks and no worker is left holding one giant
+  interval.
 * **Compact results.**  Workers return :mod:`repro.perf.wire` tuples,
   not pickled :class:`ReplayResult` dataclasses; the parent rebuilds the
   results and callers rebase them (:meth:`ReplayResult.rebased`) — which
@@ -41,9 +35,9 @@ hung worker (detected by :class:`BrokenExecutor` or the per-future
 watchdog ``worker_timeout_s``) tears the executor down and **respawns**
 it up to ``max_respawns`` times, sleeping an exponential backoff with
 deterministic jitter between attempts; when the respawn budget is
-exhausted — or workers cannot be created at all (restricted sandboxes)
-— the pool falls back to in-process serial replay with the same API and
-byte-identical results.  Every degradation counts a
+exhausted — or workers cannot be created at all (restricted sandboxes,
+no shared memory) — the pool falls back to in-process serial replay
+with the same API and byte-identical results.  Every degradation counts a
 ``perf.pool.fallbacks`` observability event labelled with its cause, and
 the cause is surfaced by ``ppd stats cache``; respawns and retries count
 under ``recovery.pool.*``.  The ``pool.crash`` / ``pool.hang`` points of
@@ -101,22 +95,14 @@ def default_jobs() -> int:
         return max(1, os.cpu_count() or 1)
 
 
-def _init_worker_shm(segment_name: str) -> None:
-    """Pool initializer, shm transport: attach the parent's segment and
-    unpickle the record straight out of the mapping (zero-copy)."""
+def _init_worker(segment_name: str) -> None:
+    """Pool initializer: attach the parent's segment and unpickle the
+    record straight out of the mapping (zero-copy)."""
     global _WORKER_PACKAGE
     from ..core.emulation import EmulationPackage
     from .shm import load_pickled
 
     _WORKER_PACKAGE = EmulationPackage(load_pickled(segment_name))
-
-
-def _init_worker_pipe(blob: bytes) -> None:
-    """Pool initializer, pipe fallback: unpickle the shipped record."""
-    global _WORKER_PACKAGE
-    from ..core.emulation import EmulationPackage
-
-    _WORKER_PACKAGE = EmulationPackage(pickle.loads(blob))
 
 
 def _replay_chunk(
@@ -127,9 +113,7 @@ def _replay_chunk(
 ) -> tuple[float, list[tuple]]:
     """Replay one chunk of intervals in a worker.
 
-    Returns ``(per-key wall seconds, one wire tuple per key, in chunk
-    order)`` — per-interval timings feed the :class:`ReplayCache` cost
-    history that weights the next batch's LPT chunking.
+    Returns ``(wall seconds, one wire tuple per key, in chunk order)``.
     ``crash``/``hang_s`` carry parent-side fault-injection decisions into
     the child (the parent decides, so injection stays deterministic no
     matter which worker the chunk lands on).
@@ -141,29 +125,14 @@ def _replay_chunk(
     assert _WORKER_PACKAGE is not None, "worker initializer did not run"
     from .wire import result_to_wire
 
-    seconds: list[float] = []
-    wires = []
-    for pid, iid in keys:
-        started = time.perf_counter()
-        wires.append(
-            result_to_wire(
-                _WORKER_PACKAGE.replay(pid, iid, uid_base=0, prelog_overrides=overrides)
-            )
+    started = time.perf_counter()
+    wires = [
+        result_to_wire(
+            _WORKER_PACKAGE.replay(pid, iid, uid_base=0, prelog_overrides=overrides)
         )
-        seconds.append(time.perf_counter() - started)
-    return seconds, wires
-
-
-def _segment_step_mass(record: "ExecutionRecord") -> dict[int, int]:
-    """Per-pid :attr:`Segment.step_count` mass — the cost-model seed for
-    records whose log entries predate per-entry step counters."""
-    mass = getattr(record, "_ppd_segment_mass", None)
-    if mass is None:
-        mass = {}
-        for segment in record.history.segments:
-            mass[segment.pid] = mass.get(segment.pid, 0) + segment.step_count
-        record._ppd_segment_mass = mass  # type: ignore[attr-defined]
-    return mass
+        for pid, iid in keys
+    ]
+    return time.perf_counter() - started, wires
 
 
 def _compute_interval_cost(record: "ExecutionRecord", pid: int, interval_id: int) -> int:
@@ -172,24 +141,19 @@ def _compute_interval_cost(record: "ExecutionRecord", pid: int, interval_id: int
     Closed intervals: ``postlog.steps - prelog.steps`` (includes nested
     children — a fine property for a dispatch cost, since replaying a
     parent really does re-execute past its children's spans).  Open
-    intervals run to the end of the process.  Records without step
-    counters fall back to the per-pid segment mass split evenly.
+    intervals run to the end of the process.
     """
     from ..core.emulation import interval_indexes
 
-    index = interval_indexes(record).get(pid, {})
-    info = index.get(interval_id)
+    info = interval_indexes(record).get(pid, {}).get(interval_id)
     if info is None:
         return 1
     entries = record.logs[pid].entries
-    pre_steps = getattr(entries[info.start_index], "steps", 0)
     if info.end_index is not None:
-        cost = getattr(entries[info.end_index], "steps", 0) - pre_steps
+        end_steps = entries[info.end_index].steps
     else:
-        cost = record.process_steps.get(pid, 0) - pre_steps
-    if cost <= 0:
-        cost = _segment_step_mass(record).get(pid, 0) // max(1, len(index))
-    return max(1, cost)
+        end_steps = record.process_steps.get(pid, 0)
+    return max(1, end_steps - entries[info.start_index].steps)
 
 
 class ReplayPool:
@@ -240,10 +204,7 @@ class ReplayPool:
         self._broken = False
         self._local: Optional["EmulationPackage"] = None
         self._segment: Optional["RecordSegment"] = None
-        self._shm_failed = False
-        self._pipe_blob: Optional[bytes] = None
         self._costs: dict[tuple[int, int], int] = {}
-        self.transport = ""
         self.batches = 0
         self.chunks = 0
         self.submitted = 0
@@ -380,38 +341,15 @@ class ReplayPool:
         self.policy["last"] = "pooled" if pooled else "serial"
         return pooled
 
-    def _chunk_weights(self, keys: list[tuple[int, int]]) -> list[float]:
-        """Per-key LPT weights: measured replay seconds where the cache
-        has history, seconds *estimated* from step mass for the gaps
-        (median observed seconds-per-step scales them onto the same
-        axis), and raw step counts when no history exists at all."""
-        costs = [self.interval_cost(pid, iid) for pid, iid in keys]
-        if self.cache is None:
-            return [float(cost) for cost in costs]
-        seconds = [self.cache.seconds_for(self.record, pid, iid) for pid, iid in keys]
-        rates = sorted(
-            wall / cost
-            for wall, cost in zip(seconds, costs)
-            if wall is not None and wall > 0.0
-        )
-        if not rates:
-            return [float(cost) for cost in costs]
-        median_rate = rates[len(rates) // 2]
-        return [
-            wall if wall is not None else cost * median_rate
-            for wall, cost in zip(seconds, costs)
-        ]
-
     def _chunk(self, keys: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
-        """Cost-balanced chunks: LPT greedy over per-interval cost — wall
-        seconds from the cache's replay history when present, step mass
-        otherwise — at most ``jobs × _CHUNKS_PER_WORKER`` bins, request
-        order preserved inside each chunk and across the chunk list
+        """Cost-balanced chunks: LPT greedy over per-interval step mass,
+        at most ``jobs × _CHUNKS_PER_WORKER`` bins, request order
+        preserved inside each chunk and across the chunk list
         (deterministic)."""
         target = min(len(keys), self.jobs * _CHUNKS_PER_WORKER)
         if target <= 1:
             return [list(keys)]
-        costs = self._chunk_weights(keys)
+        costs = [self.interval_cost(pid, iid) for pid, iid in keys]
         order = sorted(range(len(keys)), key=lambda i: (-costs[i], i))
         bins: list[list[int]] = [[] for _ in range(target)]
         loads = [0] * target
@@ -448,14 +386,11 @@ class ReplayPool:
                 )
             )
         by_key: dict[tuple[int, int], "ReplayResult"] = {}
-        note = self.cache is not None and overrides is None
         for chunk, future in zip(chunks, futures):  # submit order
             seconds, wires = future.result(timeout=self.worker_timeout_s)
-            self.worker_seconds += sum(seconds)
-            for key, wall, wire in zip(chunk, seconds, wires):
+            self.worker_seconds += seconds
+            for key, wire in zip(chunk, wires):
                 by_key[key] = result_from_wire(wire)
-                if note:
-                    self.cache.note_seconds(self.record, key[0], key[1], wall)
         self.chunks += len(chunks)  # counted only on success
         return [by_key[key] for key in keys]
 
@@ -490,70 +425,45 @@ class ReplayPool:
         result = self._local.replay(
             pid, interval_id, uid_base=0, prelog_overrides=overrides
         )
-        wall = time.perf_counter() - started
-        self.worker_seconds += wall
-        if self.cache is not None and overrides is None:
-            self.cache.note_seconds(self.record, pid, interval_id, wall)
+        self.worker_seconds += time.perf_counter() - started
         return result
 
     # ------------------------------------------------------------------
-    # Executor + transport lifecycle
+    # Executor + segment lifecycle
     # ------------------------------------------------------------------
 
-    def _record_payload(self) -> bytes:
-        if self._pipe_blob is None:
-            self._pipe_blob = pickle.dumps(
-                self.record, protocol=pickle.HIGHEST_PROTOCOL
-            )
-        return self._pipe_blob
-
-    def _transport(self) -> tuple[Any, tuple, int]:
-        """(initializer, initargs, bytes shipped per worker) for the best
-        available transport.  Creates the shared segment on first use;
-        respawns reuse it, so recovery never re-serializes the record."""
-        if self._segment is None and not self._shm_failed:
-            from .shm import shm_available
-
-            if shm_available():
-                try:
-                    from .shm import RecordSegment
-
-                    self._segment = RecordSegment(self._record_payload())
-                    self._pipe_blob = None  # the segment holds the bytes now
-                except (OSError, ValueError):
-                    self._shm_failed = True
-            else:  # pragma: no cover - non-POSIX builds
-                self._shm_failed = True
-        if self._segment is not None:
-            self.transport = "shm"
-            return _init_worker_shm, (self._segment.name,), len(self._segment.name)
-        self.transport = "pipe"
-        blob = self._record_payload()
-        return _init_worker_pipe, (blob,), len(blob)
-
     def _ensure_executor(self) -> Optional[ProcessPoolExecutor]:
+        """The live executor, created on first use over the shared record
+        segment; respawns reuse the segment, so recovery never
+        re-serializes the record."""
         if self._executor is not None:
             return self._executor
         if self._broken:
             return None
         try:
-            initializer, initargs, per_worker = self._transport()
+            if self._segment is None:
+                from .shm import RecordSegment
+
+                self._segment = RecordSegment(
+                    pickle.dumps(self.record, protocol=pickle.HIGHEST_PROTOCOL)
+                )
             self._executor = ProcessPoolExecutor(
                 max_workers=self.jobs,
-                initializer=initializer,
-                initargs=initargs,
+                initializer=_init_worker,
+                initargs=(self._segment.name,),
             )
         except (OSError, ValueError, pickle.PicklingError, BrokenExecutor):
-            # Workers cannot be created at all (restricted sandbox, record
-            # not picklable): permanently inline for this pool.
+            # Workers cannot be created at all (restricted sandbox, no
+            # shared memory, record not picklable): permanently inline
+            # for this pool.
             self._broken = True
             self._teardown_executor()
             self._release_segment()
             return self._executor
-        shipped = per_worker * self.jobs
+        shipped = len(self._segment.name) * self.jobs
         self.bytes_shipped += shipped
         if _obs.enabled:
-            _obs.on_pool_transport(self.transport, shipped)
+            _obs.on_pool_shipped(shipped)
         return self._executor
 
     def _teardown_executor(self) -> None:
@@ -573,7 +483,6 @@ class ReplayPool:
             "jobs": self.jobs,
             "adaptive": self.adaptive,
             "policy": dict(self.policy),
-            "transport": self.transport,
             "batches": self.batches,
             "chunks": self.chunks,
             "submitted": self.submitted,
@@ -591,7 +500,6 @@ class ReplayPool:
         self._teardown_executor()
         self._release_segment()
         self._local = None
-        self._pipe_blob = None
 
     def __enter__(self) -> "ReplayPool":
         return self

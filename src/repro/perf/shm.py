@@ -1,15 +1,13 @@
 """Shared-memory record transport for the replay pool (zero-copy, §7).
 
-The old pool shipped the pickled :class:`ExecutionRecord` to every
-worker through the spawn pipe (``initargs``) — ``jobs`` full copies of
-the record bytes per executor, re-shipped on every respawn.  This module
-replaces the pipe with one :mod:`multiprocessing.shared_memory` segment:
-the parent pickles the record **once** into the segment and ships only
-the segment *name*; each worker maps the segment and unpickles straight
-out of the mapping (``pickle.loads`` reads from the ``memoryview``
-without an intermediate copy).  A respawned worker re-attaches the same
-segment by name, so recovery after ``pool.crash``/``pool.hang`` faults
-costs no record re-serialization either.
+The parent pickles the :class:`ExecutionRecord` **once** into one
+:mod:`multiprocessing.shared_memory` segment and ships only the segment
+*name* to each worker; each worker maps the segment and unpickles
+straight out of the mapping (``pickle.loads`` reads from the
+``memoryview`` without an intermediate copy).  A respawned worker
+re-attaches the same segment by name, so recovery after
+``pool.crash``/``pool.hang`` faults costs no record re-serialization
+either.
 
 Lifecycle: the creating process owns the segment.  :meth:`RecordSegment
 .close` is idempotent and always unlinks, and a :func:`weakref.finalize`
@@ -38,7 +36,6 @@ __all__ = [
     "attach_segment",
     "leaked_segments",
     "load_pickled",
-    "shm_available",
 ]
 
 #: Every segment this package creates carries this name prefix, so leak
@@ -50,15 +47,6 @@ SEGMENT_PREFIX = "ppd-shm-"
 _HEADER = struct.Struct("<Q")
 
 _segment_ids = itertools.count()
-
-
-def shm_available() -> bool:
-    """Whether this platform/interpreter supports POSIX shared memory."""
-    try:
-        from multiprocessing import shared_memory  # noqa: F401
-    except ImportError:  # pragma: no cover - non-POSIX builds
-        return False
-    return True
 
 
 def _destroy(shm: Any, nbytes: int) -> None:

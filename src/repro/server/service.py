@@ -82,7 +82,7 @@ class DebugService:
         if cache_dir:
             from ..perf import ReplayCache
 
-            cache = ReplayCache(spill_dir=cache_dir, write_through=True)
+            cache = ReplayCache(spill_dir=cache_dir)
         self.sessions = SessionManager(
             max_live=max_sessions,
             idle_timeout_s=idle_timeout_s,

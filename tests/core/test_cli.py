@@ -167,3 +167,41 @@ class TestParallelCommands:
         record = run_program(nested_calls(), seed=0)
         cli = PPDCommandLine(record)
         assert "completed normally" in cli.execute("where")
+
+
+class TestPpdBadInput:
+    """``ppd`` subcommands answer bad input with one ``error:`` line on
+    stderr and exit 2, never a traceback."""
+
+    @staticmethod
+    def assert_one_error_line(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_missing_file(self, tmp_path, capsys):
+        from repro.core.cli import main
+
+        assert main(["lint", str(tmp_path / "missing.pcl")]) == 2
+        self.assert_one_error_line(capsys)
+
+    def test_corrupt_record_is_quarantined(self, cli, tmp_path, capsys):
+        from repro.core.cli import main
+        from repro.runtime.persist import save_record
+
+        path = tmp_path / "run.ppd.json"
+        save_record(cli.session.record, str(path))
+        path.write_text(path.read_text()[:200])
+        assert main(["replay", str(path)]) == 2
+        self.assert_one_error_line(capsys)
+        assert not path.exists()
+        assert (tmp_path / "run.ppd.json.quarantined").exists()
+
+    def test_malformed_pcl(self, tmp_path, capsys):
+        from repro.core.cli import main
+
+        path = tmp_path / "bad.pcl"
+        path.write_text("proc main(\n  x := ;\n")
+        assert main(["localize", str(path)]) == 2
+        self.assert_one_error_line(capsys)

@@ -1,4 +1,4 @@
-"""The persistent replay cache: ``write_through`` spill-at-insert, the
+"""The persistent replay cache: write-through spill at insert, the
 ``PPD_CACHE_DIR`` environment override, and cross-run cache warmth.
 
 The promise under test: point two *independent* processes (modelled here
@@ -9,7 +9,6 @@ entries.
 """
 
 import os
-import pickle
 
 import pytest
 
@@ -42,7 +41,7 @@ def spill_files(cache_dir):
 
 class TestWriteThrough:
     def test_spills_at_insert_not_eviction(self, tmp_path, record, results):
-        cache = ReplayCache(spill_dir=str(tmp_path), write_through=True)
+        cache = ReplayCache(spill_dir=str(tmp_path))
         (pid, interval_id), result = next(iter(results.items()))
         cache.put(record, pid, interval_id, result)
         assert cache.stats.evictions == 0
@@ -50,41 +49,61 @@ class TestWriteThrough:
         assert len(spill_files(tmp_path)) == 1
 
     def test_directory_is_a_complete_replica(self, tmp_path, record, results):
-        cache = ReplayCache(spill_dir=str(tmp_path), write_through=True)
+        cache = ReplayCache(spill_dir=str(tmp_path))
         for (pid, interval_id), result in results.items():
             cache.put(record, pid, interval_id, result)
         assert len(spill_files(tmp_path)) == len(results)
 
     def test_spill_loaded_entries_are_not_rewritten(self, tmp_path, record, results):
-        writer = ReplayCache(spill_dir=str(tmp_path), write_through=True)
+        writer = ReplayCache(spill_dir=str(tmp_path))
         for (pid, interval_id), result in results.items():
             writer.put(record, pid, interval_id, result)
-        reader = ReplayCache(spill_dir=str(tmp_path), write_through=True)
+        reader = ReplayCache(spill_dir=str(tmp_path))
         for pid, interval_id in results:
             assert reader.get(record, pid, interval_id) is not None
         assert reader.stats.spill_hits == len(results)
         assert reader.stats.spills == 0  # re-spilling replicas is wasted I/O
 
-    def test_requires_spill_dir(self):
-        cache = ReplayCache(write_through=True)
-        assert cache.write_through is False
+    def test_pool_writes_one_frame_per_interval(self, tmp_path, monkeypatch, record, results):
+        """Each replayed interval costs one atomic rename and leaves one
+        spill frame; nothing else lands in the directory."""
+        import repro.perf.cache as cache_module
+
+        renames = []
+        real_replace = os.replace
+
+        def counting_replace(src, dst):
+            renames.append(dst)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(cache_module.os, "replace", counting_replace)
+        cache = ReplayCache(spill_dir=str(tmp_path))
+        with ReplayPool(record, jobs=1, cache=cache) as pool:
+            pool.replay_batch(sorted(results))
+        assert len(spill_files(tmp_path)) == len(results)
+        assert sorted(os.listdir(tmp_path)) == spill_files(tmp_path)
+        assert len(renames) == len(results)
+
+    def test_requires_spill_dir(self, record, results):
+        cache = ReplayCache()
+        (pid, interval_id), result = next(iter(results.items()))
+        cache.put(record, pid, interval_id, result)
+        assert cache.stats.spills == 0
 
     def test_describe_reports_mode(self, tmp_path):
-        cache = ReplayCache(spill_dir=str(tmp_path), write_through=True)
-        info = cache.describe()
-        assert info["write_through"] is True
-        assert info["spill_dir"] == str(tmp_path)
+        cache = ReplayCache(spill_dir=str(tmp_path))
+        assert cache.describe()["spill_dir"] == str(tmp_path)
 
 
 class TestCrossRunWarmth:
     def test_second_run_starts_warm(self, tmp_path, record, results):
         """Run 1 replays and exits; run 2 serves everything from disk."""
-        first = ReplayCache(spill_dir=str(tmp_path), write_through=True)
+        first = ReplayCache(spill_dir=str(tmp_path))
         with ReplayPool(record, jobs=1, cache=first) as pool:
             pool.replay_batch(sorted(results))
         del first, pool
 
-        second = ReplayCache(spill_dir=str(tmp_path), write_through=True)
+        second = ReplayCache(spill_dir=str(tmp_path))
         with ReplayPool(record, jobs=1, cache=second) as pool:
             warm = pool.replay_batch(sorted(results))
             assert pool.executed == 0  # nothing re-replayed
@@ -95,7 +114,7 @@ class TestCrossRunWarmth:
     def test_reloaded_record_hits_same_entries(self, tmp_path, record, results):
         """Content addressing: a record round-tripped through persist has
         a different identity but the same digest, so it stays warm."""
-        warmed = ReplayCache(spill_dir=str(tmp_path / "cache"), write_through=True)
+        warmed = ReplayCache(spill_dir=str(tmp_path / "cache"))
         for (pid, interval_id), result in results.items():
             warmed.put(record, pid, interval_id, result)
 
@@ -105,7 +124,7 @@ class TestCrossRunWarmth:
         assert reloaded is not record
         assert record_digest(reloaded) == record_digest(record)
 
-        fresh = ReplayCache(spill_dir=str(tmp_path / "cache"), write_through=True)
+        fresh = ReplayCache(spill_dir=str(tmp_path / "cache"))
         pid, interval_id = next(iter(results))
         hit = fresh.get(reloaded, pid, interval_id)
         assert hit is not None
@@ -113,12 +132,12 @@ class TestCrossRunWarmth:
         assert fresh.stats.spill_hits == 1
 
     def test_corrupt_spill_degrades_to_miss(self, tmp_path, record, results):
-        cache = ReplayCache(spill_dir=str(tmp_path), write_through=True)
+        cache = ReplayCache(spill_dir=str(tmp_path))
         (pid, interval_id), result = next(iter(results.items()))
         cache.put(record, pid, interval_id, result)
         name = spill_files(tmp_path)[0]
         (tmp_path / name).write_bytes(b"PPDSPILL1\n" + b"\x00" * 40)
-        fresh = ReplayCache(spill_dir=str(tmp_path), write_through=True)
+        fresh = ReplayCache(spill_dir=str(tmp_path))
         assert fresh.get(record, pid, interval_id) is None
         assert fresh.stats.spill_bad == 1
         assert spill_files(tmp_path) == []  # bad file deleted, not re-tripped
@@ -135,13 +154,11 @@ class TestEnvOverride:
         monkeypatch.setenv(perf.CACHE_DIR_ENV, str(tmp_path))
         cache = perf.replay_cache()
         assert cache.spill_dir == str(tmp_path)
-        assert cache.write_through is True
 
     def test_unset_env_keeps_memory_only_default(self, monkeypatch):
         monkeypatch.delenv(perf.CACHE_DIR_ENV, raising=False)
         cache = perf.replay_cache()
         assert cache.spill_dir is None
-        assert cache.write_through is False
 
     def test_shared_cache_round_trips_across_simulated_runs(
         self, tmp_path, monkeypatch, record, results
@@ -156,22 +173,3 @@ class TestEnvOverride:
         assert second is not first
         assert second.get(record, pid, interval_id) == result
         assert second.stats.spill_hits == 1
-
-
-class TestSpillFrameCompatibility:
-    def test_write_through_frames_match_eviction_frames(self, tmp_path, record, results):
-        """Both spill paths produce the same checksummed frame format, so
-        a directory can mix entries from either mode."""
-        (pid, interval_id), result = next(iter(results.items()))
-        through = ReplayCache(spill_dir=str(tmp_path / "a"), write_through=True)
-        through.put(record, pid, interval_id, result)
-        evicting = ReplayCache(max_events=1, spill_dir=str(tmp_path / "b"))
-        evicting.put(record, pid, interval_id, result)
-        other = next(k for k in results if k != (pid, interval_id))
-        evicting.put(record, other[0], other[1], results[other])  # forces eviction
-        name = spill_files(tmp_path / "a")[0]
-        frame_a = (tmp_path / "a" / name).read_bytes()
-        frame_b = (tmp_path / "b" / name).read_bytes()
-        header = len(b"PPDSPILL1\n") + 32
-        assert frame_a[:header] == frame_b[:header]
-        assert pickle.loads(frame_a[header:]) == pickle.loads(frame_b[header:])

@@ -21,14 +21,11 @@ from repro import Machine, compile_program, obs
 from repro.core.emulation import EmulationPackage, interval_indexes
 from repro.perf import ReplayPool, default_jobs, leaked_segments
 from repro.perf.pool import _COLD_STEPS
-from repro.perf.shm import RecordSegment, load_pickled, shm_available
+from repro.perf.shm import RecordSegment, load_pickled
 from repro.perf.wire import result_from_wire, result_to_wire
 from repro.workloads import fig41_program, fig61_program
 
 from tests.oracle import oracle
-
-needs_shm = pytest.mark.skipif(not shm_available(), reason="no POSIX shared memory")
-
 
 @pytest.fixture(scope="module", params=["fig41", "fig61"])
 def record(request):
@@ -48,7 +45,6 @@ def transcript(result):
     return [event.to_json() for event in result.events]
 
 
-@needs_shm
 class TestRecordSegment:
     def test_round_trip_and_unlink(self):
         payload = pickle.dumps({"answer": 42, "blob": list(range(1000))})
@@ -121,7 +117,6 @@ class TestWireCodec:
             assert transcript(decoded.rebased(137)) == transcript(result.rebased(137))
 
 
-@needs_shm
 class TestShmPool:
     @pytest.mark.parametrize("engine", ["interp", "vm"])
     def test_pooled_byte_identical_over_shm(self, record, engine):
@@ -131,7 +126,6 @@ class TestShmPool:
         before = leaked_segments()
         with ReplayPool(record, jobs=2) as pool:
             pooled = pool.replay_batch(requests)
-            assert pool.describe()["transport"] == "shm"
         package = EmulationPackage(record)
         with oracle() if engine == "interp" else contextlib.nullcontext():
             serial = [package.replay(pid, iid, uid_base=0) for pid, iid in requests]
@@ -146,7 +140,6 @@ class TestShmPool:
         with ReplayPool(record, jobs=2) as pool:
             pool.replay_batch(all_intervals(record))
             info = pool.describe()
-        assert info["transport"] == "shm"
         assert 0 < info["bytes_shipped"] < blob_size
         assert info["bytes_shipped"] < 1024  # a couple of segment names
 
@@ -163,6 +156,35 @@ class TestShmPool:
         pool.replay_batch(all_intervals(record))
         assert len(leaked_segments()) == len(before) + 1
         pool.close()
+        assert leaked_segments() == before
+
+    def test_segment_failure_degrades_inline(self, record, monkeypatch):
+        """A segment that cannot be created sends the pool inline, counted
+        once as a start failure; later batches stay inline without
+        retrying the segment."""
+        import repro.perf.shm as shm_module
+
+        attempts = []
+
+        def no_segment(payload):
+            attempts.append(len(payload))
+            raise OSError("no shared memory")
+
+        monkeypatch.setattr(shm_module, "RecordSegment", no_segment)
+        requests = all_intervals(record)
+        package = EmulationPackage(record)
+        serial = [package.replay(pid, iid, uid_base=0) for pid, iid in requests]
+        before = leaked_segments()
+        with ReplayPool(record, jobs=2) as pool:
+            first = pool.replay_batch(requests)
+            info = pool.describe()
+            assert info["fallback_causes"] == {"pool-start-failed": 1}
+            assert info["parallel"] is False
+            second = pool.replay_batch(requests)
+            assert pool.describe()["parallel"] is False
+        assert first == serial
+        assert second == serial
+        assert len(attempts) == 1
         assert leaked_segments() == before
 
     def test_obs_counts_segment_lifecycle(self, record):
