@@ -30,6 +30,17 @@ from ..analysis.liveness import Liveness, live_variables
 from ..analysis.symbols import SymbolTable
 
 
+def sorted_names(names) -> tuple[str, ...]:
+    """*names* as a sorted tuple: the form of every logging set.
+
+    Log entries build their ``values`` dicts by walking these sets.  A
+    frozenset of strings walks in hash order, which ``PYTHONHASHSEED``
+    changes from process to process, so the same run would save different
+    bytes; sorting once, when the plan is built, costs logging nothing.
+    """
+    return tuple(sorted(names))
+
+
 @dataclass(frozen=True)
 class EBlockPolicy:
     """Tunable e-block construction policy (§5.4)."""
@@ -65,12 +76,13 @@ class EBlock:
     proc_name: str  # owning (or defining) procedure
     node_id: int  # ProcDef node_id, or the loop statement's node_id
     params: tuple[str, ...] = ()  # proc blocks: parameter names in order
+    # The four logging sets are sorted tuples (:func:`sorted_names`).
     #: local variables whose values the prelog must capture (loop blocks)
-    prelog_locals: frozenset[str] = frozenset()
+    prelog_locals: tuple[str, ...] = ()
     #: local variables whose values the postlog must capture (loop blocks)
-    postlog_locals: frozenset[str] = frozenset()
-    shared_ref: frozenset[str] = frozenset()  # shared USED (prelogged)
-    shared_mod: frozenset[str] = frozenset()  # shared DEFINED (postlogged)
+    postlog_locals: tuple[str, ...] = ()
+    shared_ref: tuple[str, ...] = ()  # shared USED (prelogged)
+    shared_mod: tuple[str, ...] = ()  # shared DEFINED (postlogged)
     returns_value: bool = False
     #: chunk blocks: the node_ids of the top-level statements they cover
     stmt_node_ids: tuple[int, ...] = ()
@@ -180,8 +192,8 @@ def build_eblocks(
                     proc_name=proc.name,
                     node_id=proc.node_id,
                     params=tuple(p.name for p in proc.params),
-                    shared_ref=frozenset(summary.ref),
-                    shared_mod=frozenset(summary.mod),
+                    shared_ref=sorted_names(summary.ref),
+                    shared_mod=sorted_names(summary.mod),
                     returns_value=proc.is_func,
                 )
             )
@@ -216,11 +228,11 @@ def build_eblocks(
 
 def _live_filter(
     prelog_locals: set[str], liveness: Liveness | None, entry_stmt_node_id: int
-) -> frozenset[str]:
+) -> tuple[str, ...]:
     """Drop locals that are dead at the block's entry (live_prelogs)."""
     if liveness is None:
-        return frozenset(prelog_locals)
-    return frozenset(prelog_locals & liveness.live_at_stmt(entry_stmt_node_id))
+        return sorted_names(prelog_locals)
+    return sorted_names(prelog_locals & liveness.live_at_stmt(entry_stmt_node_id))
 
 
 def _has_return(stmt: ast.Stmt) -> bool:
@@ -252,9 +264,9 @@ def _build_chunk_block(
         proc_name=proc.name,
         node_id=stmts[0].node_id,
         prelog_locals=_live_filter(prelog_locals, liveness, stmts[0].node_id),
-        postlog_locals=frozenset(defined & local_names),
-        shared_ref=frozenset(_shared_split(used, table, proc.name)),
-        shared_mod=frozenset(_shared_split(defined, table, proc.name)),
+        postlog_locals=sorted_names(defined & local_names),
+        shared_ref=sorted_names(_shared_split(used, table, proc.name)),
+        shared_mod=sorted_names(_shared_split(defined, table, proc.name)),
         stmt_node_ids=tuple(s.node_id for s in stmts),
     )
 
@@ -339,7 +351,7 @@ def _build_loop_block(
         proc_name=proc.name,
         node_id=loop.node_id,
         prelog_locals=_live_filter(used_locals, liveness, entry_node_id),
-        postlog_locals=frozenset(defined_locals),
-        shared_ref=frozenset(shared_ref),
-        shared_mod=frozenset(shared_mod),
+        postlog_locals=sorted_names(defined_locals),
+        shared_ref=sorted_names(shared_ref),
+        shared_mod=sorted_names(shared_mod),
     )

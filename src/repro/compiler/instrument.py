@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..analysis.simplified import N_ENTRY, SimplifiedGraph
-from .eblocks import EBlock, EBlockSet
+from .eblocks import EBlock, EBlockSet, sorted_names
 
 
 @dataclass
@@ -30,10 +30,10 @@ class InstrumentationPlan:
 
     eblocks: EBlockSet = None  # type: ignore[assignment]
     #: stmt node_id -> shared variables to snapshot after that statement
-    #: completes (the statement starts a synchronization unit)
-    post_stmt_prelogs: dict[int, frozenset[str]] = field(default_factory=dict)
-    #: proc name -> shared variables to snapshot at procedure entry
-    entry_unit_prelogs: dict[str, frozenset[str]] = field(default_factory=dict)
+    #: completes (the statement starts a synchronization unit), sorted
+    post_stmt_prelogs: dict[int, tuple[str, ...]] = field(default_factory=dict)
+    #: proc name -> shared variables to snapshot at procedure entry, sorted
+    entry_unit_prelogs: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def proc_block(self, proc_name: str) -> EBlock | None:
         return self.eblocks.proc_blocks.get(proc_name)
@@ -68,13 +68,13 @@ def build_instrumentation_plan(
             start_kind = graph.node_kinds[unit.start_node]
             if start_kind == N_ENTRY:
                 if unit.shared_reads:
-                    plan.entry_unit_prelogs[proc_name] = frozenset(unit.shared_reads)
+                    plan.entry_unit_prelogs[proc_name] = sorted_names(unit.shared_reads)
                 continue
             stmt = graph.cfg.nodes[unit.start_node].stmt
             if stmt is None:
                 continue
             if not unit.shared_reads:
                 continue
-            existing = plan.post_stmt_prelogs.get(stmt.node_id, frozenset())
-            plan.post_stmt_prelogs[stmt.node_id] = existing | frozenset(unit.shared_reads)
+            existing = plan.post_stmt_prelogs.get(stmt.node_id, ())
+            plan.post_stmt_prelogs[stmt.node_id] = sorted_names({*existing, *unit.shared_reads})
     return plan

@@ -217,6 +217,9 @@ class Machine:
         self.channels: dict[str, Channel] = {}
         self.entries: dict[str, Entry] = {}
         self.processes: dict[int, Process] = {}
+        #: the READY processes in pid order; every state change keeps it
+        #: (see :class:`Process`), so :meth:`run` never rebuilds it
+        self.run_queue: list[Process] = []
         self.history = SyncHistory()
         self.output: list[tuple[int, str]] = []
         self.failure: Optional[FailureInfo] = None
@@ -265,6 +268,8 @@ class Machine:
         pid = len(self.processes)
         process = Process(pid=pid, proc_name=proc_name, parent=parent)
         self.processes[pid] = process
+        process.run_queue = self.run_queue
+        self.run_queue.append(process)  # the highest pid so far
         return process
 
     # ------------------------------------------------------------------
@@ -284,8 +289,8 @@ class Machine:
         self._sync_event(main, "begin", "main", 0)
         main.generator = self._new_executor(main).run_process(main_def, [])
 
+        ready = self.run_queue
         while True:
-            ready = [p for p in self.processes.values() if p.state is ProcState.READY]
             if not ready:
                 blocked = [
                     p for p in self.processes.values() if p.state is ProcState.BLOCKED
@@ -312,14 +317,7 @@ class Machine:
             except StopIteration:
                 self._on_process_exit(process)
             except AssertionFailure as failure:
-                process.state = ProcState.FAILED
-                self.failure = FailureInfo(
-                    pid=process.pid,
-                    node_id=failure.node_id,
-                    message=str(failure),
-                    kind="assert",
-                    timestamp=self.timestamp,
-                )
+                self._fail(process, failure.node_id, str(failure), "assert")
                 break
             except _BreakpointSignal as signal:
                 # The process stays READY conceptually, but the whole
@@ -328,24 +326,11 @@ class Machine:
                 self.breakpoint_hit = signal.hit
                 break
             except PCLRuntimeError as error:
-                process.state = ProcState.FAILED
-                self.failure = FailureInfo(
-                    pid=process.pid,
-                    node_id=getattr(error, "node_id", 0),
-                    message=str(error),
-                    kind="runtime",
-                    timestamp=self.timestamp,
-                )
+                self._fail(process, getattr(error, "node_id", 0), str(error), "runtime")
                 break
             except RecursionError:
-                process.state = ProcState.FAILED
-                self.failure = FailureInfo(
-                    pid=process.pid,
-                    node_id=0,
-                    message="recursion too deep (PCL call stack exhausted)",
-                    kind="runtime",
-                    timestamp=self.timestamp,
-                )
+                message = "recursion too deep (PCL call stack exhausted)"
+                self._fail(process, 0, message, "runtime")
                 break
             self.total_steps += 1
             if _obs.enabled:
@@ -402,9 +387,19 @@ class Machine:
             _obs.on_run_complete(record)
         return record
 
+    def _fail(self, process: Process, node_id: int, message: str, kind: str) -> None:
+        process.leave_ready(ProcState.FAILED)
+        self.failure = FailureInfo(
+            pid=process.pid,
+            node_id=node_id,
+            message=message,
+            kind=kind,
+            timestamp=self.timestamp,
+        )
+
     def _on_process_exit(self, process: Process) -> None:
         end_node = self._sync_event(process, "end", process.proc_name, 0)
-        process.state = ProcState.DONE
+        process.leave_ready(ProcState.DONE)
         if process.parent is None:
             return
         parent = self.processes[process.parent]

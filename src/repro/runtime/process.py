@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import enum
+from bisect import insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Generator, Optional
 
 from .clocks import VectorClock
 from .logging import LogFile
+
+
+_pid = attrgetter("pid")
 
 
 class ProcState(enum.Enum):
@@ -66,18 +71,31 @@ class Process:
         self.pending_sync_uids: list[int] = []
         #: active rendezvous exchanges this process is serving, innermost last
         self.rendezvous_stack: list = []
+        #: the owning machine's run queue: exactly its READY processes, in
+        #: pid order.  ``block``/``wake``/``leave_ready`` keep this process's
+        #: membership in step with its state; ``None`` for a process driven
+        #: directly (interval replay), which has no queue to keep.
+        self.run_queue: Optional[list[Process]] = None
 
     @property
     def frame(self) -> Frame:
         return self.frames[-1]
 
     def block(self, reason: str, node_id: int = 0) -> None:
-        self.state = ProcState.BLOCKED
+        self.leave_ready(ProcState.BLOCKED)
         self.block_reason = reason
         self.blocked_on_node = node_id
 
+    def leave_ready(self, state: ProcState) -> None:
+        """Leave the READY set for *state* (BLOCKED, DONE or FAILED)."""
+        if self.run_queue is not None and self.state is ProcState.READY:
+            self.run_queue.remove(self)
+        self.state = state
+
     def wake(self, source_uid: int, clock: VectorClock, value: Any = None) -> None:
         """Mark READY and record the causal source of the wake-up."""
+        if self.run_queue is not None and self.state is not ProcState.READY:
+            insort(self.run_queue, self, key=_pid)
         self.state = ProcState.READY
         self.block_reason = ""
         self.wake_sources.append(source_uid)

@@ -32,25 +32,21 @@ class Scheduler:
     def pick(self, ready: list[Process]) -> Process:
         """Pick the process to run for the next step.
 
-        Runs the previous pick for up to ``quantum`` consecutive steps (a
-        cheap model of time slices), then switches uniformly at random.
+        ``ready`` is exactly the READY processes in pid order (the
+        machine's run queue), so a process is in it iff its state is
+        READY, and the seeded index below always names the same process
+        for the same seed.  Runs the previous pick for up to ``quantum``
+        consecutive steps (a cheap model of time slices), then switches
+        uniformly at random.
         """
-        if (
-            self._current is not None
-            and self._remaining > 0
-            and self._current.state is ProcState.READY
-            and self._current in ready
-        ):
+        current = self._current
+        if current is not None and self._remaining > 0 and current.state is ProcState.READY:
             self._remaining -= 1
-            return self._current
+            return current
         choice = ready[self.rng.randrange(len(ready))] if len(ready) > 1 else ready[0]
-        if choice is not self._current:
+        if choice is not current:
             self.context_switches += 1
-            if (
-                self._current is not None
-                and self._current.state is ProcState.READY
-                and self._current in ready
-            ):
+            if current is not None and current.state is ProcState.READY:
                 self.preemptions += 1
         self._current = choice
         self._remaining = self.quantum - 1

@@ -88,7 +88,7 @@ class TestChunkConstruction:
         # The first chunk computes a..d from the parameter n.
         assert "n" in first_chunk.prelog_locals
         assert {"a", "b", "c", "d"} <= set(first_chunk.postlog_locals)
-        assert first_chunk.shared_mod == frozenset()
+        assert first_chunk.shared_mod == ()
 
 
 class TestChunkExecutionAndReplay:

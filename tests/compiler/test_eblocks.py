@@ -19,8 +19,8 @@ class TestDefaultPolicy:
     def test_proc_block_carries_summary_sets(self):
         compiled = compile_program(fig53_program())
         block = compiled.eblocks.proc_blocks["foo3"]
-        assert block.shared_ref == frozenset({"SV"})
-        assert block.shared_mod == frozenset({"SV"})
+        assert block.shared_ref == ("SV",)
+        assert block.shared_mod == ("SV",)
         assert block.params == ("p", "q")
         assert block.returns_value
 
@@ -99,8 +99,8 @@ proc main() {
         assert block.kind == "loop"
         assert "s" in block.prelog_locals and "t" in block.prelog_locals
         assert "s" in block.postlog_locals
-        assert block.shared_ref == frozenset({"SV"})
-        assert block.shared_mod == frozenset()
+        assert block.shared_ref == ("SV",)
+        assert block.shared_mod == ()
 
     def test_small_loops_skipped(self):
         source = "proc main() { int s = 0; while (s < 3) { s = s + 1; } }"

@@ -17,7 +17,7 @@ class TestSyncUnitPrelogs:
             for s in ast.walk_statements(program.proc("foo3").body)
             if isinstance(s, ast.SemP)
         )
-        assert compiled.plan.post_stmt_prelogs.get(p_stmt.node_id) == frozenset({"SV"})
+        assert compiled.plan.post_stmt_prelogs.get(p_stmt.node_id) == ("SV",)
 
     def test_v_site_has_no_prelog(self):
         compiled = compile_program(fig53_program())
@@ -43,7 +43,7 @@ proc main() { int a = reader(1); print(a); }
 """
         compiled = compile_program(source, policy=EBlockPolicy(merge_leaf_max_stmts=10))
         assert "reader" in compiled.eblocks.merged_procs
-        assert compiled.plan.entry_unit_prelogs.get("reader") == frozenset({"SV"})
+        assert compiled.plan.entry_unit_prelogs.get("reader") == ("SV",)
 
     def test_plan_accessors(self):
         compiled = compile_program(fig53_program())

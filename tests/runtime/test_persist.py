@@ -1,7 +1,13 @@
 """Record persistence tests: the on-disk log file story (§5.6)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import compile_program, Machine, PPDSession, render_flowback
 from repro.core import find_races_indexed
 from repro.runtime import (
@@ -11,6 +17,7 @@ from repro.runtime import (
     run_program,
     save_record,
 )
+from repro.runtime.persist import record_content_digest
 from repro.workloads import bank_race, buggy_average, fig53_program, nested_calls
 
 
@@ -75,6 +82,63 @@ class TestRoundTrip:
         save_record(record, str(path))
         loaded = load_record(str(path))
         assert loaded.output == record.output
+
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+
+_SAVE_EXAMPLES = """
+import hashlib, pathlib, sys
+from repro.runtime import record_to_json, run_program
+for path in sorted(pathlib.Path(sys.argv[1]).glob("*.pcl")):
+    text = record_to_json(run_program(path.read_text(), seed=0))
+    print(path.name, hashlib.sha256(text.encode()).hexdigest())
+"""
+
+
+class TestHashSeedIndependence:
+    """The saved bytes of a run do not depend on ``PYTHONHASHSEED``.
+
+    Log ``values`` dicts are filled by iterating the plan's name sets.  In
+    string-hash order, ``locked_counters.pcl`` saved under hash seeds 1 and
+    2 gave two different files with one content digest.
+    """
+
+    def _saved_hashes(self, hash_seed: str) -> dict[str, str]:
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", _SAVE_EXAMPLES, str(EXAMPLES)],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=300,
+        )
+        return dict(line.split() for line in result.stdout.splitlines())
+
+    def test_examples_save_the_same_bytes(self):
+        first = self._saved_hashes("1")
+        assert "locked_counters.pcl" in first
+        assert self._saved_hashes("2") == first
+
+    def test_values_in_another_order_still_load(self):
+        """A file whose values are in some other order (as an older
+        writer's hash order left them) loads and passes its digest check."""
+        import json
+
+        record = run_program((EXAMPLES / "locked_counters.pcl").read_text(), seed=0)
+        body = json.loads(record_to_json(record))
+        reordered = 0
+        for entries in body["logs"].values():
+            for entry in entries:
+                if len(entry.get("values", ())) > 1:
+                    entry["values"] = dict(reversed(entry["values"].items()))
+                    reordered += 1
+        assert reordered
+        loaded = record_from_json(json.dumps(body))
+        assert record_content_digest(loaded) == record_content_digest(record)
+        for pid, log in record.logs.items():
+            assert loaded.logs[pid].entries == log.entries
 
 
 class TestPersistError:
