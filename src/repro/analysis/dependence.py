@@ -90,13 +90,26 @@ def build_static_proc_graph(
     return graph
 
 
-def build_static_graph(program: ast.Program, table: SymbolTable | None = None) -> StaticGraph:
-    """Build the full static program dependence graph of *program*."""
+def build_static_graph(
+    program: ast.Program,
+    table: SymbolTable | None = None,
+    call_graph: CallGraph | None = None,
+    summaries: Summaries | None = None,
+    cfgs: dict[str, CFG] | None = None,
+) -> StaticGraph:
+    """Build the full static program dependence graph of *program*.
+
+    Analyses the caller already holds are shared, not rebuilt; they are
+    only read here.
+    """
     if table is None:
         table = check_program(program)
-    call_graph = build_call_graph(program)
-    summaries = compute_summaries(program, table, call_graph)
-    cfgs = build_cfgs(program)
+    if call_graph is None:
+        call_graph = build_call_graph(program)
+    if summaries is None:
+        summaries = compute_summaries(program, table, call_graph)
+    if cfgs is None:
+        cfgs = build_cfgs(program)
     graph = StaticGraph(
         program=program, table=table, call_graph=call_graph, summaries=summaries
     )

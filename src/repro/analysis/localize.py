@@ -351,9 +351,11 @@ def build_consensus(group: str, members: list[ProcessSignature]) -> Consensus:
         for key in sorted(keys)
     }
 
-    depth = max(len(sig.units) for sig in members)
+    # ``work`` builds a fresh tuple per read: read it once per member.
+    works = [sig.work for sig in members]
+    depth = max(len(work) for work in works)
     columns = [
-        [sig.work[i] if i < len(sig.work) else 0 for sig in members]
+        [work[i] if i < len(work) else 0 for work in works]
         for i in range(depth)
     ]
     work = tuple(_median(column) for column in columns)

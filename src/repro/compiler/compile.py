@@ -85,10 +85,10 @@ def compile_program(
     call_graph = build_call_graph(program)
     summaries = compute_summaries(program, table, call_graph)
     cfgs = build_cfgs(program)
-    static_graph = build_static_graph(program, table)
+    static_graph = build_static_graph(program, table, call_graph, summaries, cfgs)
     simplified = build_simplified_graphs(program, table, summaries, cfgs)
     database = ProgramDatabase.build(program, table, call_graph, summaries)
-    eblocks = build_eblocks(program, table, call_graph, summaries, policy)
+    eblocks = build_eblocks(program, table, call_graph, summaries, cfgs, policy)
     plan = build_instrumentation_plan(eblocks, simplified)
     return CompiledProgram(
         program=program,

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..lang import ast
-from ..analysis.cfg import build_cfg
+from ..analysis.cfg import CFG
 from ..analysis.dataflow import Summaries, region_declared, region_use_def
 from ..analysis.interproc import CallGraph
 from ..analysis.liveness import Liveness, live_variables
@@ -171,6 +171,7 @@ def build_eblocks(
     table: SymbolTable,
     call_graph: CallGraph,
     summaries: Summaries,
+    cfgs: dict[str, CFG],
     policy: EBlockPolicy | None = None,
 ) -> EBlockSet:
     """Construct every e-block of *program* under *policy*."""
@@ -202,7 +203,7 @@ def build_eblocks(
             policy.loop_block_min_stmts is not None
             or policy.split_proc_min_stmts is not None
         ):
-            liveness = live_variables(build_cfg(proc), summaries)
+            liveness = live_variables(cfgs[proc.name], summaries)
         if policy.loop_block_min_stmts is not None:
             for stmt in ast.walk_statements(proc.body):
                 if not isinstance(stmt, (ast.While, ast.For)):

@@ -350,10 +350,19 @@ class Program(Node):
 # --------------------------------------------------------------------------
 
 
+#: Node type -> its dataclass field names, filled the first time each type
+#: is walked (``dataclasses.fields`` rebuilds its tuple on every call).
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
 def iter_child_nodes(node: Node) -> Iterator[Node]:
     """Yield the direct child nodes of *node* in source order."""
-    for f in dataclasses.fields(node):
-        value = getattr(node, f.name)
+    names = _FIELD_NAMES.get(type(node))
+    if names is None:
+        names = tuple(f.name for f in dataclasses.fields(node))
+        _FIELD_NAMES[type(node)] = names
+    for name in names:
+        value = getattr(node, name)
         if isinstance(value, Node):
             yield value
         elif isinstance(value, list):

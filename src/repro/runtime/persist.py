@@ -6,6 +6,16 @@ program.  :func:`save_record`/:func:`load_record` serialise everything a
 :class:`PPDSession` needs — the source (recompiled on load), the e-block
 policy, the per-process logs, the synchronization history with vector
 clocks, and the stop reason — as one JSON document.
+
+The envelope's content digest is a SHA-256 over its canonical form: the
+sorted-key compact dump of everything but ``digest``.  A save makes that
+dump once and writes it as the document, with the digest moved to the
+front: ``{"digest":"<64 hex>",`` followed by the dump minus its opening
+``{``.  A load of a document in that layout checks the digest over the
+bytes as read; any other document (an older writer's, a hand edit) is
+checked by re-dumping its parsed body canonically.  A load decodes the
+envelope's structure first, so a broken field is named; then it checks
+the digest; only then does it compile the embedded source.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ from ..obs import hooks as _obs
 
 from ..compiler.compile import compile_program
 from ..compiler.eblocks import EBlockPolicy
+from ..lang.errors import PCLError
 from .clocks import VectorClock
 from .logging import (
     InputLog,
@@ -98,6 +109,15 @@ class RecordIOError(PersistError):
     """The record file could not be read at all."""
 
 
+#: What decoding or compiling a malformed envelope raises; each becomes a
+#: :class:`RecordCorruptError`.
+_MALFORMED = (KeyError, TypeError, ValueError, AttributeError)
+
+
+def _malformed(error: Exception, path: str | None) -> RecordCorruptError:
+    return RecordCorruptError(f"corrupt record: {type(error).__name__}: {error}", path=path)
+
+
 def _field(body: dict[str, Any], name: str, path: str | None) -> Any:
     try:
         return body[name]
@@ -112,39 +132,46 @@ _ENTRY_TYPES: dict[str, type[LogEntry]] = {
     for cls in (Prelog, Postlog, SyncPrelog, InputLog, SyncLog, SpawnLog)
 }
 
+#: Per entry class, the fields an entry persists besides ``t`` and ``pid``,
+#: in ``dataclasses.fields`` order — looked up once, not once per entry.
+_ENTRY_FIELDS: dict[type[LogEntry], tuple[str, ...]] = {
+    cls: tuple(
+        f.name for f in dataclasses.fields(cls) if f.name not in ("timestamp", "pid")
+    )
+    for cls in _ENTRY_TYPES.values()
+}
+
 
 def _entry_to_json(entry: LogEntry) -> dict[str, Any]:
     body = {"kind": entry.kind, "t": entry.timestamp, "pid": entry.pid}
-    for field in dataclasses.fields(entry):
-        if field.name in ("timestamp", "pid"):
-            continue
-        value = getattr(entry, field.name)
+    for name in _ENTRY_FIELDS[type(entry)]:
+        value = getattr(entry, name)
         if isinstance(value, dict):
             value = {str(k): encode_value(v) for k, v in value.items()}
         elif isinstance(value, list):
             value = [encode_value(v) for v in value]
         else:
             value = encode_value(value)
-        body[field.name] = value
+        body[name] = value
     return body
 
 
 def _entry_from_json(body: dict[str, Any]) -> LogEntry:
     cls = _ENTRY_TYPES[body["kind"]]
     kwargs: dict[str, Any] = {"timestamp": body["t"], "pid": body["pid"]}
-    for field in dataclasses.fields(cls):
-        if field.name in ("timestamp", "pid") or field.name not in body:
+    for name in _ENTRY_FIELDS[cls]:
+        if name not in body:
             continue
-        value = body[field.name]
-        if field.name in ("values",):
+        value = body[name]
+        if name == "values":
             value = {k: decode_value(v) for k, v in value.items()}
-        elif field.name == "clock":
+        elif name == "clock":
             value = {int(k): v for k, v in value.items()}
         elif isinstance(value, list):
             value = [decode_value(v) for v in value]
         else:
             value = decode_value(value)
-        kwargs[field.name] = value
+        kwargs[name] = value
     return cls(**kwargs)
 
 
@@ -224,14 +251,15 @@ def _history_from_json(body: dict[str, Any]) -> SyncHistory:
 def record_to_json(record: ExecutionRecord) -> str:
     """Serialise a logged execution record as one JSON document.
 
-    The content digest computed for the envelope is stashed on *record*
-    as its name (:func:`record_content_digest`), so a record that has
-    been saved or spilled is never serialised again just to be named.
+    The body is dumped once, canonically, and written behind its digest
+    (the layout of the module docstring).  The digest is stashed on
+    *record* as its name (:func:`record_content_digest`), so a record that
+    has been saved or spilled is never serialised again just to be named.
     """
-    body = _record_body(record)
-    body["digest"] = _content_digest(body)
-    record._ppd_digest = body["digest"]  # type: ignore[attr-defined]
-    return json.dumps(body, separators=(",", ":"))
+    canonical = _canonical(_record_body(record))
+    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    record._ppd_digest = digest  # type: ignore[attr-defined]
+    return _HEAD.format(digest) + canonical[1:]
 
 
 def record_content_digest(record: ExecutionRecord) -> str:
@@ -283,14 +311,34 @@ def _record_body(record: ExecutionRecord) -> dict[str, Any]:
     }
 
 
-def _content_digest(body: dict[str, Any]) -> str:
-    """SHA-256 over the canonical form of the envelope minus ``digest``.
+def _canonical(body: dict[str, Any]) -> str:
+    """Sorted-key compact JSON: the form the content digest covers, so
+    the digest survives any round trip that preserves values (including
+    key reordering)."""
+    return json.dumps(body, separators=(",", ":"), sort_keys=True)
 
-    Canonical form = sorted-key compact JSON, so the digest survives any
-    round trip that preserves values (including key reordering)."""
+
+def _content_digest(body: dict[str, Any]) -> str:
+    """SHA-256 over the canonical form of the envelope minus ``digest``."""
     stripped = {k: v for k, v in body.items() if k != "digest"}
-    canonical = json.dumps(stripped, separators=(",", ":"), sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical(stripped).encode("utf-8")).hexdigest()
+
+
+#: The head of a written document, filled with the digest; the canonical
+#: body follows it, minus its own opening ``{``.
+_HEAD = '{{"digest":"{}",'
+_BODY_START = len(_HEAD.format("0" * 64))
+
+
+def _layout_digest(data: bytes) -> str | None:
+    """The digest heading *data*, if *data* is in the written layout and
+    that digest is the SHA-256 of the body that follows; else None."""
+    if not data.startswith(b'{"digest":"'):
+        return None
+    digest = hashlib.sha256(b"{")
+    digest.update(memoryview(data)[_BODY_START:])
+    hexdigest = digest.hexdigest()
+    return hexdigest if data[:_BODY_START] == _HEAD.format(hexdigest).encode() else None
 
 
 def record_from_json(text: str, *, path: str | None = None) -> ExecutionRecord:
@@ -299,6 +347,23 @@ def record_from_json(text: str, *, path: str | None = None) -> ExecutionRecord:
     Raises :class:`PersistError` on corrupt or future-version input; the
     optional *path* is threaded into the error for context.
     """
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as error:
+        raise RecordCorruptError(f"corrupt record: not UTF-8 ({error})", path=path) from error
+    return _record_from_document(data, text, path)
+
+
+def _record_from_bytes(data: bytes, path: str | None) -> ExecutionRecord:
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise RecordCorruptError(f"corrupt record: not UTF-8 ({error})", path=path) from error
+    return _record_from_document(data, text, path)
+
+
+def _record_from_document(data: bytes, text: str, path: str | None) -> ExecutionRecord:
+    """Load one document, given as its UTF-8 *data* and their *text*."""
     try:
         body = json.loads(text)
     except json.JSONDecodeError as error:
@@ -312,7 +377,11 @@ def record_from_json(text: str, *, path: str | None = None) -> ExecutionRecord:
         raise RecordVersionError(
             "corrupt record: no version in envelope", path=path, field="version"
         )
-    if not isinstance(version, int) or not 1 <= version <= FORMAT_VERSION:
+    if (
+        isinstance(version, bool)
+        or not isinstance(version, int)
+        or not 1 <= version <= FORMAT_VERSION
+    ):
         raise RecordVersionError(
             f"unsupported record version {version!r} "
             f"(this build reads versions 1..{FORMAT_VERSION})",
@@ -320,33 +389,51 @@ def record_from_json(text: str, *, path: str | None = None) -> ExecutionRecord:
             field="version",
         )
     try:
-        record = _record_from_body(body, path)
+        source, policy, fields = _decode_body(body, path)
     except PersistError:
         raise
-    except (KeyError, TypeError, ValueError, AttributeError) as error:
-        raise RecordCorruptError(
-            f"corrupt record: {type(error).__name__}: {error}", path=path
-        ) from error
+    except _MALFORMED as error:
+        raise _malformed(error, path) from error
     # Content digest, verified after the structural parse so structural
-    # breakage keeps its precise field-naming diagnostics.  Records
+    # breakage keeps its precise field-naming diagnostics, and before the
+    # compile so a tampered source is reported as tampering.  Records
     # written before the digest entered the envelope still load, and are
     # named lazily by record_content_digest.
     claimed = body.get("digest")
+    if (
+        claimed is not None
+        and claimed != _layout_digest(data)
+        and claimed != _content_digest(body)
+    ):
+        raise RecordDigestError(
+            "corrupt record: content digest mismatch "
+            "(bit rot, tampering, or a torn write)",
+            path=path,
+            field="digest",
+        )
+    try:
+        compiled = compile_program(source, policy=policy)
+    except PCLError as error:
+        raise RecordCorruptError(
+            f"corrupt record: source does not compile ({error})",
+            path=path,
+            field="source",
+        ) from error
+    except _MALFORMED as error:  # e.g. a policy value of the wrong type
+        raise _malformed(error, path) from error
+    record = ExecutionRecord(compiled=compiled, mode="logged", **fields)
     if claimed is not None:
-        if claimed != _content_digest(body):
-            raise RecordDigestError(
-                "corrupt record: content digest mismatch "
-                "(bit rot, tampering, or a torn write)",
-                path=path,
-                field="digest",
-            )
         record._ppd_digest = claimed  # type: ignore[attr-defined]
     return record
 
 
-def _record_from_body(body: dict[str, Any], path: str | None) -> ExecutionRecord:
+def _decode_body(
+    body: dict[str, Any], path: str | None
+) -> tuple[str, EBlockPolicy, dict[str, Any]]:
+    """The envelope's source, its policy, and every other
+    :class:`ExecutionRecord` field, decoded but not compiled."""
     policy = EBlockPolicy(**_field(body, "policy", path))
-    compiled = compile_program(_field(body, "source", path), policy=policy)
+    source = _field(body, "source", path)
 
     logs: dict[int, LogFile] = {}
     for pid_text, entries in _field(body, "logs", path).items():
@@ -363,10 +450,8 @@ def _record_from_body(body: dict[str, Any], path: str | None) -> ExecutionRecord
         locks=dict(sync_state_body["locks"]),
         channels=dict(sync_state_body["channels"]),
     )
-    return ExecutionRecord(
-        compiled=compiled,
+    return source, policy, dict(
         seed=_field(body, "seed", path),
-        mode="logged",
         output=[(pid, text) for pid, text in _field(body, "output", path)],
         logs=logs,
         history=_history_from_json(_field(body, "history", path)),
@@ -388,12 +473,10 @@ def _record_from_body(body: dict[str, Any], path: str | None) -> ExecutionRecord
             int(k): [decode_value(a) for a in v]
             for k, v in body["spawn_args"].items()
         },
-        tracer=None,
         inputs_consumed=body["inputs_consumed"],
         breakpoint_hit=BreakpointHit(**body["breakpoint"]) if body["breakpoint"] else None,
         process_steps={int(k): v for k, v in body["process_steps"].items()},
         sync_state=sync_state,
-        trace_of_sync={},
         shared_initial={k: decode_value(v) for k, v in body["shared_initial"].items()},
     )
 
@@ -431,12 +514,12 @@ def load_record(path: str, *, quarantine: bool = True) -> ExecutionRecord:
     attribute names the new location.
     """
     try:
-        with open(path) as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as error:
         raise RecordIOError(f"cannot read record: {error}", path=path) from error
     try:
-        return record_from_json(text, path=path)
+        return _record_from_bytes(data, path)
     except PersistError as error:
         if quarantine:
             quarantined = path + ".quarantined"

@@ -198,6 +198,30 @@ class TestPpdBadInput:
         assert not path.exists()
         assert (tmp_path / "run.ppd.json.quarantined").exists()
 
+    def test_record_that_is_not_utf8_is_quarantined(self, tmp_path, capsys):
+        from repro.core.cli import main
+
+        path = tmp_path / "bin.ppd.json"
+        path.write_bytes(bytes(range(128, 256)))
+        assert main(["replay", str(path)]) == 2
+        self.assert_one_error_line(capsys)
+        assert not path.exists()
+        assert (tmp_path / "bin.ppd.json.quarantined").exists()
+
+    def test_record_with_tampered_source_is_quarantined(self, cli, tmp_path, capsys):
+        from repro.core.cli import main
+        from repro.runtime.persist import save_record
+
+        path = tmp_path / "run.ppd.json"
+        save_record(cli.session.record, str(path))
+        text = path.read_text()
+        index = text.index("proc", text.index('"source":"'))
+        path.write_text(text[:index] + "`" + text[index + 1 :])
+        assert main(["replay", str(path)]) == 2
+        self.assert_one_error_line(capsys)
+        assert not path.exists()
+        assert (tmp_path / "run.ppd.json.quarantined").exists()
+
     def test_malformed_pcl(self, tmp_path, capsys):
         from repro.core.cli import main
 

@@ -1,8 +1,11 @@
 """AST helper tests: traversal, numbering, read-set extraction."""
 
+import dataclasses
+
 import pytest
 
 from repro.lang import ast, parse
+from tests.runtime.test_schedule_golden import PROGRAMS
 
 
 SOURCE = """
@@ -101,3 +104,32 @@ class TestReadSets:
         assert ast.lvalue_name(assign.target) == "a"
         with pytest.raises(TypeError):
             ast.lvalue_name(assign.value)  # an IntLit is not an lvalue
+
+
+def _children_by_fields(node):
+    """The definition ``iter_child_nodes`` caches: every dataclass field,
+    looked up afresh on each node."""
+    children = []
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        if isinstance(value, ast.Node):
+            children.append(value)
+        elif isinstance(value, list):
+            children.extend(item for item in value if isinstance(item, ast.Node))
+    return children
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_iter_child_nodes_matches_dataclass_fields(name):
+    """Every node of the schedule-golden programs and the examples."""
+    stack = [parse(PROGRAMS[name])]
+    visited = 0
+    while stack:
+        node = stack.pop()
+        expected = _children_by_fields(node)
+        assert [id(child) for child in ast.iter_child_nodes(node)] == [
+            id(child) for child in expected
+        ]
+        stack.extend(expected)
+        visited += 1
+    assert visited > 10

@@ -1,6 +1,9 @@
 """Record persistence tests: the on-disk log file story (§5.6)."""
 
+import hashlib
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,17 +15,30 @@ from repro import compile_program, Machine, PPDSession, render_flowback
 from repro.core import find_races_indexed
 from repro.runtime import (
     load_record,
+    persist,
     record_from_json,
     record_to_json,
     run_program,
     save_record,
 )
-from repro.runtime.persist import record_content_digest
+from repro.runtime.persist import (
+    RecordCorruptError,
+    RecordDigestError,
+    RecordVersionError,
+    record_content_digest,
+)
 from repro.workloads import bank_race, buggy_average, fig53_program, nested_calls
 
 
 def round_trip(record):
     return record_from_json(record_to_json(record))
+
+
+def tamper_source(text: str) -> str:
+    """*text* with one byte of its embedded source changed (a character
+    the lexer rejects), and the digest left as it was."""
+    index = text.index("proc", text.index('"source":"'))
+    return text[:index] + "`" + text[index + 1 :]
 
 
 class TestRoundTrip:
@@ -141,6 +157,87 @@ class TestHashSeedIndependence:
             assert loaded.logs[pid].entries == log.entries
 
 
+class TestWrittenLayout:
+    """A save writes the canonical body once, behind its digest; a load
+    checks that digest over the bytes as read, and re-dumps only a
+    document in some other layout."""
+
+    @pytest.fixture()
+    def record(self):
+        return run_program(fig53_program(), seed=1)
+
+    def test_file_is_digest_then_canonical_body(self, record, tmp_path):
+        path = tmp_path / "run.ppd.json"
+        save_record(record, str(path))
+        data = path.read_bytes()
+        head = re.match(rb'\{"digest":"([0-9a-f]{64})",', data)
+        assert head is not None
+        body = json.loads(data)
+        digest = body.pop("digest")
+        assert head.group(1).decode() == digest
+        canonical = json.dumps(body, separators=(",", ":"), sort_keys=True).encode()
+        assert b"{" + data[head.end() :] == canonical
+        assert hashlib.sha256(canonical).hexdigest() == digest
+
+    def test_older_layout_loads_with_the_same_digest(self, record, monkeypatch):
+        """The previous writer's layout: body keys in insertion order and
+        the digest last.  Same keys, values and length; it takes the
+        re-dump check."""
+        text = record_to_json(record)
+        digest = json.loads(text)["digest"]
+        older = json.dumps(
+            dict(persist._record_body(record), digest=digest), separators=(",", ":")
+        )
+        assert older != text and len(older) == len(text)
+        assert json.loads(older) == json.loads(text)
+        redumps = []
+        content_digest = persist._content_digest
+        monkeypatch.setattr(
+            persist,
+            "_content_digest",
+            lambda body: redumps.append(body) or content_digest(body),
+        )
+        loaded = record_from_json(older)
+        assert len(redumps) == 1
+        assert record_content_digest(loaded) == digest
+        assert record_to_json(loaded) == text
+
+    def test_written_layout_passes_the_older_check(self, record):
+        """An older build re-dumps the parsed body: the digest holds."""
+        body = json.loads(record_to_json(record))
+        assert persist._content_digest(body) == body["digest"]
+
+    def test_loading_the_written_layout_redumps_nothing(
+        self, record, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "run.ppd.json")
+        save_record(record, path)
+        text = record_to_json(record)
+        redumps = []
+        monkeypatch.setattr(persist, "_content_digest", redumps.append)
+        assert record_content_digest(load_record(path)) == json.loads(text)["digest"]
+        assert record_to_json(record_from_json(text)) == text
+        assert redumps == []
+
+    def test_save_dumps_the_body_once(self, record, tmp_path, monkeypatch):
+        dumps = []
+        real_dumps = json.dumps
+        monkeypatch.setattr(
+            json, "dumps", lambda *args, **kwargs: dumps.append(args) or real_dumps(*args, **kwargs)
+        )
+        save_record(record, str(tmp_path / "run.ppd.json"))
+        assert len(dumps) == 1
+
+    def test_head_digest_must_match_the_parsed_digest(self, record):
+        """A document whose head digest covers its bytes, but whose body
+        repeats ``digest`` with another value, takes the re-dump check."""
+        text = record_to_json(record)
+        rest = text[text.index(",") + 1 : -1] + ',"digest":"' + "0" * 64 + '"}'
+        head = hashlib.sha256(("{" + rest).encode()).hexdigest()
+        with pytest.raises(RecordDigestError):
+            record_from_json(f'{{"digest":"{head}",{rest}')
+
+
 class TestPersistError:
     """Corrupt and future-version input raises the typed PersistError
     (never a raw KeyError / json.JSONDecodeError)."""
@@ -222,6 +319,48 @@ class TestPersistError:
         from repro.runtime import PersistError
 
         assert issubclass(PersistError, ValueError)
+
+    def test_file_that_is_not_utf8_is_corrupt_and_quarantined(self, tmp_path):
+        path = tmp_path / "bin.ppd.json"
+        path.write_bytes(b'{"version":1,"source":"\xff\xfe"}')
+        with pytest.raises(RecordCorruptError) as excinfo:
+            load_record(str(path))
+        assert "UTF-8" in str(excinfo.value)
+        assert excinfo.value.quarantined == str(path) + ".quarantined"
+        assert not path.exists()
+
+    def test_text_that_cannot_be_utf8_is_corrupt(self):
+        """A lone surrogate in an otherwise loadable (digest-less) document."""
+        body = self._body()
+        del body["digest"]
+        body["output"].append([0, "\ud800"])
+        with pytest.raises(RecordCorruptError) as excinfo:
+            record_from_json(json.dumps(body, ensure_ascii=False))
+        assert "UTF-8" in str(excinfo.value)
+
+    def test_tampered_source_fails_the_digest_before_compiling(self, tmp_path):
+        path = tmp_path / "run.ppd.json"
+        path.write_text(tamper_source(record_to_json(run_program(nested_calls(), seed=0))))
+        with pytest.raises(RecordDigestError) as excinfo:
+            load_record(str(path))
+        assert excinfo.value.field == "digest"
+        assert excinfo.value.quarantined == str(path) + ".quarantined"
+
+    def test_signed_source_that_does_not_compile_is_corrupt(self):
+        body = json.loads(tamper_source(record_to_json(run_program(nested_calls(), seed=0))))
+        body["digest"] = persist._content_digest(body)
+        with pytest.raises(RecordCorruptError) as excinfo:
+            record_from_json(json.dumps(body))
+        assert excinfo.value.field == "source"
+        assert "lex error" in str(excinfo.value)
+
+    def test_boolean_version_is_rejected(self):
+        body = self._body()
+        body["version"] = True
+        body["digest"] = persist._content_digest(body)
+        with pytest.raises(RecordVersionError) as excinfo:
+            record_from_json(json.dumps(body))
+        assert excinfo.value.field == "version"
 
 
 class TestDebuggingLoadedRecords:

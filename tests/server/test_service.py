@@ -207,6 +207,21 @@ class TestStructuredErrors:
             assert excinfo.value.code == "persist-error"
             assert "Traceback" not in excinfo.value.message
 
+    def test_tampered_record_upload(self, service):
+        """One source byte changed, digest not re-signed: the digest check
+        answers, before the source is compiled."""
+        from repro.runtime import record_to_json
+
+        text = record_to_json(
+            Machine(compile_program(nested_calls()), seed=0, mode="logged").run()
+        )
+        index = text.index("proc", text.index('"source":"'))
+        with make_client(service) as client:
+            with pytest.raises(ServerError) as excinfo:
+                client.open_record(json_text=text[:index] + "`" + text[index + 1 :])
+            assert excinfo.value.code == "persist-error"
+            assert "digest" in excinfo.value.message
+
     def test_open_failed_on_bad_program(self, service):
         with make_client(service) as client:
             with pytest.raises(ServerError) as excinfo:
