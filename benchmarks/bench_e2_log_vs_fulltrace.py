@@ -4,7 +4,9 @@ The paper's argument: tracing every event is "expensive in time and
 space"; the log is small, and the debugging phase fills the gap on demand.
 Three measurements reproduce that:
 
-* space  — log bytes vs full-trace bytes on the same execution,
+* space  — log bytes vs full-trace bytes on the same execution, beside
+           the bytes of the saved record (logs plus synchronization
+           history, source and stop state: what a later session reads),
 * time   — logged run vs full-trace run,
 * demand — events a debugging session actually generates to answer one
            flowback query vs events a full trace generates up front.
@@ -13,6 +15,7 @@ Three measurements reproduce that:
 from conftest import QUICK, SEED, compiled, paired_times, report, run_standalone, scale
 
 from repro import Machine, PPDSession
+from repro.runtime.persist import record_to_json
 from repro.workloads import compute_heavy, fib_recursive, matrix_sum, producer_consumer
 
 WORKLOADS = [
@@ -24,7 +27,7 @@ WORKLOADS = [
 
 
 def _space_table():
-    rows = [("workload", "log bytes", "full-trace bytes", "ratio")]
+    rows = [("workload", "log bytes", "full-trace bytes", "ratio", "saved record bytes")]
     ratios = []
     for name, source in WORKLOADS:
         program = compiled(source)
@@ -34,7 +37,8 @@ def _space_table():
         trace_bytes = traced.tracer.byte_size()
         ratio = trace_bytes / max(1, log_bytes)
         ratios.append(ratio)
-        rows.append((name, log_bytes, trace_bytes, f"{ratio:.0f}x"))
+        record_bytes = len(record_to_json(logged).encode())
+        rows.append((name, log_bytes, trace_bytes, f"{ratio:.0f}x", record_bytes))
     report("E2a: execution-phase space", rows)
     return ratios
 

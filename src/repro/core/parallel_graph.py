@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from ..runtime.tracing import Segment, SyncEdgeRec, SyncHistory, SyncNodeRec
+from ..runtime.logging import SyncLog
+from ..runtime.tracing import Segment, SyncEdgeRec, SyncHistory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..perf.order_index import OrderIndex
@@ -70,17 +71,17 @@ class ParallelDynamicGraph:
     # -- nodes and edges -----------------------------------------------------
 
     @property
-    def sync_nodes(self) -> list[SyncNodeRec]:
+    def sync_nodes(self) -> list[SyncLog]:
         return list(self.history.nodes.values())
 
     @property
     def sync_edges(self) -> list[SyncEdgeRec]:
         return list(self.history.edges)
 
-    def node(self, uid: int) -> SyncNodeRec:
+    def node(self, uid: int) -> SyncLog:
         return self.history.nodes[uid]
 
-    def nodes_of(self, pid: int) -> list[SyncNodeRec]:
+    def nodes_of(self, pid: int) -> list[SyncLog]:
         index = self.__dict__.get("_nodes_by_pid")
         if index is None or self.__dict__.get("_node_index_size") != len(
             self.history.nodes

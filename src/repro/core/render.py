@@ -119,13 +119,14 @@ def render_parallel(history: SyncHistory, process_names: dict[int, str] | None =
     """A parallel dynamic graph as text (Fig 6.1 style): per-process sync
     node columns, internal edges with READ/WRITE sets, and sync edges."""
     names = process_names or {}
+    clocks = history.clocks()
     lines = ["parallel dynamic graph:"]
     for pid in sorted(history.per_process):
         title = names.get(pid, f"proc{pid}")
         lines.append(f"  P{pid} ({title}):")
         for uid in history.per_process[pid]:
             node = history.nodes[uid]
-            lines.append(f"    n{uid}: {node.op}({node.obj}) vc={node.clock}")
+            lines.append(f"    n{uid}: {node.op}({node.obj}) vc={clocks[uid]}")
     for seg in history.segments:
         end = f"n{seg.end_uid}" if seg.end_uid is not None else "(open)"
         annot = ""

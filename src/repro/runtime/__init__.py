@@ -1,8 +1,9 @@
 """The virtual shared-memory multiprocessor (execution phase, §3.2.2).
 
 Runs compiled PCL programs with a seeded preemptive scheduler, semaphores,
-locks, message channels, vector clocks, and the paper's execution-phase
-logging (prelogs, postlogs, sync prelogs).
+locks, message channels, and the paper's execution-phase logging
+(prelogs, postlogs, sync prelogs); vector clocks are derived from the
+synchronization history when an ordering question asks.
 """
 
 from .channels import Channel, Message
@@ -58,7 +59,6 @@ from .tracing import (
     Segment,
     SyncEdgeRec,
     SyncHistory,
-    SyncNodeRec,
     TraceEvent,
     Tracer,
 )
@@ -109,7 +109,6 @@ __all__ = [
     "PersistError",
     "SyncHistory",
     "SyncLog",
-    "SyncNodeRec",
     "SyncPrelog",
     "TraceEvent",
     "Tracer",

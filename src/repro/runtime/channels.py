@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from .clocks import VectorClock
 from .process import Process
 
 
@@ -28,7 +27,6 @@ class Message:
     value: Any
     send_uid: int  # sync-node uid of the send
     send_pid: int
-    send_clock: VectorClock
     #: the sending process if it is blocked waiting for this delivery
     blocked_sender: Optional[Process] = None
 
@@ -40,7 +38,6 @@ class RendezvousExchange:
     caller: Process
     args: list[Any]
     call_uid: int
-    call_clock: VectorClock
     entry: str
     reply_value: Any = None
     replied: bool = False

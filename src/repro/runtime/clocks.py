@@ -4,11 +4,17 @@ The paper orders concurrent events with Lamport's happened-before relation
 over synchronization edges (§6, citing Lamport '78).  Vector clocks give a
 constant-time test of that partial order, which the race-detection
 algorithms (E9) rely on.
+
+Clocks are derived data: a run records only the sync nodes and edges, and
+:func:`derive_clocks` computes every node's clock from program order and
+those edges, the first time an ordering question asks
+(:meth:`repro.runtime.tracing.SyncHistory.clocks`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 
 @dataclass
@@ -52,3 +58,28 @@ def happened_before_or_equal(
     valid when both clocks were stamped with the tick-then-copy discipline.
     """
     return clock_a.get(pid_a) <= clock_b.get(pid_a)
+
+
+def derive_clocks(nodes: Iterable, edges: Iterable) -> dict[int, VectorClock]:
+    """The vector clock of every sync node, by uid.
+
+    *nodes* carry ``uid`` and ``pid``; *edges* carry ``src_uid`` and
+    ``dst_uid``, each source below its destination (a run creates the
+    source first; a load checks it).  Visiting the nodes in uid order,
+    each node starts from its process's previous clock, takes the
+    component-wise max with the clocks of its incoming edges' sources,
+    then ticks its own component (Fidge/Mattern's receive rule).
+    """
+    sources: dict[int, list[int]] = {}
+    for edge in edges:
+        sources.setdefault(edge.dst_uid, []).append(edge.src_uid)
+    clocks: dict[int, VectorClock] = {}
+    latest: dict[int, VectorClock] = {}  # pid -> clock of its last node
+    for node in sorted(nodes, key=lambda n: n.uid):
+        previous = latest.get(node.pid)
+        clock = previous.copy() if previous is not None else VectorClock()
+        for src in sources.get(node.uid, ()):
+            clock.merge(clocks[src])
+        clock.tick(node.pid)
+        clocks[node.uid] = latest[node.pid] = clock
+    return clocks

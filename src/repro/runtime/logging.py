@@ -9,6 +9,11 @@ There is one :class:`LogFile` per process (§5.6).  Log entries are small
 value snapshots — the whole point of incremental tracing is that this is
 *all* that execution pays for; full traces are regenerated on demand during
 the debugging phase.
+
+A synchronization event is logged once: its :class:`SyncLog` entry *is*
+the node of the synchronization history (§6.1).  No entry carries a
+vector clock; :class:`~repro.runtime.tracing.SyncHistory` derives clocks
+from program order and the sync edges when an ordering question asks.
 """
 
 from __future__ import annotations
@@ -91,10 +96,14 @@ class LogEntry:
         """The JSON-serialisable body of this entry (without metadata)."""
         return {}
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict[str, Any]:
+        """The JSON line of this entry, before the dump."""
         body = {"kind": self.kind, "t": self.timestamp, "pid": self.pid}
         body.update(self.payload())
-        return json.dumps(body, separators=(",", ":"), default=encode_value)
+        return body
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), separators=(",", ":"), default=encode_value)
 
 
 @dataclass
@@ -175,25 +184,24 @@ class InputLog(LogEntry):
 
 @dataclass
 class SyncLog(LogEntry):
-    """A synchronization operation with its vector clock (§6): the per-
-    process raw material of the parallel dynamic graph."""
+    """A synchronization node of the parallel dynamic graph (§6.1), and the
+    log entry of its process for it: one object per synchronization event.
 
-    #: "P" | "V" | "lock" | "unlock" | "send" | "recv" | "spawn" | "join"
-    #: | "begin" | "end"
+    The node lives in the :class:`~repro.runtime.tracing.SyncHistory`; the
+    log names it by ``uid``.  ``timestamp`` is the machine-global step
+    counter at the event.
+    """
+
+    uid: int = 0
+    #: "P" | "V" | "lock" | "unlock" | "send" | "recv" | "unblock" | "spawn"
+    #: | "begin" | "join" | "end" | "call" | "return" | "accept" | "reply"
     op: str = ""
-    obj: str = ""  # semaphore/lock/channel/proc name
-    node_id: int = 0
-    sync_index: int = 0  # per-process sequence number of this sync event
-    clock: dict[int, int] = field(default_factory=dict)
+    obj: str = ""  # semaphore/lock/channel/entry/proc name
+    node_id: int = 0  # AST node id (0 for begin/end)
+    sync_index: int = 0  # position within the process's sync sequence
 
     def payload(self) -> dict[str, Any]:
-        return {
-            "op": self.op,
-            "obj": self.obj,
-            "node": self.node_id,
-            "idx": self.sync_index,
-            "vc": {str(k): v for k, v in self.clock.items()},
-        }
+        return {"uid": self.uid}
 
 
 @dataclass
@@ -258,10 +266,14 @@ class LogFile:
         return "\n".join(entry.to_json() for entry in self.entries)
 
     def byte_size(self) -> int:
-        """Total serialised size — the execution-phase space cost (E2)."""
+        """Total serialised size — the execution-phase space cost (E2):
+        ``len(to_jsonl()) + 1``, taken from one dump of the entry list,
+        which is the JSON lines joined by "," instead of newlines and
+        wrapped in "[" and "]"."""
         if not self.entries:
             return 0
-        return len(self.to_jsonl()) + 1
+        bodies = [entry.to_dict() for entry in self.entries]
+        return len(json.dumps(bodies, separators=(",", ":"), default=encode_value)) - 1
 
     def entry_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}

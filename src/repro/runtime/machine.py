@@ -12,8 +12,9 @@ preemptive scheduler.  Three modes:
   trace (the Balzer-style full-tracing baseline of E2; also how the
   emulation package traces during replay).
 
-The machine always maintains the synchronization history (sync nodes,
-sync edges, vector clocks): that is VM semantics, not instrumentation.
+The machine always maintains the synchronization history (sync nodes and
+sync edges): that is VM semantics, not instrumentation.  It keeps no
+vector clock; the history derives clocks when an ordering query asks.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from ..faults import state as _flt
 from ..lang import ast
 from ..obs import hooks as _obs
 from .channels import Channel, Entry, Message, RendezvousExchange
-from .clocks import VectorClock
 from .errors import AssertionFailure, PCLRuntimeError
 from .logging import (
     InputLog,
@@ -54,7 +54,7 @@ from .logging import (
 from .process import Frame, ProcState, Process
 from .scheduler import Scheduler
 from .sync import Lock, Semaphore, SyncToken
-from .tracing import Segment, SyncHistory, SyncNodeRec, TraceEvent, Tracer
+from .tracing import Segment, SyncHistory, TraceEvent, Tracer
 from .values import PCLArray, default_value
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (repro.vm imports this module)
@@ -229,7 +229,7 @@ class Machine:
         self._uid_counter = 0
         self._interval_counter = 0
         self._seg_counter = 0
-        self._pending_child_ends: dict[int, list[SyncNodeRec]] = {}
+        self._pending_child_ends: dict[int, list[SyncLog]] = {}
         self._shared_defs: dict[str, int] = {}
         self._spawn_args: dict[int, list[Any]] = {}
         #: what-if interventions (§5.7): (pid, step) -> [(var, value), ...],
@@ -410,7 +410,7 @@ class Machine:
             and parent.block_reason == "join"
             and parent.live_children == 0
         ):
-            parent.wake(end_node.uid, end_node.clock)
+            parent.wake(end_node.uid)
 
     # ------------------------------------------------------------------
     # Synchronization events / history
@@ -420,29 +420,22 @@ class Machine:
         self.timestamp += 1
         return self.timestamp
 
-    def _sync_event(
-        self,
-        process: Process,
-        op: str,
-        obj: str,
-        node_id: int,
-        merge_clocks: Optional[list[VectorClock]] = None,
-    ) -> SyncNodeRec:
-        """Create a synchronization node, closing/opening internal edges."""
-        for clock in merge_clocks or ():
-            process.clock.merge(clock)
-        process.clock.tick(process.pid)
+    def _sync_event(self, process: Process, op: str, obj: str, node_id: int) -> SyncLog:
+        """Create a synchronization node, closing/opening internal edges.
+
+        A logged run appends the node itself to the process's log: the
+        event is recorded once.
+        """
         process.sync_index += 1
         self._uid_counter += 1
-        node = SyncNodeRec(
-            uid=self._uid_counter,
+        node = SyncLog(
+            timestamp=self._tick_time(),
             pid=process.pid,
+            uid=self._uid_counter,
             op=op,
             obj=obj,
             node_id=node_id,
             sync_index=process.sync_index,
-            clock=process.clock.copy(),
-            timestamp=self._tick_time(),
         )
         self.history.add_node(node)
         if _obs.enabled:
@@ -462,17 +455,7 @@ class Machine:
             process.current_segment = new_segment
 
         if self.mode == "logged":
-            process.log.append(
-                SyncLog(
-                    timestamp=node.timestamp,
-                    pid=process.pid,
-                    op=op,
-                    obj=obj,
-                    node_id=node_id,
-                    sync_index=node.sync_index,
-                    clock=dict(node.clock.counts),
-                )
-            )
+            process.log.append(node)
         if self.tracer is not None:
             process.pending_sync_uids.append(node.uid)
         return node
@@ -548,8 +531,7 @@ class Machine:
         sem = self.semaphores[stmt.sem]
         token = sem.try_take()
         if token is not None:
-            merge = [token.clock] if token.clock is not None else []
-            node = self._sync_event(process, "P", stmt.sem, stmt.node_id, merge)
+            node = self._sync_event(process, "P", stmt.sem, stmt.node_id)
             if token.source_uid >= 0 and token.source_pid != process.pid:
                 self.history.add_edge(token.source_uid, node.uid, "sem")
             sem.current_holders.append(process.pid)
@@ -557,8 +539,8 @@ class Machine:
             sem.waiters.append(process)
             process.block(f"P({stmt.sem})", stmt.node_id)
             yield
-            sources, clocks, _ = process.take_wakeup()
-            node = self._sync_event(process, "P", stmt.sem, stmt.node_id, clocks)
+            sources, _ = process.take_wakeup()
+            node = self._sync_event(process, "P", stmt.sem, stmt.node_id)
             for src in sources:
                 if self.history.nodes[src].pid != process.pid:
                     self.history.add_edge(src, node.uid, "sem")
@@ -572,18 +554,17 @@ class Machine:
             sem.current_holders.remove(process.pid)
         elif sem.current_holders:
             sem.current_holders.pop(0)
-        token = SyncToken(source_uid=node.uid, source_pid=process.pid, clock=node.clock.copy())
+        token = SyncToken(source_uid=node.uid, source_pid=process.pid)
         waiter = sem.deposit(token)
         if waiter is not None:
-            waiter.wake(node.uid, node.clock)
+            waiter.wake(node.uid)
         yield
 
     def lock_acquire(self, process: Process, stmt: ast.LockStmt):
         lock = self.locks[stmt.lock]
         if not lock.is_held:
             release = lock.last_release
-            merge = [release.clock] if release is not None and release.clock else []
-            node = self._sync_event(process, "lock", stmt.lock, stmt.node_id, merge)
+            node = self._sync_event(process, "lock", stmt.lock, stmt.node_id)
             if release is not None and release.source_pid != process.pid:
                 self.history.add_edge(release.source_uid, node.uid, "lock")
             lock.holder = process.pid
@@ -591,8 +572,8 @@ class Machine:
             lock.waiters.append(process)
             process.block(f"lock({stmt.lock})", stmt.node_id)
             yield
-            sources, clocks, _ = process.take_wakeup()
-            node = self._sync_event(process, "lock", stmt.lock, stmt.node_id, clocks)
+            sources, _ = process.take_wakeup()
+            node = self._sync_event(process, "lock", stmt.lock, stmt.node_id)
             for src in sources:
                 if self.history.nodes[src].pid != process.pid:
                     self.history.add_edge(src, node.uid, "lock")
@@ -606,15 +587,13 @@ class Machine:
                 f"unlock({stmt.lock}) by P{process.pid}, held by {lock.holder}"
             )
         node = self._sync_event(process, "unlock", stmt.lock, stmt.node_id)
-        lock.last_release = SyncToken(
-            source_uid=node.uid, source_pid=process.pid, clock=node.clock.copy()
-        )
+        lock.last_release = SyncToken(source_uid=node.uid, source_pid=process.pid)
         if lock.waiters:
             # Direct handoff: ownership transfers to the woken waiter so no
             # third process can barge in between wake-up and resume.
             waiter = lock.waiters.pop(0)
             lock.holder = waiter.pid
-            waiter.wake(node.uid, node.clock)
+            waiter.wake(node.uid)
         else:
             lock.holder = None
         yield
@@ -626,14 +605,12 @@ class Machine:
     def send(self, process: Process, stmt: ast.Send, value: Any):
         channel = self.channels[stmt.channel]
         node = self._sync_event(process, "send", stmt.channel, stmt.node_id)
-        message = Message(
-            value=value, send_uid=node.uid, send_pid=process.pid, send_clock=node.clock.copy()
-        )
+        message = Message(value=value, send_uid=node.uid, send_pid=process.pid)
         if channel.recv_waiters:
             receiver = channel.recv_waiters.pop(0)
             if channel.is_synchronous:
                 message.blocked_sender = process
-            receiver.wake(node.uid, node.clock, value=message)
+            receiver.wake(node.uid, value=message)
             if channel.is_synchronous:
                 process.block(f"send({stmt.channel})", stmt.node_id)
                 yield
@@ -651,8 +628,8 @@ class Machine:
 
     def _sender_unblock(self, process: Process, stmt: ast.Send) -> None:
         """The sender's unblock node (Fig 6.1's n5) with its recv->n5 edge."""
-        sources, clocks, _ = process.take_wakeup()
-        node = self._sync_event(process, "unblock", stmt.channel, stmt.node_id, clocks)
+        sources, _ = process.take_wakeup()
+        node = self._sync_event(process, "unblock", stmt.channel, stmt.node_id)
         for src in sources:
             if self.history.nodes[src].pid != process.pid:
                 self.history.add_edge(src, node.uid, "unblock")
@@ -675,19 +652,17 @@ class Machine:
             channel.recv_waiters.append(process)
             process.block(f"recv({channel_name})", node_id)
             yield
-            _, _, message = process.take_wakeup()
+            _, message = process.take_wakeup()
             if message is None:
                 raise PCLRuntimeError(f"recv({channel_name}): woken without a message")
 
-        node = self._sync_event(
-            process, "recv", channel_name, node_id, [message.send_clock]
-        )
+        node = self._sync_event(process, "recv", channel_name, node_id)
         self.history.add_edge(message.send_uid, node.uid, "msg")
         if message.blocked_sender is not None:
-            message.blocked_sender.wake(node.uid, node.clock)
+            message.blocked_sender.wake(node.uid)
             message.blocked_sender = None
         if woken_sender is not None and woken_sender.state is ProcState.BLOCKED:
-            woken_sender.wake(node.uid, node.clock)
+            woken_sender.wake(node.uid)
         if self.mode == "logged":
             process.log.append(
                 InputLog(
@@ -715,18 +690,17 @@ class Machine:
             caller=process,
             args=list(args),
             call_uid=node.uid,
-            call_clock=node.clock.copy(),
             entry=entry_name,
         )
         if entry.acceptors:
             acceptor = entry.acceptors.pop(0)
-            acceptor.wake(node.uid, node.clock, value=exchange)
+            acceptor.wake(node.uid, value=exchange)
         else:
             entry.callers.append(exchange)
         process.block(f"call({entry_name})", node_id)
         yield
-        sources, clocks, _ = process.take_wakeup()
-        ret = self._sync_event(process, "return", entry_name, node_id, clocks)
+        sources, _ = process.take_wakeup()
+        ret = self._sync_event(process, "return", entry_name, node_id)
         for src in sources:
             if self.history.nodes[src].pid != process.pid:
                 self.history.add_edge(src, ret.uid, "rendezvous")
@@ -752,12 +726,10 @@ class Machine:
             entry.acceptors.append(process)
             process.block(f"accept({entry_name})", node_id)
             yield
-            _, _, exchange = process.take_wakeup()
+            _, exchange = process.take_wakeup()
             if exchange is None:
                 raise PCLRuntimeError(f"accept({entry_name}): woken without a caller")
-        node = self._sync_event(
-            process, "accept", entry_name, node_id, [exchange.call_clock]
-        )
+        node = self._sync_event(process, "accept", entry_name, node_id)
         self.history.add_edge(exchange.call_uid, node.uid, "rendezvous")
         process.rendezvous_stack.append(exchange)
         if self.mode == "logged":
@@ -783,7 +755,7 @@ class Machine:
         node = self._sync_event(process, "reply", exchange.entry, node_id)
         exchange.reply_value = value
         exchange.replied = True
-        exchange.caller.wake(node.uid, node.clock)
+        exchange.caller.wake(node.uid)
         yield
 
     def end_accept(self, process: Process, node_id: int):
@@ -802,7 +774,7 @@ class Machine:
         child = self._create_process(stmt.name, parent.pid)
         parent.children.append(child.pid)
         parent.live_children += 1
-        begin = self._sync_event(child, "begin", stmt.name, 0, [node.clock])
+        begin = self._sync_event(child, "begin", stmt.name, 0)
         self.history.add_edge(node.uid, begin.uid, "spawn")
         self._spawn_args[child.pid] = list(args)
         if self.mode == "logged":
@@ -826,8 +798,7 @@ class Machine:
             yield
             process.take_wakeup()
         pending = self._pending_child_ends.pop(process.pid, [])
-        merge = [end.clock for end in pending]
-        node = self._sync_event(process, "join", "", stmt.node_id, merge)
+        node = self._sync_event(process, "join", "", stmt.node_id)
         for end in pending:
             self.history.add_edge(end.uid, node.uid, "join")
         yield
@@ -931,12 +902,6 @@ class Machine:
             return -1
         interval = self._next_interval()
         frame = process.frame
-        values = {
-            name: frame.vars[name]
-            for name in block.prelog_locals
-            if name in frame.vars
-        }
-        values.update(self._shared_snapshot(block.shared_ref))
         process.log.append(
             Prelog(
                 timestamp=self._tick_time(),
@@ -945,7 +910,7 @@ class Machine:
                 block_node_id=block.node_id,
                 block_kind="loop",
                 proc_name=frame.proc_name,
-                values=snapshot_values(values),
+                values=self._block_snapshot(frame, block.prelog_locals, block.shared_ref),
                 steps=process.steps,
             )
         )
@@ -957,19 +922,14 @@ class Machine:
     ) -> None:
         if block is None or interval_id < 0 or self.mode != "logged":
             return
-        frame = process.frame
-        values = {
-            name: frame.vars[name]
-            for name in block.postlog_locals
-            if name in frame.vars
-        }
-        values.update(self._shared_snapshot(block.shared_mod))
         process.log.append(
             Postlog(
                 timestamp=self._tick_time(),
                 pid=process.pid,
                 interval_id=interval_id,
-                values=snapshot_values(values),
+                values=self._block_snapshot(
+                    process.frame, block.postlog_locals, block.shared_mod
+                ),
                 steps=process.steps,
             )
         )
@@ -981,12 +941,6 @@ class Machine:
             return -1
         interval = self._next_interval()
         frame = process.frame
-        values = {
-            name: frame.vars[name]
-            for name in block.prelog_locals
-            if name in frame.vars
-        }
-        values.update(self._shared_snapshot(block.shared_ref))
         process.log.append(
             Prelog(
                 timestamp=self._tick_time(),
@@ -995,7 +949,7 @@ class Machine:
                 block_node_id=block.node_id,
                 block_kind="chunk",
                 proc_name=frame.proc_name,
-                values=snapshot_values(values),
+                values=self._block_snapshot(frame, block.prelog_locals, block.shared_ref),
                 steps=process.steps,
             )
         )
@@ -1005,19 +959,14 @@ class Machine:
     def on_chunk_exit(self, process: Process, block: EBlock, interval_id: int) -> None:
         if interval_id < 0 or self.mode != "logged":
             return
-        frame = process.frame
-        values = {
-            name: frame.vars[name]
-            for name in block.postlog_locals
-            if name in frame.vars
-        }
-        values.update(self._shared_snapshot(block.shared_mod))
         process.log.append(
             Postlog(
                 timestamp=self._tick_time(),
                 pid=process.pid,
                 interval_id=interval_id,
-                values=snapshot_values(values),
+                values=self._block_snapshot(
+                    process.frame, block.postlog_locals, block.shared_mod
+                ),
                 steps=process.steps,
             )
         )
@@ -1129,7 +1078,21 @@ class Machine:
         )
 
     def _shared_snapshot(self, names) -> dict[str, Any]:
-        return snapshot_values({name: self.shared[name] for name in names})
+        shared = self.shared
+        return {name: copy_value(shared[name]) for name in names}
+
+    def _block_snapshot(self, frame: Frame, local_names, shared_names) -> dict[str, Any]:
+        """A loop or chunk block's log values: copies of the named locals
+        of *frame* it has, then of the named shared variables (a shared
+        value replaces a local of the same name in place)."""
+        local_vars = frame.vars
+        values = {
+            name: copy_value(local_vars[name]) for name in local_names if name in local_vars
+        }
+        shared = self.shared
+        for name in shared_names:
+            values[name] = copy_value(shared[name])
+        return values
 
     # ------------------------------------------------------------------
     # Tracing support

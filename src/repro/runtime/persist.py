@@ -4,8 +4,19 @@ The execution phase writes "one log file for each process" (§5.6); the
 debugging phase may happen later, elsewhere, against the same compiled
 program.  :func:`save_record`/:func:`load_record` serialise everything a
 :class:`PPDSession` needs — the source (recompiled on load), the e-block
-policy, the per-process logs, the synchronization history with vector
-clocks, and the stop reason — as one JSON document.
+policy, the per-process logs, the synchronization history, and the stop
+reason — as one JSON document.
+
+Format version 2 persists no vector clock.  The history's nodes carry
+what a sync event is; a log's sync entry names its node by uid and
+repeats nothing of it.  A load builds the nodes first, checks that every
+sync entry names a node of its own process and that every sync edge runs
+from a lower uid to a higher one (the order clock derivation relies on),
+and derives no clock.  A version-1 document (clocks on every node and on
+every sync entry) still loads: each sync entry is matched to its node by
+process and sync index and must agree with it, and each persisted clock
+must equal the clock derived from the edges; the loaded record is the
+version-2 record, named by its version-2 digest.
 
 The envelope's content digest is a SHA-256 over its canonical form: the
 sorted-key compact dump of everything but ``digest``.  A save makes that
@@ -32,7 +43,6 @@ from ..obs import hooks as _obs
 from ..compiler.compile import compile_program
 from ..compiler.eblocks import EBlockPolicy
 from ..lang.errors import PCLError
-from .clocks import VectorClock
 from .logging import (
     InputLog,
     LogEntry,
@@ -52,9 +62,9 @@ from .machine import (
     FailureInfo,
     SyncStateInfo,
 )
-from .tracing import Segment, SyncHistory, SyncNodeRec
+from .tracing import Segment, SyncHistory
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class PersistError(ValueError):
@@ -118,18 +128,21 @@ def _malformed(error: Exception, path: str | None) -> RecordCorruptError:
     return RecordCorruptError(f"corrupt record: {type(error).__name__}: {error}", path=path)
 
 
+def _corrupt(what: str, path: str | None, field: str) -> RecordCorruptError:
+    return RecordCorruptError(f"corrupt record: {what}", path=path, field=field)
+
+
 def _field(body: dict[str, Any], name: str, path: str | None) -> Any:
     try:
         return body[name]
     except KeyError:
-        raise RecordCorruptError(
-            "corrupt record: missing field", path=path, field=name
-        ) from None
+        raise _corrupt("missing field", path, name) from None
 
 
+#: The entry kinds persisted field by field; a ``SyncLog`` entry is its
+#: history node and persists as ``{"kind": "SyncLog", "uid": ...}``.
 _ENTRY_TYPES: dict[str, type[LogEntry]] = {
-    cls.__name__: cls
-    for cls in (Prelog, Postlog, SyncPrelog, InputLog, SyncLog, SpawnLog)
+    cls.__name__: cls for cls in (Prelog, Postlog, SyncPrelog, InputLog, SpawnLog)
 }
 
 #: Per entry class, the fields an entry persists besides ``t`` and ``pid``,
@@ -143,6 +156,8 @@ _ENTRY_FIELDS: dict[type[LogEntry], tuple[str, ...]] = {
 
 
 def _entry_to_json(entry: LogEntry) -> dict[str, Any]:
+    if type(entry) is SyncLog:
+        return {"kind": "SyncLog", "uid": entry.uid}
     body = {"kind": entry.kind, "t": entry.timestamp, "pid": entry.pid}
     for name in _ENTRY_FIELDS[type(entry)]:
         value = getattr(entry, name)
@@ -165,8 +180,6 @@ def _entry_from_json(body: dict[str, Any]) -> LogEntry:
         value = body[name]
         if name == "values":
             value = {k: decode_value(v) for k, v in value.items()}
-        elif name == "clock":
-            value = {int(k): v for k, v in value.items()}
         elif isinstance(value, list):
             value = [decode_value(v) for v in value]
         else:
@@ -185,7 +198,6 @@ def _history_to_json(history: SyncHistory) -> dict[str, Any]:
                 "obj": node.obj,
                 "node_id": node.node_id,
                 "sync_index": node.sync_index,
-                "clock": {str(k): v for k, v in node.clock.counts.items()},
                 "t": node.timestamp,
             }
             for node in history.nodes.values()
@@ -212,23 +224,40 @@ def _history_to_json(history: SyncHistory) -> dict[str, Any]:
     }
 
 
-def _history_from_json(body: dict[str, Any]) -> SyncHistory:
+def _history_from_json(
+    body: dict[str, Any], v1_clocks: list | None, path: str | None
+) -> SyncHistory:
+    """The history, nodes first; edges checked to run from a known node
+    to a later one.  A version-1 body's node clocks go to *v1_clocks*."""
     history = SyncHistory()
-    for node in body["nodes"]:
+    for index, node in enumerate(body["nodes"]):
         history.add_node(
-            SyncNodeRec(
-                uid=node["uid"],
+            SyncLog(
+                timestamp=node["t"],
                 pid=node["pid"],
+                uid=node["uid"],
                 op=node["op"],
                 obj=node["obj"],
                 node_id=node["node_id"],
                 sync_index=node["sync_index"],
-                clock=VectorClock({int(k): v for k, v in node["clock"].items()}),
-                timestamp=node["t"],
             )
         )
-    for edge in body["edges"]:
-        history.add_edge(edge["src"], edge["dst"], edge["label"])
+        if v1_clocks is not None:
+            v1_clocks.append(
+                (f"history.nodes[{index}].clock", node["uid"], _v1_clock(node["clock"]))
+            )
+    nodes = history.nodes
+    for index, edge in enumerate(body["edges"]):
+        src, dst = edge["src"], edge["dst"]
+        if dst not in nodes:
+            raise _corrupt(
+                "sync edge to an unknown node", path, f"history.edges[{index}].dst"
+            )
+        if src not in nodes or src >= dst:
+            raise _corrupt(
+                "sync edge from an unknown or later node", path, f"history.edges[{index}].src"
+            )
+        history.add_edge(src, dst, edge["label"])
     for seg in body["segments"]:
         history.segments.append(
             Segment(
@@ -246,6 +275,75 @@ def _history_from_json(body: dict[str, Any]) -> SyncHistory:
             )
         )
     return history
+
+
+def _logs_from_json(
+    body: dict[str, Any], history: SyncHistory, v1_clocks: list | None, path: str | None
+) -> dict[int, LogFile]:
+    """Each process's log; a sync entry becomes the history node it names
+    (version 2: by uid; version 1, whose entry clocks go to *v1_clocks*:
+    by process and sync index)."""
+    nodes = history.nodes
+    by_index = (
+        None
+        if v1_clocks is None
+        else {(node.pid, node.sync_index): node for node in nodes.values()}
+    )
+    logs: dict[int, LogFile] = {}
+    for pid_text, entries in _field(body, "logs", path).items():
+        pid = int(pid_text)
+        log = LogFile(pid)
+        for index, entry in enumerate(entries):
+            if entry["kind"] != "SyncLog":
+                log.append(_entry_from_json(entry))
+                continue
+            if by_index is not None:
+                where = f"logs.{pid}[{index}]"
+                node = _v1_sync_node(entry, by_index.get((pid, entry["sync_index"])), where, path)
+                v1_clocks.append((f"{where}.clock", node.uid, _v1_clock(entry["clock"])))
+            else:
+                node = nodes.get(entry["uid"])
+                if node is None or node.pid != pid:
+                    raise _corrupt(
+                        "sync entry names no node of its process", path, f"logs.{pid}[{index}].uid"
+                    )
+            log.append(node)
+        logs[pid] = log
+    return logs
+
+
+def _v1_sync_node(
+    entry: dict[str, Any], node: SyncLog | None, where: str, path: str | None
+) -> SyncLog:
+    """The node a version-1 sync entry matched by (pid, sync index), which
+    must hold what the entry repeats of it."""
+    if node is None:
+        raise _corrupt("sync entry matches no history node", path, f"{where}.sync_index")
+    for name, value in (
+        ("op", node.op),
+        ("obj", node.obj),
+        ("node_id", node.node_id),
+        ("t", node.timestamp),
+    ):
+        if entry[name] != value:
+            raise _corrupt("sync entry disagrees with its history node", path, f"{where}.{name}")
+    return node
+
+
+def _v1_clock(counts: dict[str, int]) -> dict[int, int]:
+    return {int(pid): count for pid, count in counts.items()}
+
+
+def _check_v1_clocks(history: SyncHistory, v1_clocks: list, path: str | None) -> None:
+    """Every clock a version-1 document persisted must equal the derived one."""
+    derived = history.clocks()
+    for where, uid, counts in v1_clocks:
+        if derived[uid].counts != counts:
+            raise _corrupt(
+                "persisted vector clock disagrees with the clock derived from the sync edges",
+                path,
+                where,
+            )
 
 
 def record_to_json(record: ExecutionRecord) -> str:
@@ -388,8 +486,9 @@ def _record_from_document(data: bytes, text: str, path: str | None) -> Execution
             path=path,
             field="version",
         )
+    v1_clocks: list | None = [] if version == 1 else None
     try:
-        source, policy, fields = _decode_body(body, path)
+        source, policy, fields = _decode_body(body, v1_clocks, path)
     except PersistError:
         raise
     except _MALFORMED as error:
@@ -411,6 +510,8 @@ def _record_from_document(data: bytes, text: str, path: str | None) -> Execution
             path=path,
             field="digest",
         )
+    if v1_clocks is not None:
+        _check_v1_clocks(fields["history"], v1_clocks, path)
     try:
         compiled = compile_program(source, policy=policy)
     except PCLError as error:
@@ -422,25 +523,22 @@ def _record_from_document(data: bytes, text: str, path: str | None) -> Execution
     except _MALFORMED as error:  # e.g. a policy value of the wrong type
         raise _malformed(error, path) from error
     record = ExecutionRecord(compiled=compiled, mode="logged", **fields)
-    if claimed is not None:
+    if claimed is not None and version == FORMAT_VERSION:
+        # A version-1 record is named by its version-2 digest, when asked.
         record._ppd_digest = claimed  # type: ignore[attr-defined]
     return record
 
 
 def _decode_body(
-    body: dict[str, Any], path: str | None
+    body: dict[str, Any], v1_clocks: list | None, path: str | None
 ) -> tuple[str, EBlockPolicy, dict[str, Any]]:
     """The envelope's source, its policy, and every other
-    :class:`ExecutionRecord` field, decoded but not compiled."""
+    :class:`ExecutionRecord` field, decoded but not compiled.  For a
+    version-1 body, *v1_clocks* collects its persisted clocks."""
     policy = EBlockPolicy(**_field(body, "policy", path))
     source = _field(body, "source", path)
-
-    logs: dict[int, LogFile] = {}
-    for pid_text, entries in _field(body, "logs", path).items():
-        log = LogFile(int(pid_text))
-        for entry in entries:
-            log.append(_entry_from_json(entry))
-        logs[int(pid_text)] = log
+    history = _history_from_json(_field(body, "history", path), v1_clocks, path)
+    logs = _logs_from_json(body, history, v1_clocks, path)
 
     sync_state_body = _field(body, "sync_state", path)
     sync_state = SyncStateInfo(
@@ -454,7 +552,7 @@ def _decode_body(
         seed=_field(body, "seed", path),
         output=[(pid, text) for pid, text in _field(body, "output", path)],
         logs=logs,
-        history=_history_from_json(_field(body, "history", path)),
+        history=history,
         failure=FailureInfo(**body["failure"]) if body["failure"] else None,
         deadlock=DeadlockInfo(
             blocked=[tuple(item) for item in body["deadlock"]["blocked"]],

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, Generator, Optional
 
-from .clocks import VectorClock
 from .logging import LogFile
 
 
@@ -51,14 +50,11 @@ class Process:
         self.state = ProcState.READY
         self.generator: Optional[Generator[None, None, None]] = None
         self.frames: list[Frame] = []
-        self.clock = VectorClock()
         self.log = LogFile(pid)
         self.children: list[int] = []
         self.live_children = 0
         self.block_reason = ""
         self.blocked_on_node = 0  # AST node id of the blocking statement
-        #: clocks to merge into our next sync event (set by whoever woke us)
-        self.wake_clocks: list[VectorClock] = []
         #: sync-node uids whose events caused our wake-up (edge sources)
         self.wake_sources: list[int] = []
         #: mailbox value handed over by a channel send while we were blocked
@@ -92,21 +88,19 @@ class Process:
             self.run_queue.remove(self)
         self.state = state
 
-    def wake(self, source_uid: int, clock: VectorClock, value: Any = None) -> None:
+    def wake(self, source_uid: int, value: Any = None) -> None:
         """Mark READY and record the causal source of the wake-up."""
         if self.run_queue is not None and self.state is not ProcState.READY:
             insort(self.run_queue, self, key=_pid)
         self.state = ProcState.READY
         self.block_reason = ""
         self.wake_sources.append(source_uid)
-        self.wake_clocks.append(clock.copy())
         if value is not None:
             self.wake_value = value
 
-    def take_wakeup(self) -> tuple[list[int], list[VectorClock], Any]:
+    def take_wakeup(self) -> tuple[list[int], Any]:
         """Consume and reset the wake-up bookkeeping."""
-        sources, clocks, value = self.wake_sources, self.wake_clocks, self.wake_value
+        sources, value = self.wake_sources, self.wake_value
         self.wake_sources = []
-        self.wake_clocks = []
         self.wake_value = None
-        return sources, clocks, value
+        return sources, value

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .clocks import VectorClock
 from .process import Process
 
 
@@ -23,7 +22,6 @@ class SyncToken:
 
     source_uid: int  # sync-node uid of the V (or -1 for initial value)
     source_pid: int
-    clock: Optional[VectorClock]  # None for initial value
 
 
 @dataclass
@@ -40,7 +38,7 @@ class Semaphore:
     @classmethod
     def create(cls, name: str, initial: int) -> "Semaphore":
         sem = cls(name=name)
-        sem.tokens = [SyncToken(source_uid=-1, source_pid=-1, clock=None) for _ in range(initial)]
+        sem.tokens = [SyncToken(source_uid=-1, source_pid=-1) for _ in range(initial)]
         return sem
 
     @property

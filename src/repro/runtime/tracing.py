@@ -13,7 +13,10 @@ Two distinct artifacts live here:
   synchronization edges, and *segments* (the dynamic counterpart of the
   paper's internal edges, §6.1), each with the shared-variable READ/WRITE
   sets of Def 6.2.  The paper notes the parallel dynamic graph "can be
-  built during program execution"; this is that structure.
+  built during program execution"; this is that structure.  Its nodes are
+  the processes' :class:`~repro.runtime.logging.SyncLog` entries; its
+  vector clocks are derived from the nodes and edges on the first ordering
+  query, never recorded.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from .clocks import VectorClock, happened_before_or_equal
-from .logging import encode_value
+from .clocks import VectorClock, derive_clocks, happened_before_or_equal
+from .logging import SyncLog, encode_value
 
 # Trace event kinds.
 EV_STMT = "stmt"  # an assignment (or decl-with-init) — a singular node
@@ -151,20 +154,6 @@ class Tracer:
 
 
 @dataclass
-class SyncNodeRec:
-    """A synchronization node of the parallel dynamic graph (§6.1)."""
-
-    uid: int
-    pid: int
-    op: str  # "P","V","lock","unlock","send","recv","unblock","spawn","begin","join","end"
-    obj: str  # semaphore/lock/channel/procedure name
-    node_id: int  # AST node id (0 for begin/end)
-    sync_index: int  # position within the process's sync sequence
-    clock: VectorClock = field(default_factory=VectorClock)
-    timestamp: int = 0  # machine-global step counter
-
-
-@dataclass
 class SyncEdgeRec:
     """A synchronization edge between two sync nodes (§6.2)."""
 
@@ -197,25 +186,46 @@ class Segment:
 class SyncHistory:
     """Everything the machine records about synchronization."""
 
-    nodes: dict[int, SyncNodeRec] = field(default_factory=dict)
+    nodes: dict[int, SyncLog] = field(default_factory=dict)
     edges: list[SyncEdgeRec] = field(default_factory=list)
     segments: list[Segment] = field(default_factory=list)
     #: pid -> uids of that process's sync nodes, in order
     per_process: dict[int, list[int]] = field(default_factory=dict)
+    #: (node count, edge count) at the last derivation, and its clocks
+    _derived: Optional[tuple[tuple[int, int], dict[int, VectorClock]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
-    def add_node(self, node: SyncNodeRec) -> None:
+    def add_node(self, node: SyncLog) -> None:
         self.nodes[node.uid] = node
         self.per_process.setdefault(node.pid, []).append(node.uid)
 
     def add_edge(self, src_uid: int, dst_uid: int, label: str) -> None:
         self.edges.append(SyncEdgeRec(src_uid=src_uid, dst_uid=dst_uid, label=label))
 
+    def clocks(self) -> dict[int, VectorClock]:
+        """Every node's vector clock by uid (:func:`derive_clocks`).
+
+        Derived on the first call and again after a node or an edge was
+        added.  The whole map is built before one assignment publishes
+        it, so threads racing on a first query each compute the same map
+        and none reads a partial one.
+        """
+        size = (len(self.nodes), len(self.edges))
+        derived = self._derived
+        if derived is None or derived[0] != size:
+            derived = (size, derive_clocks(self.nodes.values(), self.edges))
+            self._derived = derived
+        return derived[1]
+
     def node_reaches(self, a_uid: int, b_uid: int) -> bool:
         """Reflexive happened-before between two sync nodes (§6.1's "+")."""
         if a_uid == b_uid:
             return True
-        a, b = self.nodes[a_uid], self.nodes[b_uid]
-        return happened_before_or_equal(a.clock, a.pid, b.clock)
+        clocks = self.clocks()
+        return happened_before_or_equal(
+            clocks[a_uid], self.nodes[a_uid].pid, clocks[b_uid]
+        )
 
     def closed_segments(self) -> list[Segment]:
         return [seg for seg in self.segments if seg.end_uid is not None]

@@ -1,6 +1,8 @@
 """Log-file tests: entries, intervals, nesting, serialisation (§3.2.2, §5)."""
 
 import json
+import random
+from pathlib import Path
 
 from repro.compiler import EBlockPolicy
 from repro.runtime import (
@@ -14,7 +16,28 @@ from repro.runtime import (
     run_program,
 )
 from repro.runtime.logging import decode_value, encode_value, snapshot_values
-from repro.workloads import fib_recursive, fig53_program, nested_calls
+from repro.workloads import (
+    bank_race,
+    buggy_average,
+    fib_recursive,
+    fig53_program,
+    nested_calls,
+    producer_consumer,
+    ring_allreduce,
+)
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+
+#: The end-to-end benchmark's programs (bench/local.py): race_hunt,
+#: deep_flowback, spmd_localize, and the served mix.
+BENCH_PROGRAMS = {
+    "bank_race(32,75)": bank_race(32, 75),
+    "fib_recursive(15)": fib_recursive(15),
+    "ring_allreduce(32)": ring_allreduce(32, deviant=random.Random(0).randrange(32)),
+    "buggy_average": buggy_average(),
+    "bank_race(4,50)": bank_race(4, 50),
+    "producer_consumer(50,2)": producer_consumer(50, 2),
+}
 
 
 class TestLogContents:
@@ -144,7 +167,14 @@ class TestSerialisation:
         record = run_program(nested_calls(), seed=0)
         log = record.logs[0]
         assert log.byte_size() == len(log.to_jsonl()) + 1
-        assert record.log_bytes() >= log.byte_size()
+        assert record.log_bytes() >= log.byte_size() > 0
+        programs = {path.name: path.read_text() for path in sorted(EXAMPLES.glob("*.pcl"))}
+        programs.update(BENCH_PROGRAMS)
+        for name, source in programs.items():
+            record = run_program(source, seed=0)
+            for log in record.logs.values():
+                expected = len(log.to_jsonl()) + 1 if len(log) else 0
+                assert log.byte_size() == expected, (name, log.pid)
 
     def test_array_values_encode(self):
         src = """
@@ -156,13 +186,21 @@ proc main() { int a = touch(9); print(a); }
         text = record.logs[0].to_jsonl()
         assert "__array__" in text
 
-    def test_sync_logs_have_clocks(self):
+    def test_each_sync_entry_is_its_history_node(self):
+        """A sync event is logged once: the entry is the node, and the
+        log's JSON line names it by uid without a clock."""
         record = run_program(fig53_program(), seed=1)
-        sync_entries = [
-            e for log in record.logs.values() for e in log if isinstance(e, SyncLog)
-        ]
-        assert sync_entries
-        assert all(e.clock for e in sync_entries)
+        history = record.history
+        logged = [e for log in record.logs.values() for e in log if isinstance(e, SyncLog)]
+        assert len(logged) == len(history.nodes)
+        for entry in logged:
+            assert history.nodes[entry.uid] is entry
+            assert json.loads(entry.to_json()) == {
+                "kind": "SyncLog", "t": entry.timestamp, "pid": entry.pid, "uid": entry.uid
+            }
+        for pid, log in record.logs.items():
+            uids = [e.uid for e in log if isinstance(e, SyncLog)]
+            assert uids == history.per_process[pid]
 
 
 class TestValueCopySemantics:

@@ -27,7 +27,13 @@ from repro.runtime.persist import (
     RecordVersionError,
     record_content_digest,
 )
-from repro.workloads import bank_race, buggy_average, fig53_program, nested_calls
+from repro.workloads import (
+    bank_race,
+    buggy_average,
+    fig53_program,
+    fig61_program,
+    nested_calls,
+)
 
 
 def round_trip(record):
@@ -361,6 +367,161 @@ class TestPersistError:
         with pytest.raises(RecordVersionError) as excinfo:
             record_from_json(json.dumps(body))
         assert excinfo.value.field == "version"
+
+
+FIXTURES = Path(__file__).with_name("fixtures")
+
+#: Format-1 files saved by the last format-1 build (commit f719f52) with
+#: ``save_record(Machine(compile_program(source), seed=1).run(), path)``.
+V1_FIXTURES = {
+    "fig61.seed1.v1.ppd.json": (fig61_program, 1),
+    "semaphore_pipeline.seed1.v1.ppd.json": (
+        lambda: (EXAMPLES / "semaphore_pipeline.pcl").read_text(), 1
+    ),
+    "calc_service.seed1.v1.ppd.json": (
+        lambda: (EXAMPLES / "calc_service.pcl").read_text(), 1
+    ),
+}
+
+
+def resigned(body: dict) -> str:
+    """*body* as a document whose digest matches its (edited) content."""
+    body = dict(body)
+    body["digest"] = persist._content_digest(body)
+    return json.dumps(body)
+
+
+def load_bad(tmp_path, text: str, error=RecordCorruptError):
+    """Load *text* from a file: it must fail typed and be quarantined."""
+    path = tmp_path / "bad.ppd.json"
+    path.write_text(text)
+    with pytest.raises(error) as excinfo:
+        load_record(str(path))
+    assert excinfo.value.quarantined == str(path) + ".quarantined"
+    assert not path.exists()
+    return excinfo.value
+
+
+class TestFormatVersion2:
+    """Version 2 persists no clock; a sync entry names its node by uid."""
+
+    @pytest.fixture()
+    def body(self):
+        return json.loads(record_to_json(run_program(fig61_program(), seed=1)))
+
+    def test_nodes_carry_no_clock_and_entries_only_a_uid(self, body):
+        assert body["version"] == persist.FORMAT_VERSION == 2
+        assert all("clock" not in node for node in body["history"]["nodes"])
+        sync_entries = [
+            entry for entries in body["logs"].values() for entry in entries
+            if entry["kind"] == "SyncLog"
+        ]
+        assert len(sync_entries) == len(body["history"]["nodes"])
+        assert all(set(entry) == {"kind", "uid"} for entry in sync_entries)
+
+    def test_load_derives_no_clock_and_entries_are_nodes(self, body):
+        loaded = record_from_json(json.dumps(body))
+        assert loaded.history._derived is None
+        for log in loaded.logs.values():
+            for entry in log:
+                if entry.kind == "SyncLog":
+                    assert loaded.history.nodes[entry.uid] is entry
+
+    @staticmethod
+    def _sync_entry(body, pid: str):
+        return next(
+            (i, e) for i, e in enumerate(body["logs"][pid]) if e["kind"] == "SyncLog"
+        )
+
+    def test_unknown_uid_is_corrupt(self, body, tmp_path):
+        index, entry = self._sync_entry(body, "1")
+        entry["uid"] = 10_000
+        error = load_bad(tmp_path, resigned(body))
+        assert error.field == f"logs.1[{index}].uid"
+
+    def test_uid_of_another_process_is_corrupt(self, body, tmp_path):
+        index, entry = self._sync_entry(body, "1")
+        entry["uid"] = body["history"]["nodes"][0]["uid"]  # main's begin
+        assert body["history"]["nodes"][0]["pid"] == 0
+        error = load_bad(tmp_path, resigned(body))
+        assert error.field == f"logs.1[{index}].uid"
+
+    def test_backward_edge_is_corrupt(self, body, tmp_path):
+        edge = body["history"]["edges"][2]
+        edge["src"], edge["dst"] = edge["dst"], edge["src"]
+        error = load_bad(tmp_path, resigned(body))
+        assert error.field == "history.edges[2].src"
+
+    def test_dangling_edge_is_corrupt(self, body, tmp_path):
+        body["history"]["edges"][3]["dst"] = 10_000
+        error = load_bad(tmp_path, resigned(body))
+        assert error.field == "history.edges[3].dst"
+        body["history"]["edges"][3]["dst"] = body["history"]["edges"][3]["src"] + 1
+        body["history"]["edges"][3]["src"] = -5
+        error = load_bad(tmp_path, resigned(body))
+        assert error.field == "history.edges[3].src"
+
+    def test_version_3_is_unsupported(self, body, tmp_path):
+        body["version"] = 3
+        error = load_bad(tmp_path, resigned(body), RecordVersionError)
+        assert error.field == "version"
+
+
+class TestFormatVersion1:
+    """A version-1 file loads through the v1 reader, as the version-2
+    record a fresh run of its program and seed would save."""
+
+    @pytest.mark.parametrize("name", sorted(V1_FIXTURES))
+    def test_fixture_loads_as_a_fresh_run(self, name):
+        program, seed = V1_FIXTURES[name]
+        text = (FIXTURES / name).read_text()
+        assert json.loads(text)["version"] == 1
+        loaded = record_from_json(text)
+        fresh = Machine(compile_program(program()), seed=seed, mode="logged").run()
+        assert record_to_json(loaded) == record_to_json(fresh)
+
+    def test_named_by_its_version_2_digest(self):
+        program, seed = V1_FIXTURES["fig61.seed1.v1.ppd.json"]
+        text = (FIXTURES / "fig61.seed1.v1.ppd.json").read_text()
+        loaded = record_from_json(text)
+        assert not hasattr(loaded, "_ppd_digest")
+        fresh = Machine(compile_program(program()), seed=seed, mode="logged").run()
+        assert record_content_digest(loaded) == record_content_digest(fresh)
+        assert record_content_digest(loaded) != json.loads(text)["digest"]
+
+    @pytest.fixture()
+    def body(self):
+        return json.loads((FIXTURES / "fig61.seed1.v1.ppd.json").read_text())
+
+    def test_node_clock_that_disagrees_is_corrupt(self, body, tmp_path):
+        node = body["history"]["nodes"][5]
+        node["clock"][str(node["pid"])] += 1
+        error = load_bad(tmp_path, resigned(body))
+        assert error.field == "history.nodes[5].clock"
+
+    def test_entry_clock_that_disagrees_is_corrupt(self, body, tmp_path):
+        index, entry = next(
+            (i, e) for i, e in enumerate(body["logs"]["2"]) if e["kind"] == "SyncLog"
+        )
+        entry["clock"]["0"] = entry["clock"].get("0", 0) + 1
+        error = load_bad(tmp_path, resigned(body))
+        assert error.field == f"logs.2[{index}].clock"
+
+    def test_unsigned_clock_change_fails_the_digest(self, body, tmp_path):
+        body["history"]["nodes"][5]["clock"]["0"] = 99
+        load_bad(tmp_path, json.dumps(body), RecordDigestError)
+
+    def test_entry_that_disagrees_with_its_node_is_corrupt(self, body, tmp_path):
+        index, entry = next(
+            (i, e) for i, e in enumerate(body["logs"]["1"]) if e["kind"] == "SyncLog"
+        )
+        op = entry["op"]
+        entry["op"] = "V"
+        error = load_bad(tmp_path, resigned(body))
+        assert error.field == f"logs.1[{index}].op"
+        entry["op"], entry["sync_index"] = op, 99
+        error = load_bad(tmp_path, resigned(body))
+        assert error.field == f"logs.1[{index}].sync_index"
 
 
 class TestDebuggingLoadedRecords:

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro import Machine, compile_program
 from repro.runtime import ProcState
-from repro.runtime.clocks import VectorClock
 from repro.runtime.process import Process
 from repro.workloads import (
     bank_race,
@@ -144,9 +143,9 @@ def test_standalone_process_blocks_and_wakes():
     process.block("recv(c)", 7)
     assert process.state is ProcState.BLOCKED
     assert (process.block_reason, process.blocked_on_node) == ("recv(c)", 7)
-    process.wake(11, VectorClock({3: 1}), value="msg")
+    process.wake(11, value="msg")
     assert process.state is ProcState.READY
-    assert process.take_wakeup() == ([11], [VectorClock({3: 1})], "msg")
+    assert process.take_wakeup() == ([11], "msg")
     process.leave_ready(ProcState.DONE)
     assert process.state is ProcState.DONE
 
@@ -161,8 +160,8 @@ def test_wake_inserts_in_pid_order():
         processes[pid].block("join")
     assert [p.pid for p in queue] == [2]
     for pid in (4, 0, 3):
-        processes[pid].wake(0, VectorClock())
+        processes[pid].wake(0)
     assert [p.pid for p in queue] == [0, 2, 3, 4]
-    processes[0].wake(0, VectorClock())  # already READY: no second entry
+    processes[0].wake(0)  # already READY: no second entry
     processes[1].leave_ready(ProcState.DONE)  # not READY: nothing to remove
     assert [p.pid for p in queue] == [0, 2, 3, 4]
