@@ -16,7 +16,7 @@ static program dependence graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 from ..lang import ast
 from .cfg import CFG, PRED, STMT
@@ -42,128 +42,87 @@ class ProcSummary:
 Summaries = dict[str, ProcSummary]
 
 
-def expr_user_calls(expr: ast.Expr, proc_names: Iterable[str]) -> list[ast.CallExpr]:
-    """All calls to user-defined functions contained in *expr*."""
-    names = set(proc_names)
-    return [
-        node
-        for node in ast.walk(expr)
-        if isinstance(node, ast.CallExpr) and node.name in names
-    ]
-
-
-def expr_has_input(expr: ast.Expr) -> bool:
-    """True if *expr* calls the nondeterministic builtins ``input``/``rand``."""
-    return any(
-        isinstance(node, ast.CallExpr) and node.name in ("input", "rand")
-        for node in ast.walk(expr)
-    )
-
-
-def expr_has_recv(expr: ast.Expr) -> bool:
-    return any(isinstance(node, ast.RecvExpr) for node in ast.walk(expr))
-
-
-def _expr_reads(expr: Optional[ast.Expr]) -> set[str]:
-    if expr is None:
-        return set()
-    reads = ast.expr_reads(expr)
-    # Calls to user functions look like reads of the function name to the
-    # generic walker only if the grammar allowed it; it does not, so nothing
-    # to subtract.  Builtin names never appear as Name nodes either.
-    return reads
-
-
-def _call_effects(expr: Optional[ast.Expr], summaries: Summaries) -> tuple[set[str], set[str]]:
-    """(extra reads, extra writes) contributed by user calls inside *expr*."""
-    if expr is None:
-        return set(), set()
-    reads: set[str] = set()
-    writes: set[str] = set()
-    for call in expr_user_calls(expr, summaries.keys()):
-        summary = summaries[call.name]
-        reads |= summary.ref
-        writes |= summary.mod
-    return reads, writes
-
-
-def stmt_uses(stmt: ast.Stmt, summaries: Summaries) -> set[str]:
-    """Variables that executing *stmt*'s own node may read.
+def _stmt_exprs(stmt: ast.Stmt) -> list[ast.Expr]:
+    """The expressions *stmt*'s own node evaluates.
 
     For compound statements (``if``/``while``/``for``) this is the predicate
     only; the bodies own their own CFG nodes.
     """
     if isinstance(stmt, ast.Assign):
-        reads = _expr_reads(stmt.value)
-        reads |= _call_effects(stmt.value, summaries)[0]
         if isinstance(stmt.target, ast.Index):
-            reads |= _expr_reads(stmt.target.index)
-            reads |= _call_effects(stmt.target.index, summaries)[0]
-        return reads
-    if isinstance(stmt, ast.VarDecl):
-        reads = _expr_reads(stmt.init)
-        reads |= _call_effects(stmt.init, summaries)[0]
-        return reads
-    if isinstance(stmt, (ast.If, ast.While)):
-        return _expr_reads(stmt.cond) | _call_effects(stmt.cond, summaries)[0]
-    if isinstance(stmt, ast.For):
-        return _expr_reads(stmt.cond) | _call_effects(stmt.cond, summaries)[0]
+            return [stmt.value, stmt.target.index]
+        return [stmt.value]
+    if isinstance(stmt, (ast.If, ast.While, ast.For, ast.AssertStmt)):
+        return [stmt.cond]
     if isinstance(stmt, ast.CallStmt):
-        reads = _expr_reads(stmt.call)
-        reads |= _call_effects(stmt.call, summaries)[0]
-        return reads
-    if isinstance(stmt, ast.Return):
-        return _expr_reads(stmt.value) | _call_effects(stmt.value, summaries)[0]
-    if isinstance(stmt, ast.Send):
-        return _expr_reads(stmt.value) | _call_effects(stmt.value, summaries)[0]
-    if isinstance(stmt, ast.Spawn):
-        reads: set[str] = set()
-        for arg in stmt.args:
-            reads |= _expr_reads(arg)
-            reads |= _call_effects(arg, summaries)[0]
-        return reads
-    if isinstance(stmt, ast.Print):
-        reads = set()
-        for arg in stmt.args:
-            reads |= _expr_reads(arg)
-            reads |= _call_effects(arg, summaries)[0]
-        return reads
-    if isinstance(stmt, ast.AssertStmt):
-        return _expr_reads(stmt.cond) | _call_effects(stmt.cond, summaries)[0]
-    if isinstance(stmt, ast.Reply):
-        return _expr_reads(stmt.value) | _call_effects(stmt.value, summaries)[0]
-    return set()
+        return [stmt.call]
+    if isinstance(stmt, (ast.Return, ast.Send, ast.Reply)):
+        return [stmt.value] if stmt.value is not None else []
+    if isinstance(stmt, ast.VarDecl):
+        return [stmt.init] if stmt.init is not None else []
+    if isinstance(stmt, (ast.Spawn, ast.Print)):
+        return stmt.args
+    return []
+
+
+def stmt_use_def(stmt: ast.Stmt, summaries: Summaries) -> tuple[set[str], set[str]]:
+    """(USE, DEF): the variables executing *stmt*'s own node may read and
+    may write, the REF/MOD of every user call it makes included.
+
+    One walk over the node's expressions finds both its reads and its
+    calls.  An element write ``a[i] = v`` reads ``i`` and writes ``a``.
+    """
+    uses: set[str] = set()
+    defs: set[str] = set()
+    for expr in _stmt_exprs(stmt):
+        for node in ast.walk(expr):
+            if isinstance(node, (ast.Name, ast.Index)):
+                uses.add(node.name)
+            elif isinstance(node, ast.CallExpr):
+                summary = summaries.get(node.name)
+                if summary is not None:
+                    uses |= summary.ref
+                    defs |= summary.mod
+    if isinstance(stmt, ast.Assign):
+        defs.add(stmt.target.name)
+    elif isinstance(stmt, ast.VarDecl):
+        if stmt.init is not None:
+            defs.add(stmt.name)
+    elif isinstance(stmt, ast.Accept):
+        # The accept node itself binds the caller's actuals to the params.
+        defs.update(param.name for param in stmt.params)
+    return uses, defs
+
+
+def stmt_uses(stmt: ast.Stmt, summaries: Summaries) -> set[str]:
+    """Variables that executing *stmt*'s own node may read."""
+    return stmt_use_def(stmt, summaries)[0]
 
 
 def stmt_defs(stmt: ast.Stmt, summaries: Summaries) -> set[str]:
     """Variables that executing *stmt*'s own node may write."""
-    if isinstance(stmt, ast.Assign):
-        writes = {ast.lvalue_name(stmt.target)}
-        writes |= _call_effects(stmt.value, summaries)[1]
-        if isinstance(stmt.target, ast.Index):
-            writes |= _call_effects(stmt.target.index, summaries)[1]
-        return writes
-    if isinstance(stmt, ast.VarDecl):
-        writes = {stmt.name} if stmt.init is not None else set()
-        writes |= _call_effects(stmt.init, summaries)[1]
-        return writes
-    if isinstance(stmt, ast.CallStmt):
-        return _call_effects(stmt.call, summaries)[1]
-    if isinstance(stmt, (ast.If, ast.While, ast.For)):
-        cond = stmt.cond
-        return _call_effects(cond, summaries)[1]
-    if isinstance(stmt, (ast.Return, ast.Send, ast.AssertStmt, ast.Reply)):
-        expr = stmt.cond if isinstance(stmt, ast.AssertStmt) else stmt.value
-        return _call_effects(expr, summaries)[1]
-    if isinstance(stmt, (ast.Spawn, ast.Print)):
-        writes = set()
-        for arg in stmt.args:
-            writes |= _call_effects(arg, summaries)[1]
-        return writes
-    if isinstance(stmt, ast.Accept):
-        # The accept node itself binds the caller's actuals to the params.
-        return {param.name for param in stmt.params}
-    return set()
+    return stmt_use_def(stmt, summaries)[1]
+
+
+class UseDefTable:
+    """Each statement's (USE, DEF) sets, computed at most once per table.
+
+    ``compile_program`` builds one table right after the REF/MOD summaries
+    and hands it to the static graph, the simplified graphs, liveness and
+    the e-block builder, so a compile computes each statement's sets once.
+    A builder called without one makes its own.  The sets are shared:
+    nobody may change them.
+    """
+
+    def __init__(self, summaries: Summaries) -> None:
+        self.summaries = summaries
+        self._sets: dict[int, tuple[set[str], set[str]]] = {}
+
+    def of(self, stmt: ast.Stmt) -> tuple[set[str], set[str]]:
+        sets = self._sets.get(stmt.node_id)
+        if sets is None:
+            sets = self._sets[stmt.node_id] = stmt_use_def(stmt, self.summaries)
+        return sets
 
 
 def _is_array_write(stmt: ast.Stmt) -> bool:
@@ -209,12 +168,16 @@ class ReachingDefinitions:
         return edges
 
 
-def reaching_definitions(cfg: CFG, summaries: Summaries) -> ReachingDefinitions:
+def reaching_definitions(
+    cfg: CFG, summaries: Summaries, use_def: UseDefTable | None = None
+) -> ReachingDefinitions:
     """Run forward may-analysis of reaching definitions on *cfg*.
 
     Array element writes are weak updates (gen without kill); every other
     write both generates a definition and kills prior ones of that name.
     """
+    if use_def is None:
+        use_def = UseDefTable(summaries)
     uses: dict[int, set[str]] = {}
     defs: dict[int, set[str]] = {}
     gen: dict[int, set[Definition]] = {}
@@ -228,8 +191,7 @@ def reaching_definitions(cfg: CFG, summaries: Summaries) -> ReachingDefinitions:
             gen[node_id] = set()
             kill_vars[node_id] = set()
             continue
-        node_uses = stmt_uses(stmt, summaries)
-        node_defs = stmt_defs(stmt, summaries)
+        node_uses, node_defs = use_def.of(stmt)
         uses[node_id] = node_uses
         defs[node_id] = node_defs
         gen[node_id] = {(var, node_id) for var in node_defs}
@@ -285,7 +247,7 @@ def reaching_definitions(cfg: CFG, summaries: Summaries) -> ReachingDefinitions:
 
 
 def region_use_def(
-    stmts: Iterable[ast.Stmt], summaries: Summaries
+    stmts: Iterable[ast.Stmt], summaries: Summaries, use_def: UseDefTable | None = None
 ) -> tuple[set[str], set[str]]:
     """Aggregate USED/DEFINED over all statements in a region.
 
@@ -293,11 +255,14 @@ def region_use_def(
     :func:`repro.lang.ast.walk_statements`); nested call effects come from
     the summaries.
     """
+    if use_def is None:
+        use_def = UseDefTable(summaries)
     used: set[str] = set()
     defined: set[str] = set()
     for stmt in stmts:
-        used |= stmt_uses(stmt, summaries)
-        defined |= stmt_defs(stmt, summaries)
+        uses, defs = use_def.of(stmt)
+        used |= uses
+        defined |= defs
     return used, defined
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from ..lang import ast
 from .cfg import CFG, build_cfgs
-from .dataflow import ReachingDefinitions, Summaries, reaching_definitions
+from .dataflow import ReachingDefinitions, Summaries, UseDefTable, reaching_definitions
 from .interproc import CallGraph, build_call_graph, compute_summaries
 from .postdom import control_dependence
 from .symbols import SymbolTable, check_program
@@ -68,7 +68,7 @@ class StaticGraph:
 
 
 def build_static_proc_graph(
-    proc_name: str, cfg: CFG, summaries: Summaries
+    proc_name: str, cfg: CFG, summaries: Summaries, use_def: UseDefTable | None = None
 ) -> StaticProcGraph:
     """Build one procedure's static PDG from its CFG."""
     graph = StaticProcGraph(proc_name=proc_name, cfg=cfg)
@@ -77,7 +77,7 @@ def build_static_proc_graph(
         for dst, label in succ_list:
             graph.edges.append(StaticEdge(src=src, dst=dst, kind=FLOW, label=label))
 
-    reaching = reaching_definitions(cfg, summaries)
+    reaching = reaching_definitions(cfg, summaries, use_def)
     graph.reaching = reaching
     for def_node, use_node, var in reaching.du_edges():
         graph.edges.append(StaticEdge(src=def_node, dst=use_node, kind=DATA, label=var))
@@ -96,11 +96,12 @@ def build_static_graph(
     call_graph: CallGraph | None = None,
     summaries: Summaries | None = None,
     cfgs: dict[str, CFG] | None = None,
+    use_def: UseDefTable | None = None,
 ) -> StaticGraph:
     """Build the full static program dependence graph of *program*.
 
-    Analyses the caller already holds are shared, not rebuilt; they are
-    only read here.
+    Analyses the caller already holds (the USE/DEF table included) are
+    shared, not rebuilt; they are only read here.
     """
     if table is None:
         table = check_program(program)
@@ -113,6 +114,8 @@ def build_static_graph(
     graph = StaticGraph(
         program=program, table=table, call_graph=call_graph, summaries=summaries
     )
+    if use_def is None:
+        use_def = UseDefTable(summaries)
     for name, cfg in cfgs.items():
-        graph.procs[name] = build_static_proc_graph(name, cfg, summaries)
+        graph.procs[name] = build_static_proc_graph(name, cfg, summaries, use_def)
     return graph

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..lang import ast
 from .cfg import CFG
-from .dataflow import Summaries, stmt_defs, stmt_uses
+from .dataflow import Summaries, UseDefTable
 
 
 @dataclass
@@ -36,12 +37,16 @@ class Liveness:
         return set(self.live_in.get(cfg_node, ()))
 
 
-def live_variables(cfg: CFG, summaries: Summaries) -> Liveness:
+def live_variables(
+    cfg: CFG, summaries: Summaries, use_def: UseDefTable | None = None
+) -> Liveness:
     """Iterative backward liveness: ``in[n] = use[n] ∪ (out[n] - def[n])``.
 
     Array writes are weak (they do not kill the array), matching the
     reaching-definitions treatment.
     """
+    if use_def is None:
+        use_def = UseDefTable(summaries)
     use: dict[int, set[str]] = {}
     define: dict[int, set[str]] = {}
     for node_id, node in cfg.nodes.items():
@@ -50,10 +55,7 @@ def live_variables(cfg: CFG, summaries: Summaries) -> Liveness:
             use[node_id] = set()
             define[node_id] = set()
             continue
-        use[node_id] = stmt_uses(stmt, summaries)
-        defs = stmt_defs(stmt, summaries)
-        from ..lang import ast
-
+        use[node_id], defs = use_def.of(stmt)
         if isinstance(stmt, ast.Assign) and isinstance(stmt.target, ast.Index):
             defs = defs - {stmt.target.name}  # weak update: no kill
         define[node_id] = defs

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from ..lang import ast
 from .cfg import CFG, ENTRY, EXIT, PRED, build_cfg
-from .dataflow import Summaries, stmt_defs, stmt_uses
+from .dataflow import Summaries, UseDefTable
 from .symbols import SymbolTable
 
 # Node classifications in the simplified graph.
@@ -120,20 +120,16 @@ def _is_marked(cfg: CFG, node_id: int, user_procs: set[str]) -> str | None:
         return None
     if isinstance(stmt, _SYNC_STMT_TYPES):
         return N_SYNC
-    # Statements containing a blocking receive or a rendezvous call are
-    # synchronization points.
+    # A STMT node's statement nests no other statement.  One containing a
+    # blocking receive or a rendezvous call is a synchronization point; a
+    # call site of a user procedure becomes a sub-graph (call) node.
+    kind = None
     for child in ast.walk(stmt):
         if isinstance(child, (ast.RecvExpr, ast.CallEntry)):
             return N_SYNC
-        if isinstance(child, ast.Stmt) and child is not stmt:
-            break  # do not descend into nested statements (none for simple stmts)
-    # Call sites of user procedures become sub-graph (call) nodes.
-    for child in ast.walk(stmt):
         if isinstance(child, ast.CallExpr) and child.name in user_procs:
-            return N_CALL
-        if isinstance(child, ast.Stmt) and child is not stmt:
-            break
-    return None
+            kind = N_CALL
+    return kind
 
 
 def build_simplified_graph(
@@ -141,10 +137,13 @@ def build_simplified_graph(
     table: SymbolTable,
     summaries: Summaries,
     cfg: CFG | None = None,
+    use_def: UseDefTable | None = None,
 ) -> SimplifiedGraph:
     """Build the simplified static graph and sync units for *proc*."""
     if cfg is None:
         cfg = build_cfg(proc)
+    if use_def is None:
+        use_def = UseDefTable(summaries)
     user_procs = set(summaries.keys())
     graph = SimplifiedGraph(proc_name=proc.name, cfg=cfg)
 
@@ -186,32 +185,28 @@ def build_simplified_graph(
                 )
             )
 
-    _compute_units(graph, table, summaries)
+    _compute_units(graph, table, use_def)
     return graph
 
 
 def _edge_shared_accesses(
-    graph: SimplifiedGraph, edge: SimplifiedEdge, table: SymbolTable, summaries: Summaries
+    graph: SimplifiedGraph, edge: SimplifiedEdge, shared: set[str], use_def: UseDefTable
 ) -> tuple[set[str], set[str]]:
-    """Shared variables possibly read/written on one simplified edge.
+    """Variables of *shared* possibly read/written on one simplified edge.
 
     Includes the reads of the destination predicate when the edge ends at a
     branching node (the predicate evaluates at the unit's frontier, so its
     shared reads must be prelogged conservatively).
     """
-    local_names = set(table.locals.get(graph.proc_name, ()))
-
-    def shared_only(names: set[str]) -> set[str]:
-        return {n for n in names if n in table.shared and n not in local_names}
-
     reads: set[str] = set()
     writes: set[str] = set()
     for cfg_node_id in edge.covered:
         stmt = graph.cfg.nodes[cfg_node_id].stmt
         if stmt is None:
             continue
-        reads |= shared_only(stmt_uses(stmt, summaries))
-        writes |= shared_only(stmt_defs(stmt, summaries))
+        uses, defs = use_def.of(stmt)
+        reads |= uses
+        writes |= defs
     # Accesses made by the boundary statements themselves are attributed to
     # the units on both sides: a mixed statement like ``x = recv(c) + SV``
     # reads SV after the sync point, while ``send(c, SV)`` reads it before.
@@ -222,20 +217,26 @@ def _edge_shared_accesses(
         if node.stmt is None:
             continue
         if kind == N_BRANCH and endpoint == edge.dst:
-            reads |= shared_only(stmt_uses(node.stmt, summaries))
+            reads |= use_def.of(node.stmt)[0]
         elif kind in (N_SYNC, N_CALL):
-            reads |= shared_only(stmt_uses(node.stmt, summaries))
-            writes |= shared_only(stmt_defs(node.stmt, summaries))
-    return reads, writes
+            uses, defs = use_def.of(node.stmt)
+            reads |= uses
+            writes |= defs
+    return reads & shared, writes & shared
 
 
-def _compute_units(
-    graph: SimplifiedGraph, table: SymbolTable, summaries: Summaries
-) -> None:
+def _compute_units(graph: SimplifiedGraph, table: SymbolTable, use_def: UseDefTable) -> None:
     """Compute the synchronization units of Def 5.1 for *graph*."""
     edges_from: dict[int, list[SimplifiedEdge]] = {}
     for edge in graph.edges:
         edges_from.setdefault(edge.src, []).append(edge)
+    # Shared variables this procedure does not shadow with a local.
+    shared = table.shared.keys() - table.locals.get(graph.proc_name, {}).keys()
+    #: edge id -> its shared (reads, writes); an edge can lie in several units
+    accesses = {
+        edge.edge_id: _edge_shared_accesses(graph, edge, shared, use_def)
+        for edge in graph.edges
+    }
 
     unit_counter = 0
     for start in graph.non_branching_nodes:
@@ -263,13 +264,10 @@ def _compute_units(
 
         reads: set[str] = set()
         writes: set[str] = set()
-        for edge in graph.edges:
-            if edge.edge_id in reached_edges:
-                edge_reads, edge_writes = _edge_shared_accesses(
-                    graph, edge, table, summaries
-                )
-                reads |= edge_reads
-                writes |= edge_writes
+        for edge_id in reached_edges:
+            edge_reads, edge_writes = accesses[edge_id]
+            reads |= edge_reads
+            writes |= edge_writes
 
         unit_counter += 1
         unit = SyncUnit(
@@ -288,10 +286,13 @@ def build_simplified_graphs(
     table: SymbolTable,
     summaries: Summaries,
     cfgs: dict[str, CFG] | None = None,
+    use_def: UseDefTable | None = None,
 ) -> dict[str, SimplifiedGraph]:
     """Simplified graphs for every procedure of *program*."""
+    if use_def is None:
+        use_def = UseDefTable(summaries)
     graphs: dict[str, SimplifiedGraph] = {}
     for proc in program.procs:
         cfg = cfgs.get(proc.name) if cfgs else None
-        graphs[proc.name] = build_simplified_graph(proc, table, summaries, cfg)
+        graphs[proc.name] = build_simplified_graph(proc, table, summaries, cfg, use_def)
     return graphs

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from ..lang import ast, parse
 from ..analysis.cfg import CFG, build_cfgs
 from ..analysis.database import ProgramDatabase
-from ..analysis.dataflow import Summaries
+from ..analysis.dataflow import Summaries, UseDefTable
 from ..analysis.dependence import StaticGraph, build_static_graph
 from ..analysis.interproc import CallGraph, build_call_graph, compute_summaries
 from ..analysis.simplified import SimplifiedGraph, build_simplified_graphs
@@ -79,16 +79,20 @@ def compile_program(
     """Run the whole preparatory phase on PCL *source*.
 
     Accepts either source text or an already-parsed :class:`Program`.
+    Each analysis is built once and shared with those that read it: the
+    call graph, the REF/MOD summaries, the CFGs and each statement's
+    USE/DEF sets (:class:`~repro.analysis.dataflow.UseDefTable`).
     """
     program = parse(source) if isinstance(source, str) else source
     table = check_program(program)
     call_graph = build_call_graph(program)
     summaries = compute_summaries(program, table, call_graph)
+    use_def = UseDefTable(summaries)
     cfgs = build_cfgs(program)
-    static_graph = build_static_graph(program, table, call_graph, summaries, cfgs)
-    simplified = build_simplified_graphs(program, table, summaries, cfgs)
+    static_graph = build_static_graph(program, table, call_graph, summaries, cfgs, use_def)
+    simplified = build_simplified_graphs(program, table, summaries, cfgs, use_def)
     database = ProgramDatabase.build(program, table, call_graph, summaries)
-    eblocks = build_eblocks(program, table, call_graph, summaries, cfgs, policy)
+    eblocks = build_eblocks(program, table, call_graph, summaries, cfgs, policy, use_def)
     plan = build_instrumentation_plan(eblocks, simplified)
     return CompiledProgram(
         program=program,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from ..lang import ast
 from ..analysis.cfg import CFG
-from ..analysis.dataflow import Summaries, region_declared, region_use_def
+from ..analysis.dataflow import Summaries, UseDefTable, region_declared, region_use_def
 from ..analysis.interproc import CallGraph
 from ..analysis.liveness import Liveness, live_variables
 from ..analysis.symbols import SymbolTable
@@ -173,10 +173,13 @@ def build_eblocks(
     summaries: Summaries,
     cfgs: dict[str, CFG],
     policy: EBlockPolicy | None = None,
+    use_def: UseDefTable | None = None,
 ) -> EBlockSet:
     """Construct every e-block of *program* under *policy*."""
     if policy is None:
         policy = EBlockPolicy()
+    if use_def is None:
+        use_def = UseDefTable(summaries)
     result = EBlockSet(policy=policy)
     eblock_procs = select_proc_eblocks(program, call_graph, summaries, policy)
     result.merged_procs = set(program.proc_names) - eblock_procs
@@ -203,7 +206,7 @@ def build_eblocks(
             policy.loop_block_min_stmts is not None
             or policy.split_proc_min_stmts is not None
         ):
-            liveness = live_variables(cfgs[proc.name], summaries)
+            liveness = live_variables(cfgs[proc.name], summaries, use_def)
         if policy.loop_block_min_stmts is not None:
             for stmt in ast.walk_statements(proc.body):
                 if not isinstance(stmt, (ast.While, ast.For)):
@@ -212,9 +215,7 @@ def build_eblocks(
                     continue
                 block_counter += 1
                 result.add(
-                    _build_loop_block(
-                        block_counter, proc, stmt, table, summaries, liveness
-                    )
+                    _build_loop_block(block_counter, proc, stmt, table, use_def, liveness)
                 )
         if (
             policy.split_proc_min_stmts is not None
@@ -222,7 +223,7 @@ def build_eblocks(
             and _stmt_count(proc.body) >= policy.split_proc_min_stmts
         ):
             block_counter = _split_proc_into_chunks(
-                result, block_counter, proc, table, summaries, policy, liveness
+                result, block_counter, proc, table, use_def, policy, liveness
             )
     return result
 
@@ -245,7 +246,7 @@ def _build_chunk_block(
     proc: ast.ProcDef,
     stmts: list[ast.Stmt],
     table: SymbolTable,
-    summaries: Summaries,
+    use_def: UseDefTable,
     liveness: Liveness | None = None,
 ) -> EBlock:
     """Logging sets for one chunk of consecutive top-level statements."""
@@ -255,7 +256,7 @@ def _build_chunk_block(
         for s in ast.walk_statements(top)
         if not isinstance(s, ast.Block)
     ]
-    used, defined = region_use_def(flat, summaries)
+    used, defined = region_use_def(flat, use_def.summaries, use_def)
     declared = region_declared(flat)
     local_names = set(table.locals.get(proc.name, ()))
     prelog_locals = (used & local_names) - declared
@@ -277,7 +278,7 @@ def _split_proc_into_chunks(
     block_counter: int,
     proc: ast.ProcDef,
     table: SymbolTable,
-    summaries: Summaries,
+    use_def: UseDefTable,
     policy: EBlockPolicy,
     liveness: Liveness | None = None,
 ) -> int:
@@ -300,9 +301,7 @@ def _split_proc_into_chunks(
             plan.append((None, [current[0].node_id]))
         else:
             block_counter += 1
-            block = _build_chunk_block(
-                block_counter, proc, current, table, summaries, liveness
-            )
+            block = _build_chunk_block(block_counter, proc, current, table, use_def, liveness)
             result.add(block)
             plan.append((block, list(block.stmt_node_ids)))
         current = []
@@ -327,14 +326,14 @@ def _build_loop_block(
     proc: ast.ProcDef,
     loop: ast.While | ast.For,
     table: SymbolTable,
-    summaries: Summaries,
+    use_def: UseDefTable,
     liveness: Liveness | None = None,
 ) -> EBlock:
     """Compute the logging sets of one loop e-block."""
     stmts = [s for s in ast.walk_statements(loop) if not isinstance(s, ast.Block)]
     # For While/For the walk includes the loop node itself (its predicate
     # reads) and, for For, the init/step assignments.
-    used, defined = region_use_def(stmts, summaries)
+    used, defined = region_use_def(stmts, use_def.summaries, use_def)
     declared = region_declared(stmts)
     local_names = set(table.locals.get(proc.name, ()))
 

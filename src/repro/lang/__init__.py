@@ -2,19 +2,26 @@
 
 The paper instruments C programs for shared-memory multiprocessors; PCL is
 this reproduction's equivalent source language.  This package provides the
-lexer, parser, AST, and pretty-printer.
+front end and the AST:
+
+* :func:`tokenize`, a scanner built on one compiled regular expression;
+* :func:`parse` (and its :class:`Parser`), recursive descent for
+  statements and precedence climbing over one operator table for binary
+  expressions;
+* :mod:`ast`, whose nodes carry ids in creation order and ``s``-labels;
+* the pretty-printer, and the typed errors every malformed input raises
+  (:class:`LexError`, :class:`ParseError`, both :class:`PCLError`).
 """
 
 from . import ast
 from .errors import LexError, ParseError, PCLError, SemanticError
-from .lexer import Lexer, tokenize
+from .lexer import tokenize
 from .parser import BUILTINS, Parser, parse
 from .pretty import expr_to_str, program_to_str, statement_source, stmt_to_str
 
 __all__ = [
     "ast",
     "BUILTINS",
-    "Lexer",
     "LexError",
     "ParseError",
     "Parser",

@@ -1,9 +1,10 @@
 """AST node definitions for PCL.
 
 Every node carries a ``node_id`` unique within its program (assigned by the
-parser in source order) plus a source position.  Statements additionally get
-an ``s``-label (``s1``, ``s2``, ...) mirroring the statement numbering used
-in the paper's figures (e.g. Fig 4.1), assigned by :func:`number_statements`.
+parser in creation order: a compound node after its children) plus a source
+position.  Statements additionally get an ``s``-label (``s1``, ``s2``, ...)
+mirroring the statement numbering used in the paper's figures (e.g. Fig
+4.1), assigned by :func:`number_statements`.
 """
 
 from __future__ import annotations
@@ -15,11 +16,27 @@ from typing import Iterator, Optional, Union
 
 @dataclass
 class Node:
-    """Base class for all AST nodes."""
+    """Base class for all AST nodes.
+
+    Nodes are not changed after :func:`repro.lang.parse` returns (apart
+    from ``stmt_label``, which it sets), so each node's tuple of children
+    is computed once, on the first walk, and kept in ``_children``.  That
+    is a plain attribute, not a field: ``==``, ``repr`` and
+    ``dataclasses.fields`` do not see it, and pickles leave it out.
+    """
 
     node_id: int
     line: int
     column: int
+
+    _children = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__
+        if "_children" in state:
+            state = dict(state)
+            del state["_children"]
+        return state
 
 
 # --------------------------------------------------------------------------
@@ -350,32 +367,52 @@ class Program(Node):
 # --------------------------------------------------------------------------
 
 
-#: Node type -> its dataclass field names, filled the first time each type
-#: is walked (``dataclasses.fields`` rebuilds its tuple on every call).
-_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+#: Node type -> the names of its fields other than position and label (the
+#: ones that can hold nodes), filled the first time each type is walked.
+_CHILD_FIELDS: dict[type, tuple[str, ...]] = {}
 
 
-def iter_child_nodes(node: Node) -> Iterator[Node]:
-    """Yield the direct child nodes of *node* in source order."""
-    names = _FIELD_NAMES.get(type(node))
-    if names is None:
-        names = tuple(f.name for f in dataclasses.fields(node))
-        _FIELD_NAMES[type(node)] = names
-    for name in names:
-        value = getattr(node, name)
-        if isinstance(value, Node):
-            yield value
-        elif isinstance(value, list):
-            for item in value:
-                if isinstance(item, Node):
-                    yield item
+def _child_fields(node_type: type) -> tuple[str, ...]:
+    names = tuple(
+        f.name
+        for f in dataclasses.fields(node_type)
+        if f.name not in ("node_id", "line", "column", "stmt_label")
+    )
+    _CHILD_FIELDS[node_type] = names
+    return names
+
+
+def iter_child_nodes(node: Node) -> tuple[Node, ...]:
+    """The direct child nodes of *node* in source order (computed once)."""
+    children = node._children
+    if children is None:
+        children = []
+        names = _CHILD_FIELDS.get(type(node))
+        if names is None:
+            names = _child_fields(type(node))
+        for name in names:
+            value = getattr(node, name)
+            if isinstance(value, Node):
+                children.append(value)
+            elif isinstance(value, list):
+                children.extend(item for item in value if isinstance(item, Node))
+        children = node._children = tuple(children)
+    return children
 
 
 def walk(node: Node) -> Iterator[Node]:
     """Yield *node* and all its descendants, depth-first, in source order."""
-    yield node
-    for child in iter_child_nodes(node):
-        yield from walk(child)
+    stack = [node]
+    pop = stack.pop
+    push = stack.extend
+    while stack:
+        node = pop()
+        yield node
+        children = node._children
+        if children is None:
+            children = iter_child_nodes(node)
+        if children:
+            push(reversed(children))
 
 
 def walk_statements(node: Node) -> Iterator[Stmt]:

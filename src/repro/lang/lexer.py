@@ -1,166 +1,109 @@
-"""Hand-written scanner for PCL source text."""
+"""The PCL scanner: one compiled regular expression, one pass.
+
+Each match of :data:`_SCAN` is the trivia (whitespace and comments) before a
+token, then the token itself in one named group, so a source of N tokens
+costs N+1 matches.  Only the trivia and string literals can span lines,
+and only they touch the line count.
+
+The character classes are the language's, exactly: whitespace is space,
+tab, CR and LF; a name starts with a character for which ``str.isalpha``
+is true, or ``_``, and continues with ``str.isalnum`` characters or ``_``
+(``\\w``); a number is a run of ``str.isdecimal`` digits (``\\d``) with an
+optional ``.digits`` fraction.  Strings are double-quoted, end on the
+line they start on unless a newline is escaped, and know the escapes
+``\\n``, ``\\t``, ``\\"`` and ``\\\\`` (any other escaped character stands
+for itself).  Anything else is a :class:`LexError` at the offending
+character.
+"""
 
 from __future__ import annotations
+
+import re
 
 from .errors import LexError
 from .tokens import KEYWORDS, Token, TokenType
 
-_TWO_CHAR_OPS = {
-    "==": TokenType.EQ,
-    "!=": TokenType.NE,
-    "<=": TokenType.LE,
-    ">=": TokenType.GE,
-    "&&": TokenType.AND,
-    "||": TokenType.OR,
+_OPERATORS = {
+    token_type.value: token_type
+    for token_type in TokenType
+    if not token_type.value.isalnum()
 }
 
-_ONE_CHAR_OPS = {
-    "(": TokenType.LPAREN,
-    ")": TokenType.RPAREN,
-    "{": TokenType.LBRACE,
-    "}": TokenType.RBRACE,
-    "[": TokenType.LBRACKET,
-    "]": TokenType.RBRACKET,
-    ",": TokenType.COMMA,
-    ";": TokenType.SEMI,
-    "=": TokenType.ASSIGN,
-    "+": TokenType.PLUS,
-    "-": TokenType.MINUS,
-    "*": TokenType.STAR,
-    "/": TokenType.SLASH,
-    "%": TokenType.PERCENT,
-    "<": TokenType.LT,
-    ">": TokenType.GT,
-    "!": TokenType.NOT,
-}
+#: Trivia, then exactly one named group.  ``unclosed_comment`` is a ``/*``
+#: the trivia could not close (it must come before ``op``'s ``/``), and
+#: ``unclosed_string`` a quote ``string`` could not.  A name's first
+#: character is a word character but not a decimal digit; the scan rejects
+#: the few of those that are not letters (``²``, ``½``) itself.
+_SCAN = re.compile(
+    r"(?:[ \t\r\n]+|//[^\n]*|/\*[\s\S]*?\*/)*"
+    r"(?:(?P<name>[^\W\d]\w*)"
+    r"|(?P<unclosed_comment>/\*)"
+    r"|(?P<op>[=!<>]=|&&|\|\||[-(){}\[\],;=+*/%<>!])"
+    r"|(?P<float>\d+\.\d+)"
+    r"|(?P<int>\d+)"
+    r'|(?P<string>"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*")'
+    r'|(?P<unclosed_string>")'
+    r"|(?P<end>\Z)"
+    r"|(?P<other>[\s\S]))"
+)
+_ESCAPE = re.compile(r"\\([\s\S])")
+_ESCAPES = {"n": "\n", "t": "\t"}
+
+#: Builds a token without ``Token.__new__``'s Python-level frame.
+_new_token = tuple.__new__
 
 
-class Lexer:
-    """Converts PCL source text into a list of :class:`Token`.
-
-    Supports ``//`` line comments and ``/* ... */`` block comments, decimal
-    integer and float literals, and double-quoted strings (used only by
-    ``print``).
-    """
-
-    def __init__(self, source: str) -> None:
-        self._source = source
-        self._pos = 0
-        self._line = 1
-        self._column = 1
-
-    def tokenize(self) -> list[Token]:
-        """Scan the whole input and return its tokens, ending with EOF."""
-        tokens: list[Token] = []
-        while True:
-            self._skip_trivia()
-            if self._at_end():
-                tokens.append(Token(TokenType.EOF, "", self._line, self._column))
-                return tokens
-            tokens.append(self._next_token())
-
-    # -- internals ---------------------------------------------------------
-
-    def _at_end(self) -> bool:
-        return self._pos >= len(self._source)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index >= len(self._source):
-            return "\0"
-        return self._source[index]
-
-    def _advance(self) -> str:
-        char = self._source[self._pos]
-        self._pos += 1
-        if char == "\n":
-            self._line += 1
-            self._column = 1
-        else:
-            self._column += 1
-        return char
-
-    def _skip_trivia(self) -> None:
-        while not self._at_end():
-            char = self._peek()
-            if char in " \t\r\n":
-                self._advance()
-            elif char == "/" and self._peek(1) == "/":
-                while not self._at_end() and self._peek() != "\n":
-                    self._advance()
-            elif char == "/" and self._peek(1) == "*":
-                start_line, start_col = self._line, self._column
-                self._advance()
-                self._advance()
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if self._at_end():
-                        raise LexError("unterminated block comment", start_line, start_col)
-                    self._advance()
-                self._advance()
-                self._advance()
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        line, column = self._line, self._column
-        char = self._peek()
-
-        if char.isdigit():
-            return self._number(line, column)
-        if char.isalpha() or char == "_":
-            return self._name(line, column)
-        if char == '"':
-            return self._string(line, column)
-
-        two = self._peek() + self._peek(1)
-        if two in _TWO_CHAR_OPS:
-            self._advance()
-            self._advance()
-            return Token(_TWO_CHAR_OPS[two], two, line, column)
-        if char in _ONE_CHAR_OPS:
-            self._advance()
-            return Token(_ONE_CHAR_OPS[char], char, line, column)
-
-        raise LexError(f"unexpected character {char!r}", line, column)
-
-    def _number(self, line: int, column: int) -> Token:
-        start = self._pos
-        while self._peek().isdigit():
-            self._advance()
-        is_float = False
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_float = True
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        text = self._source[start:self._pos]
-        token_type = TokenType.FLOAT if is_float else TokenType.INT
-        return Token(token_type, text, line, column)
-
-    def _name(self, line: int, column: int) -> Token:
-        start = self._pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self._source[start:self._pos]
-        token_type = KEYWORDS.get(text, TokenType.NAME)
-        return Token(token_type, text, line, column)
-
-    def _string(self, line: int, column: int) -> Token:
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while self._peek() != '"':
-            if self._at_end() or self._peek() == "\n":
-                raise LexError("unterminated string literal", line, column)
-            if self._peek() == "\\":
-                self._advance()
-                escape = self._advance()
-                chars.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(escape, escape))
-            else:
-                chars.append(self._advance())
-        self._advance()  # closing quote
-        return Token(TokenType.STRING, "".join(chars), line, column)
+def _unescape(match: re.Match) -> str:
+    char = match[1]
+    return _ESCAPES.get(char, char)
 
 
 def tokenize(source: str) -> list[Token]:
-    """Convenience wrapper: tokenize *source* in one call."""
-    return Lexer(source).tokenize()
+    """Scan PCL *source* into its tokens, ending with EOF."""
+    tokens: list[Token] = []
+    append = tokens.append
+    keywords = KEYWORDS
+    operators = _OPERATORS
+    name_type = TokenType.NAME
+    line = 1
+    line_start = 0  # offset of the current line's first character
+    for match in _SCAN.finditer(source):
+        kind = match.lastgroup
+        start = match.start(kind)
+        if match.start() != start:  # trivia came first
+            newlines = source.count("\n", match.start(), start)
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", match.start(), start) + 1
+        column = start - line_start + 1
+        text = match[kind]
+        if kind == "name":
+            first = text[0]
+            if not (first.isalpha() or first == "_"):
+                raise LexError(f"unexpected character {first!r}", line, column)
+            append(_new_token(Token, (keywords.get(text, name_type), text, line, column)))
+        elif kind == "op":
+            append(_new_token(Token, (operators[text], text, line, column)))
+        elif kind == "int":
+            append(_new_token(Token, (TokenType.INT, text, line, column)))
+        elif kind == "float":
+            append(_new_token(Token, (TokenType.FLOAT, text, line, column)))
+        elif kind == "string":
+            body = text[1:-1]
+            if "\\" in body:
+                body = _ESCAPE.sub(_unescape, body)
+            append(_new_token(Token, (TokenType.STRING, body, line, column)))
+            newlines = text.count("\n")  # escaped newlines
+            if newlines:
+                line += newlines
+                line_start = start + text.rindex("\n") + 1
+        elif kind == "end":
+            append(_new_token(Token, (TokenType.EOF, "", line, column)))
+            return tokens
+        elif kind == "unclosed_comment":
+            raise LexError("unterminated block comment", line, column)
+        elif kind == "unclosed_string":
+            raise LexError("unterminated string literal", line, column)
+        else:
+            raise LexError(f"unexpected character {text!r}", line, column)
+    raise AssertionError("the scan always ends with an 'end' match")  # pragma: no cover

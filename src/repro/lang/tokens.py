@@ -9,7 +9,7 @@ the constructs the paper's examples use: assignments, ``if``/``while``/
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TokenType(enum.Enum):
@@ -82,6 +82,11 @@ class TokenType(enum.Enum):
 
     EOF = "EOF"
 
+    # Members are singletons that compare by identity.  Hash them the same
+    # way, in C: ``Enum.__hash__`` is a Python call, and the parser looks a
+    # token type up in a dict several times per token.
+    __hash__ = object.__hash__
+
 
 #: Keywords that the lexer recognises.  ``P`` and ``V`` are the paper's
 #: semaphore operations and are treated as keywords only when followed by
@@ -122,8 +127,7 @@ KEYWORDS: dict[str, TokenType] = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexeme with its source position (1-based line/column)."""
 
     type: TokenType

@@ -262,7 +262,10 @@ class LogFile:
         return iter(self.entries)
 
     def to_jsonl(self) -> str:
-        """Serialise the whole log as JSON lines (the on-disk format)."""
+        """Serialise the whole log as JSON lines: the accounting form whose
+        size E2 reports (:meth:`byte_size`).  A saved record is not written
+        this way; its on-disk format is the record envelope of
+        :mod:`repro.runtime.persist`."""
         return "\n".join(entry.to_json() for entry in self.entries)
 
     def byte_size(self) -> int:

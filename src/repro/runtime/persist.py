@@ -293,9 +293,12 @@ def _logs_from_json(
     for pid_text, entries in _field(body, "logs", path).items():
         pid = int(pid_text)
         log = LogFile(pid)
+        # Fill the entry list itself: ``LogFile.append`` is the execution
+        # phase's logging (and its obs counters), and a load logs nothing.
+        decoded = log.entries
         for index, entry in enumerate(entries):
             if entry["kind"] != "SyncLog":
-                log.append(_entry_from_json(entry))
+                decoded.append(_entry_from_json(entry))
                 continue
             if by_index is not None:
                 where = f"logs.{pid}[{index}]"
@@ -307,7 +310,7 @@ def _logs_from_json(
                     raise _corrupt(
                         "sync entry names no node of its process", path, f"logs.{pid}[{index}].uid"
                     )
-            log.append(node)
+            decoded.append(node)
         logs[pid] = log
     return logs
 

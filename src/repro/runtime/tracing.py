@@ -196,6 +196,13 @@ class SyncHistory:
         default=None, init=False, repr=False, compare=False
     )
 
+    def __getstate__(self) -> dict:
+        # Clocks are derived on demand: a pickled record (the replay pool
+        # ships one to each worker) carries none.
+        state = dict(self.__dict__)
+        state["_derived"] = None
+        return state
+
     def add_node(self, node: SyncLog) -> None:
         self.nodes[node.uid] = node
         self.per_process.setdefault(node.pid, []).append(node.uid)

@@ -1,9 +1,10 @@
 """The preparatory phase builds each analysis once (§3.2.1, Fig 3.1).
 
-``compile_program`` shares the call graph, the REF/MOD summaries and the
-CFGs it has built with the static graph and the e-block builder.  That is
-safe only while no consumer mutates them: the static graph must come out
-as a standalone build makes it, and the shared objects must stay as built.
+``compile_program`` shares the call graph, the REF/MOD summaries, the
+CFGs and each statement's USE/DEF sets it has built with the static graph,
+the simplified graphs, liveness and the e-block builder.  That is safe
+only while no consumer mutates them: every artifact must come out as a
+standalone build makes it, and the shared objects must stay as built.
 """
 
 import importlib
@@ -12,9 +13,16 @@ from collections import Counter
 import pytest
 
 from repro import PPDSession, compile_program
-from repro.analysis import build_cfgs, build_static_graph, compute_summaries
+from repro.analysis import (
+    build_call_graph,
+    build_cfgs,
+    build_simplified_graphs,
+    build_static_graph,
+    compute_summaries,
+    dataflow,
+)
 from repro.analysis.lint import lint_compiled
-from repro.compiler import EBlockPolicy
+from repro.compiler import EBlockPolicy, build_eblocks, build_instrumentation_plan
 from repro.runtime import run_program
 from tests.runtime.test_schedule_golden import PROGRAMS
 
@@ -98,3 +106,46 @@ def test_shared_analyses_stay_as_built(name):
             cfg.preds,
             cfg.node_of_stmt,
         )
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_each_statements_use_def_is_computed_once(monkeypatch, name, policy):
+    computed = Counter()
+    real = dataflow.stmt_use_def
+
+    def counting(stmt, summaries):
+        computed[stmt.node_id] += 1
+        return real(stmt, summaries)
+
+    monkeypatch.setattr(dataflow, "stmt_use_def", counting)
+    compile_program(PROGRAMS[name], POLICIES[policy])
+    assert computed and max(computed.values()) == 1
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_simplified_graphs_and_eblocks_match_a_standalone_build(name, policy):
+    compiled = compile_program(PROGRAMS[name], POLICIES[policy])
+    program, table = compiled.program, compiled.table
+    summaries = compute_summaries(program, table)
+    simplified = build_simplified_graphs(program, table, summaries)
+    assert list(simplified) == list(compiled.simplified)
+    for proc, graph in simplified.items():
+        shared = compiled.simplified[proc]
+        assert (shared.node_kinds, shared.edges, shared.units, shared.unit_at) == (
+            graph.node_kinds,
+            graph.edges,
+            graph.units,
+            graph.unit_at,
+        )
+    eblocks = build_eblocks(
+        program,
+        table,
+        build_call_graph(program),
+        summaries,
+        build_cfgs(program),
+        POLICIES[policy],
+    )
+    assert compiled.eblocks == eblocks
+    assert compiled.plan == build_instrumentation_plan(eblocks, simplified)

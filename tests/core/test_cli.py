@@ -229,3 +229,15 @@ class TestPpdBadInput:
         path.write_text("proc main(\n  x := ;\n")
         assert main(["localize", str(path)]) == 2
         self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", ["lint", "localize"])
+    @pytest.mark.parametrize(
+        "text", ["proc main() { int x = ²; }\n", 'proc main() { print("abc\\']
+    )
+    def test_pcl_the_scanner_rejects(self, tmp_path, capsys, command, text):
+        from repro.core.cli import main
+
+        path = tmp_path / "bad.pcl"
+        path.write_text(text, encoding="utf-8")
+        assert main([command, str(path)]) == 2
+        self.assert_one_error_line(capsys)

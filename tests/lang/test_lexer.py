@@ -143,3 +143,36 @@ class TestPositions:
     def test_unknown_character(self):
         with pytest.raises(LexError):
             tokenize("a $ b")
+
+
+class TestTypedErrors:
+    """Malformed text fails with a LexError at the offending character,
+    never with a raw exception from deeper in the front end."""
+
+    def test_non_decimal_digit(self):
+        # "²".isdigit() is true, but no number may contain it.
+        with pytest.raises(LexError, match="unexpected character '²'") as info:
+            tokenize("proc main() { int x = ²; }")
+        assert (info.value.line, info.value.column) == (1, 23)
+
+    def test_non_decimal_digit_after_a_number(self):
+        with pytest.raises(LexError, match="unexpected character '²'") as info:
+            tokenize("x = 12²;")
+        assert (info.value.line, info.value.column) == (1, 7)
+
+    def test_decimal_digits_of_other_scripts_are_numbers(self):
+        token = tokenize("٤٢")[0]
+        assert (token.type, token.text) == (TokenType.INT, "٤٢")
+
+    def test_string_cut_off_after_a_backslash(self):
+        with pytest.raises(LexError, match="unterminated string literal") as info:
+            tokenize('proc main() {\n  print("abc\\')
+        assert (info.value.line, info.value.column) == (2, 9)
+
+    def test_escaped_newline_continues_the_string(self):
+        tokens = tokenize('"a\\\nb" c')
+        assert tokens[0].text == "a\nb"
+        assert (tokens[1].line, tokens[1].column) == (2, 4)
+
+    def test_unicode_names(self):
+        assert texts("été _x2 ß²") == ["été", "_x2", "ß²"]

@@ -1,4 +1,4 @@
-"""The differential test oracle: the reference PCL tree walker.
+"""Differential test oracles: implementations the program replaced.
 
 Every :class:`repro.Machine` runs on the bytecode VM.  The tree walker in
 :mod:`tests.oracle.interp` is kept only so the VM can be checked against
@@ -6,6 +6,11 @@ an independent implementation of the same semantics: the parity tests,
 the hypothesis differentials, ``benchmarks/check_vm_parity.py`` and E15
 run a program once inside :func:`oracle` and once outside it, then
 compare every observable surface.
+
+:mod:`tests.oracle.lexer` and :mod:`tests.oracle.parser` are the
+character-at-a-time scanner and the one-function-per-precedence-level
+parser that ``repro.lang`` replaced; ``tests/lang/test_front_end_differential.py``
+holds the current front end to their tokens, ASTs and errors.
 """
 
 from __future__ import annotations

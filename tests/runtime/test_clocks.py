@@ -7,6 +7,7 @@ program order and the sync edges; no run records one.
 
 import json
 import os
+import pickle
 import sys
 import threading
 from pathlib import Path
@@ -153,6 +154,22 @@ class TestDerivedClocks:
         node = next(iter(record.history.nodes.values()))
         assert not hasattr(node, "clock")
         assert record.history._derived is None
+
+    def test_pickles_carry_no_derived_clock(self):
+        """The replay pool pickles the record for its workers, which never
+        ask an ordering question: a query before shipping must not make
+        the pickle bigger, and the far side derives the same clocks."""
+        record = Machine(compile_program(bank_safe(3, 4)), seed=2).run()
+        before = len(pickle.dumps(record))
+        clocks = record.history.clocks()
+        shipped = pickle.dumps(record)
+        assert len(shipped) == before
+        assert record.history._derived is not None  # the sender keeps its own
+        history = pickle.loads(shipped).history
+        assert history._derived is None
+        assert {uid: c.counts for uid, c in history.clocks().items()} == {
+            uid: c.counts for uid, c in clocks.items()
+        }
 
     def test_adding_a_node_after_a_query_derives_again(self):
         history = Machine(compile_program(fig61_program()), seed=1).run().history

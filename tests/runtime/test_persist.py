@@ -524,6 +524,24 @@ class TestFormatVersion1:
         assert error.field == f"logs.1[{index}].sync_index"
 
 
+class TestLoadIsNotLogging:
+    """A load rebuilds the logs a run wrote; it logs nothing itself."""
+
+    @pytest.mark.parametrize("name", ["locked_counters.pcl", "fig61"])
+    def test_no_log_counter_and_the_same_bytes(self, name):
+        source = (
+            fig61_program()
+            if name == "fig61"
+            else (Path(__file__).resolve().parents[2] / "examples" / name).read_text()
+        )
+        text = record_to_json(run_program(source, seed=1))
+        with repro.obs.capture() as registry:
+            loaded = record_from_json(text)
+        assert not [key for key in registry.snapshot() if key.startswith("log.")]
+        assert loaded.log_entry_count() > 0
+        assert record_to_json(loaded) == text
+
+
 class TestDebuggingLoadedRecords:
     def test_session_on_loaded_record(self):
         record = run_program(

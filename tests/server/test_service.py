@@ -229,6 +229,21 @@ class TestStructuredErrors:
             assert excinfo.value.code in ("open-failed", "internal")
             assert "Traceback" not in excinfo.value.message
 
+    @pytest.mark.parametrize(
+        "source", ["proc main() { int x = ²; }", 'proc main() { print("abc\\']
+    )
+    def test_pcl_the_scanner_rejects_is_open_failed(self, service, source):
+        """A malformed program is the client's fault: it must not count as
+        an infrastructure failure, or five opens would open the breaker
+        and shed every session's replay pool."""
+        with make_client(service) as client:
+            for _ in range(service.breaker.threshold):
+                with pytest.raises(ServerError) as excinfo:
+                    client.open_program(source)
+                assert excinfo.value.code == "open-failed"
+                assert "lex error" in excinfo.value.message
+        assert not service.breaker.is_open
+
     def test_raw_garbage_gets_error_reply_not_disconnect(self, service):
         import socket
 
