@@ -32,9 +32,9 @@ from typing import Optional
 from ..lang import ast
 from ..obs import hooks as _obs
 from .cfg import CFG, ENTRY, PRED, STMT, build_cfgs
-from .dataflow import Summaries, reaching_definitions
+from .dataflow import ReachingDefinitions, Summaries, UseDefTable, reaching_definitions
 from .interproc import CallGraph, build_call_graph, compute_summaries
-from .liveness import live_variables
+from .liveness import liveness_from_reaching
 from .racecands import (
     RaceCandidates,
     _own_exprs,
@@ -152,8 +152,46 @@ def run_lint(
         summaries = compute_summaries(program, table, call_graph)
     if cfgs is None:
         cfgs = build_cfgs(program)
+    use_def = UseDefTable(summaries)
     if simplified is None:
-        simplified = build_simplified_graphs(program, table, summaries, cfgs)
+        simplified = build_simplified_graphs(program, table, summaries, cfgs, use_def)
+    reaching = {
+        proc.name: reaching_definitions(cfgs[proc.name], summaries, use_def)
+        for proc in program.procs
+    }
+    return _lint(program, table, call_graph, summaries, cfgs, simplified, reaching, candidates)
+
+
+def lint_compiled(compiled, candidates: Optional[RaceCandidates] = None) -> LintResult:
+    """Lint a ``CompiledProgram``-shaped bundle (attribute access only).
+
+    The uninit and dead-store checks read the reaching definitions the
+    compile's static graph holds, so lint computes no statement's USE/DEF
+    sets again.
+    """
+    reaching = {name: graph.reaching for name, graph in compiled.static_graph.procs.items()}
+    return _lint(
+        compiled.program,
+        compiled.table,
+        compiled.call_graph,
+        compiled.summaries,
+        compiled.cfgs,
+        compiled.simplified,
+        reaching,
+        candidates,
+    )
+
+
+def _lint(
+    program: ast.Program,
+    table: SymbolTable,
+    call_graph: CallGraph,
+    summaries: Summaries,
+    cfgs: dict[str, CFG],
+    simplified: dict[str, SimplifiedGraph],
+    reaching: dict[str, ReachingDefinitions],
+    candidates: Optional[RaceCandidates],
+) -> LintResult:
     if candidates is None:
         candidates = analyze_candidates(program, table, call_graph, summaries, cfgs)
 
@@ -161,9 +199,9 @@ def run_lint(
     diags = result.diagnostics
     diags.extend(_check_races(candidates))
     diags.extend(_check_lock_cycles(program, table, call_graph, cfgs))
-    diags.extend(_check_uninit(program, table, summaries, cfgs))
+    diags.extend(_check_uninit(program, table, cfgs, reaching))
     diags.extend(_check_unsync(program, table, candidates, simplified))
-    diags.extend(_check_dead_stores(program, table, summaries, cfgs))
+    diags.extend(_check_dead_stores(program, table, cfgs, reaching))
     diags.extend(_check_unreachable(program, cfgs))
     diags.extend(_check_unused(program, table))
 
@@ -177,19 +215,6 @@ def run_lint(
     if _obs.enabled:
         _obs.on_lint(len(diags), len(result.errors))
     return result
-
-
-def lint_compiled(compiled, candidates: Optional[RaceCandidates] = None) -> LintResult:
-    """Lint a ``CompiledProgram``-shaped bundle (attribute access only)."""
-    return run_lint(
-        compiled.program,
-        compiled.table,
-        compiled.call_graph,
-        compiled.summaries,
-        compiled.cfgs,
-        compiled.simplified,
-        candidates=candidates,
-    )
 
 
 def _suppressed_lines(source: str) -> set[int]:
@@ -332,8 +357,8 @@ def _check_lock_cycles(
 def _check_uninit(
     program: ast.Program,
     table: SymbolTable,
-    summaries: Summaries,
     cfgs: dict[str, CFG],
+    reaching: dict[str, ReachingDefinitions],
 ) -> list[Diagnostic]:
     """A local read reachable without passing any declaration/assignment.
 
@@ -345,7 +370,7 @@ def _check_uninit(
     diags = []
     for proc in program.procs:
         cfg = cfgs[proc.name]
-        reach = reaching_definitions(cfg, summaries)
+        reach = reaching[proc.name]
         params = {p.name for p in proc.params}
         # Accept parameters are bound by the accept node itself.
         accept_params = {
@@ -508,8 +533,8 @@ def _read_site_node(
 def _check_dead_stores(
     program: ast.Program,
     table: SymbolTable,
-    summaries: Summaries,
     cfgs: dict[str, CFG],
+    reaching: dict[str, ReachingDefinitions],
 ) -> list[Diagnostic]:
     """Local scalar assignments whose value is never read (liveness).
 
@@ -519,7 +544,7 @@ def _check_dead_stores(
     diags = []
     for proc in program.procs:
         cfg = cfgs[proc.name]
-        liveness = live_variables(cfg, summaries)
+        liveness = liveness_from_reaching(reaching[proc.name])
         for node_id, node in cfg.nodes.items():
             stmt = node.stmt
             if not isinstance(stmt, (ast.Assign, ast.VarDecl)):

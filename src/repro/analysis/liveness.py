@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from ..lang import ast
 from .cfg import CFG
-from .dataflow import Summaries, UseDefTable
+from .dataflow import ReachingDefinitions, Summaries, UseDefTable
 
 
 @dataclass
@@ -48,17 +48,30 @@ def live_variables(
     if use_def is None:
         use_def = UseDefTable(summaries)
     use: dict[int, set[str]] = {}
+    defs: dict[int, set[str]] = {}
+    for node_id, node in cfg.nodes.items():
+        if node.stmt is None:
+            use[node_id], defs[node_id] = set(), set()
+        else:
+            use[node_id], defs[node_id] = use_def.of(node.stmt)
+    return _solve(cfg, use, defs)
+
+
+def liveness_from_reaching(reach: ReachingDefinitions) -> Liveness:
+    """:func:`live_variables` over the USE/DEF sets a reaching-definitions
+    result already holds (a compile's, in its static graph), so no
+    statement's sets are computed again."""
+    return _solve(reach.cfg, reach.uses, reach.defs)
+
+
+def _solve(cfg: CFG, use: dict[int, set[str]], defs: dict[int, set[str]]) -> Liveness:
     define: dict[int, set[str]] = {}
     for node_id, node in cfg.nodes.items():
         stmt = node.stmt
-        if stmt is None:
-            use[node_id] = set()
-            define[node_id] = set()
-            continue
-        use[node_id], defs = use_def.of(stmt)
         if isinstance(stmt, ast.Assign) and isinstance(stmt.target, ast.Index):
-            defs = defs - {stmt.target.name}  # weak update: no kill
-        define[node_id] = defs
+            define[node_id] = defs[node_id] - {stmt.target.name}  # weak update: no kill
+        else:
+            define[node_id] = defs[node_id]
 
     live_in: dict[int, set[str]] = {n: set() for n in cfg.nodes}
     live_out: dict[int, set[str]] = {n: set() for n in cfg.nodes}

@@ -25,7 +25,7 @@ from typing import Optional, Union
 
 from ..obs import hooks as _obs
 from ..perf import ReplayCache, ReplayPool, replay_cache
-from ..runtime.logging import IntervalInfo, Prelog, innermost_open_interval
+from ..runtime.logging import IntervalInfo, Prelog, innermost_open
 from ..runtime.machine import ExecutionRecord
 from .dynamic_graph import (
     DATA,
@@ -125,14 +125,11 @@ class PPDSession:
                 pid = self.record.breakpoint_hit.pid
             else:
                 pid = 0
-        open_interval = innermost_open_interval(self.record.logs[pid])
+        intervals = self.emulation.indexes[pid]
+        open_interval = innermost_open(intervals)
         if open_interval is not None:
             return self.expand_interval(pid, open_interval.interval_id)
-        roots = [
-            info
-            for info in self.emulation.indexes[pid].values()
-            if info.parent is None
-        ]
+        roots = [info for info in intervals.values() if info.parent is None]
         if not roots:
             raise ValueError(f"process {pid} has no log intervals to replay")
         return self.expand_interval(pid, roots[0].interval_id)

@@ -14,12 +14,17 @@ A synchronization event is logged once: its :class:`SyncLog` entry *is*
 the node of the synchronization history (§6.1).  No entry carries a
 vector clock; :class:`~repro.runtime.tracing.SyncHistory` derives clocks
 from program order and the sync edges when an ordering question asks.
+
+Each entry kind's shape is declared once, in :data:`ENTRY_SHAPES`; every
+whole-log pass (sizing, writing, counting, persisting) reads it.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Optional
 
 from ..obs import hooks as _obs
@@ -58,6 +63,10 @@ def decode_value(value: Any) -> Any:
     return value
 
 
+#: The compact dump of accounting lines, arrays encoded on the way.
+_JSON = json.JSONEncoder(separators=(",", ":"), default=encode_value)
+
+
 def copy_value(value: Any) -> Any:
     """A log-safe copy of one runtime value: deep through arrays and
     containers, identity for scalars.  Values must be copied the moment
@@ -92,18 +101,16 @@ class LogEntry:
     def kind(self) -> str:
         return type(self).__name__
 
-    def payload(self) -> dict[str, Any]:
-        """The JSON-serialisable body of this entry (without metadata)."""
-        return {}
-
     def to_dict(self) -> dict[str, Any]:
-        """The JSON line of this entry, before the dump."""
-        body = {"kind": self.kind, "t": self.timestamp, "pid": self.pid}
-        body.update(self.payload())
+        """The accounting line of this entry (:data:`ENTRY_SHAPES`), before
+        the dump, which encodes any array in it."""
+        shape = ENTRY_SHAPES[type(self)]
+        body = {"kind": shape.kind}
+        body.update(zip(shape.keys, shape.row(self)))
         return body
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":"), default=encode_value)
+        return _JSON.encode(self.to_dict())
 
 
 @dataclass
@@ -118,17 +125,6 @@ class Prelog(LogEntry):
     args: list[Any] = field(default_factory=list)  # actual parameters, in order
     steps: int = 0  # process-local statement count at prelog time
 
-    def payload(self) -> dict[str, Any]:
-        return {
-            "interval": self.interval_id,
-            "block": self.block_node_id,
-            "block_kind": self.block_kind,
-            "proc": self.proc_name,
-            "values": {k: encode_value(v) for k, v in self.values.items()},
-            "args": [encode_value(a) for a in self.args],
-            "steps": self.steps,
-        }
-
 
 @dataclass
 class Postlog(LogEntry):
@@ -141,15 +137,6 @@ class Postlog(LogEntry):
     has_retval: bool = False
     steps: int = 0  # process-local statement count at postlog time
 
-    def payload(self) -> dict[str, Any]:
-        return {
-            "interval": self.interval_id,
-            "values": {k: encode_value(v) for k, v in self.values.items()},
-            "retval": encode_value(self.retval),
-            "has_retval": self.has_retval,
-            "steps": self.steps,
-        }
-
 
 @dataclass
 class SyncPrelog(LogEntry):
@@ -159,13 +146,6 @@ class SyncPrelog(LogEntry):
     site_node_id: int = 0  # AST node of the unit-starting statement (0 = proc entry)
     proc_name: str = ""
     values: dict[str, Any] = field(default_factory=dict)
-
-    def payload(self) -> dict[str, Any]:
-        return {
-            "site": self.site_node_id,
-            "proc": self.proc_name,
-            "values": {k: encode_value(v) for k, v in self.values.items()},
-        }
 
 
 @dataclass
@@ -177,9 +157,6 @@ class InputLog(LogEntry):
     source: str = "input"  # "input" | "rand" | "recv"
     node_id: int = 0
     value: Any = None
-
-    def payload(self) -> dict[str, Any]:
-        return {"source": self.source, "node": self.node_id, "value": encode_value(self.value)}
 
 
 @dataclass
@@ -200,9 +177,6 @@ class SyncLog(LogEntry):
     node_id: int = 0  # AST node id (0 for begin/end)
     sync_index: int = 0  # position within the process's sync sequence
 
-    def payload(self) -> dict[str, Any]:
-        return {"uid": self.uid}
-
 
 @dataclass
 class SpawnLog(LogEntry):
@@ -213,13 +187,71 @@ class SpawnLog(LogEntry):
     args: list[Any] = field(default_factory=list)
     node_id: int = 0
 
-    def payload(self) -> dict[str, Any]:
-        return {
-            "child": self.child_pid,
-            "proc": self.proc_name,
-            "args": [encode_value(a) for a in self.args],
-            "node": self.node_id,
-        }
+
+#: The entry attributes that hold runtime values, which may be or hold
+#: arrays: a map of variable names to values, or one value (an argument
+#: list counting as one).  Every other entry attribute is an int, a str or
+#: a bool.
+VALUE_MAPS = frozenset({"values"})
+VALUE_ATTRS = frozenset({"args", "retval", "value"})
+
+
+class EntryShape:
+    """One log-entry kind's shape, as declared in :data:`ENTRY_SHAPES`.
+
+    ``keys`` are the keys of the kind's accounting line after ``kind``
+    (:meth:`LogEntry.to_json`, whose sizes E2 reports), and ``attrs`` the
+    attribute each key reads.  Those attribute names are also the keys a
+    saved record persists (:mod:`repro.runtime.persist`), with ``t`` for
+    ``timestamp``.
+    """
+
+    __slots__ = ("cls", "kind", "keys", "attrs", "row", "key_text")
+
+    def __init__(self, cls: type[LogEntry], **attrs: str) -> None:
+        self.cls = cls
+        self.kind = cls.__name__
+        self.keys = ("t", "pid", *attrs)
+        self.attrs = ("timestamp", "pid", *attrs.values())
+        #: One entry's accounting-line values, in key order.
+        self.row = attrgetter(*self.attrs)
+        blank = [0] * len(self.keys)
+        #: How much longer an accounting line is than the dump of its row:
+        #: the text of its keys, ``kind`` and all.
+        line = {"kind": self.kind, **dict(zip(self.keys, blank))}
+        self.key_text = len(_JSON.encode(line)) - len(_JSON.encode(blank))
+
+
+#: Each log-entry kind's shape, declared once: its accounting keys after
+#: ``kind``, ``t`` and ``pid``, each with the attribute it reads.  Sizing,
+#: counting and writing a log read this table, and so does persistence.
+ENTRY_SHAPES: dict[type[LogEntry], EntryShape] = {
+    shape.cls: shape
+    for shape in (
+        EntryShape(
+            Prelog,
+            interval="interval_id",
+            block="block_node_id",
+            block_kind="block_kind",
+            proc="proc_name",
+            values="values",
+            args="args",
+            steps="steps",
+        ),
+        EntryShape(
+            Postlog,
+            interval="interval_id",
+            values="values",
+            retval="retval",
+            has_retval="has_retval",
+            steps="steps",
+        ),
+        EntryShape(SyncPrelog, site="site_node_id", proc="proc_name", values="values"),
+        EntryShape(InputLog, source="source", node="node_id", value="value"),
+        EntryShape(SyncLog, uid="uid"),
+        EntryShape(SpawnLog, child="child_pid", proc="proc_name", args="args", node="node_id"),
+    )
+}
 
 
 @dataclass
@@ -270,19 +302,28 @@ class LogFile:
 
     def byte_size(self) -> int:
         """Total serialised size — the execution-phase space cost (E2):
-        ``len(to_jsonl()) + 1``, taken from one dump of the entry list,
-        which is the JSON lines joined by "," instead of newlines and
-        wrapped in "[" and "]"."""
-        if not self.entries:
+        ``len(to_jsonl()) + 1``, 0 for an empty log.
+
+        Counted without writing a line.  A row (:attr:`EntryShape.row`)
+        dumps as its line less the key text (:attr:`EntryShape.key_text`),
+        so one dump of all rows, joined by "," and wrapped in "[" and "]",
+        is one character longer than the lines with their newlines, less
+        that text.
+        """
+        entries = self.entries
+        if not entries:
             return 0
-        bodies = [entry.to_dict() for entry in self.entries]
-        return len(json.dumps(bodies, separators=(",", ":"), default=encode_value)) - 1
+        rows = [ENTRY_SHAPES[type(entry)].row(entry) for entry in entries]
+        key_text = sum(
+            ENTRY_SHAPES[cls].key_text * count for cls, count in Counter(map(type, entries)).items()
+        )
+        return len(_JSON.encode(rows)) - 1 + key_text
 
     def entry_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for entry in self.entries:
-            counts[entry.kind] = counts.get(entry.kind, 0) + 1
-        return counts
+        """How many entries of each kind, in order of first appearance."""
+        return {
+            ENTRY_SHAPES[cls].kind: count for cls, count in Counter(map(type, self.entries)).items()
+        }
 
 
 def build_interval_index(log: LogFile) -> dict[int, IntervalInfo]:
@@ -320,10 +361,15 @@ def build_interval_index(log: LogFile) -> dict[int, IntervalInfo]:
     return intervals
 
 
-def innermost_open_interval(log: LogFile) -> Optional[IntervalInfo]:
-    """The interval a debugging session should start from (§5.3)."""
-    intervals = build_interval_index(log)
+def innermost_open(intervals: dict[int, IntervalInfo]) -> Optional[IntervalInfo]:
+    """The interval of an index (:func:`build_interval_index`) a debugging
+    session starts from (§5.3): the open one whose prelog came last."""
     open_intervals = [info for info in intervals.values() if info.is_open]
     if not open_intervals:
         return None
     return max(open_intervals, key=lambda info: info.start_index)
+
+
+def innermost_open_interval(log: LogFile) -> Optional[IntervalInfo]:
+    """The interval a debugging session should start from (§5.3)."""
+    return innermost_open(build_interval_index(log))

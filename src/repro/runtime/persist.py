@@ -35,6 +35,7 @@ import dataclasses
 import hashlib
 import json
 import os
+from operator import attrgetter, itemgetter
 from typing import Any
 
 from ..faults import state as _flt
@@ -44,14 +45,13 @@ from ..compiler.compile import compile_program
 from ..compiler.eblocks import EBlockPolicy
 from ..lang.errors import PCLError
 from .logging import (
-    InputLog,
+    ENTRY_SHAPES,
+    VALUE_ATTRS,
+    VALUE_MAPS,
+    EntryShape,
     LogEntry,
     LogFile,
-    Postlog,
-    Prelog,
-    SpawnLog,
     SyncLog,
-    SyncPrelog,
     decode_value,
     encode_value,
 )
@@ -139,69 +139,111 @@ def _field(body: dict[str, Any], name: str, path: str | None) -> Any:
         raise _corrupt("missing field", path, name) from None
 
 
-#: The entry kinds persisted field by field; a ``SyncLog`` entry is its
-#: history node and persists as ``{"kind": "SyncLog", "uid": ...}``.
-_ENTRY_TYPES: dict[str, type[LogEntry]] = {
-    cls.__name__: cls for cls in (Prelog, Postlog, SyncPrelog, InputLog, SpawnLog)
-}
+#: The types of the values JSON holds as they are.  A save's dump encodes
+#: arrays (its ``default`` is :func:`encode_value`); a load decodes only a
+#: loaded value of another type, or a list holding one.
+_PLAIN = frozenset({int, float, bool, str, type(None)})
 
-#: Per entry class, the fields an entry persists besides ``t`` and ``pid``,
-#: in ``dataclasses.fields`` order — looked up once, not once per entry.
-_ENTRY_FIELDS: dict[type[LogEntry], tuple[str, ...]] = {
-    cls: tuple(
-        f.name for f in dataclasses.fields(cls) if f.name not in ("timestamp", "pid")
-    )
-    for cls in _ENTRY_TYPES.values()
+
+def _decoded(value: Any) -> Any:
+    """One persisted runtime value (or list of them), arrays decoded."""
+    kind = type(value)
+    if kind in _PLAIN:
+        return value
+    if kind is list:
+        for item in value:
+            if type(item) not in _PLAIN:
+                return decode_value(value)
+        return value
+    return decode_value(value)
+
+
+def _decoded_map(values: dict[str, Any]) -> dict[str, Any]:
+    """A persisted ``values`` map, arrays decoded."""
+    for value in values.values():
+        if type(value) not in _PLAIN:
+            return {name: decode_value(value) for name, value in values.items()}
+    return values
+
+
+class _EntryCodec:
+    """Persistence of one entry kind but ``SyncLog``, read off its shape.
+
+    An entry persists as ``kind`` plus one key per field of its shape,
+    named by the attribute (``t`` for ``timestamp``).  The shape's
+    attributes are its class's leading fields, in order, so a decode
+    passes them positionally.
+    """
+
+    __slots__ = ("kind", "keys", "row", "take", "coded", "cls")
+
+    def __init__(self, shape: EntryShape) -> None:
+        self.cls = shape.cls
+        self.kind = shape.kind
+        self.keys = ("t", *shape.attrs[1:])
+        self.row = shape.row
+        self.take = itemgetter(*self.keys)
+        #: (row index, decoder) of each field that holds runtime values
+        self.coded = tuple(
+            (index, _decoded_map if attr in VALUE_MAPS else _decoded)
+            for index, attr in enumerate(shape.attrs)
+            if attr in VALUE_MAPS or attr in VALUE_ATTRS
+        )
+
+    def encode(self, entry: LogEntry) -> dict[str, Any]:
+        body = dict(zip(self.keys, self.row(entry)))
+        body["kind"] = self.kind
+        return body
+
+    def decode(self, body: dict[str, Any]) -> LogEntry:
+        row = list(self.take(body))
+        for index, decoded in self.coded:
+            row[index] = decoded(row[index])
+        return self.cls(*row)
+
+    def decode_partial(self, body: dict[str, Any]) -> LogEntry:
+        """Decode an entry that lacks some field (an older writer's): each
+        missing field takes its dataclass default."""
+        defaults = {
+            f.name: f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+            for f in dataclasses.fields(self.cls)
+            if f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING
+        }
+        return self.decode({**defaults, **body})
+
+
+_CODECS: dict[type[LogEntry], _EntryCodec] = {
+    cls: _EntryCodec(shape) for cls, shape in ENTRY_SHAPES.items() if cls is not SyncLog
 }
+_CODECS_BY_KIND: dict[str, _EntryCodec] = {codec.kind: codec for codec in _CODECS.values()}
 
 
 def _entry_to_json(entry: LogEntry) -> dict[str, Any]:
+    """A ``SyncLog`` entry is its history node and persists as
+    ``{"kind": "SyncLog", "uid": ...}``; every other entry field by field."""
     if type(entry) is SyncLog:
         return {"kind": "SyncLog", "uid": entry.uid}
-    body = {"kind": entry.kind, "t": entry.timestamp, "pid": entry.pid}
-    for name in _ENTRY_FIELDS[type(entry)]:
-        value = getattr(entry, name)
-        if isinstance(value, dict):
-            value = {str(k): encode_value(v) for k, v in value.items()}
-        elif isinstance(value, list):
-            value = [encode_value(v) for v in value]
-        else:
-            value = encode_value(value)
-        body[name] = value
-    return body
+    return _CODECS[type(entry)].encode(entry)
 
 
 def _entry_from_json(body: dict[str, Any]) -> LogEntry:
-    cls = _ENTRY_TYPES[body["kind"]]
-    kwargs: dict[str, Any] = {"timestamp": body["t"], "pid": body["pid"]}
-    for name in _ENTRY_FIELDS[cls]:
-        if name not in body:
-            continue
-        value = body[name]
-        if name == "values":
-            value = {k: decode_value(v) for k, v in value.items()}
-        elif isinstance(value, list):
-            value = [decode_value(v) for v in value]
-        else:
-            value = decode_value(value)
-        kwargs[name] = value
-    return cls(**kwargs)
+    codec = _CODECS_BY_KIND[body["kind"]]
+    try:
+        return codec.decode(body)
+    except KeyError:
+        return codec.decode_partial(body)
+
+
+#: A history node persists its fields by attribute name, ``t`` for
+#: ``timestamp``; a decode passes them positionally.
+_NODE_KEYS = ("t", *(f.name for f in dataclasses.fields(SyncLog)[1:]))
+_node_row = attrgetter("timestamp", *_NODE_KEYS[1:])
+_node_fields = itemgetter(*_NODE_KEYS)
 
 
 def _history_to_json(history: SyncHistory) -> dict[str, Any]:
     return {
-        "nodes": [
-            {
-                "uid": node.uid,
-                "pid": node.pid,
-                "op": node.op,
-                "obj": node.obj,
-                "node_id": node.node_id,
-                "sync_index": node.sync_index,
-                "t": node.timestamp,
-            }
-            for node in history.nodes.values()
-        ],
+        "nodes": [dict(zip(_NODE_KEYS, _node_row(node))) for node in history.nodes.values()],
         "edges": [
             {"src": e.src_uid, "dst": e.dst_uid, "label": e.label}
             for e in history.edges
@@ -231,17 +273,7 @@ def _history_from_json(
     to a later one.  A version-1 body's node clocks go to *v1_clocks*."""
     history = SyncHistory()
     for index, node in enumerate(body["nodes"]):
-        history.add_node(
-            SyncLog(
-                timestamp=node["t"],
-                pid=node["pid"],
-                uid=node["uid"],
-                op=node["op"],
-                obj=node["obj"],
-                node_id=node["node_id"],
-                sync_index=node["sync_index"],
-            )
-        )
+        history.add_node(SyncLog(*_node_fields(node)))
         if v1_clocks is not None:
             v1_clocks.append(
                 (f"history.nodes[{index}].clock", node["uid"], _v1_clock(node["clock"]))
@@ -397,15 +429,13 @@ def _record_body(record: ExecutionRecord) -> dict[str, Any]:
         "breakpoint": dataclasses.asdict(record.breakpoint_hit)
         if record.breakpoint_hit
         else None,
-        "shared_final": {k: encode_value(v) for k, v in record.shared_final.items()},
-        "shared_initial": {k: encode_value(v) for k, v in record.shared_initial.items()},
+        "shared_final": record.shared_final,
+        "shared_initial": record.shared_initial,
         "total_steps": record.total_steps,
         "preemptions": record.preemptions,
         "context_switches": record.context_switches,
         "process_names": {str(k): v for k, v in record.process_names.items()},
-        "spawn_args": {
-            str(k): [encode_value(a) for a in v] for k, v in record.spawn_args.items()
-        },
+        "spawn_args": {str(k): v for k, v in record.spawn_args.items()},
         "process_steps": {str(k): v for k, v in record.process_steps.items()},
         "sync_state": dataclasses.asdict(record.sync_state),
         "inputs_consumed": record.inputs_consumed,
@@ -413,10 +443,10 @@ def _record_body(record: ExecutionRecord) -> dict[str, Any]:
 
 
 def _canonical(body: dict[str, Any]) -> str:
-    """Sorted-key compact JSON: the form the content digest covers, so
-    the digest survives any round trip that preserves values (including
-    key reordering)."""
-    return json.dumps(body, separators=(",", ":"), sort_keys=True)
+    """Sorted-key compact JSON, arrays encoded: the form the content
+    digest covers, so the digest survives any round trip that preserves
+    values (including key reordering)."""
+    return json.dumps(body, separators=(",", ":"), sort_keys=True, default=encode_value)
 
 
 def _content_digest(body: dict[str, Any]) -> str:

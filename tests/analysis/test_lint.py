@@ -228,3 +228,35 @@ class TestObsCounters:
         snapshot = registry.snapshot()
         assert snapshot.get("analysis.lint.diagnostics") == len(result.diagnostics)
         assert snapshot.get("analysis.lint.errors") == len(result.errors)
+
+
+class TestReusesTheCompile:
+    def test_lint_computes_no_use_def_sets(self, monkeypatch):
+        """lint_compiled reads the reaching definitions the compile's static
+        graph holds, so it computes no statement's USE/DEF sets again."""
+        from repro.analysis import dataflow
+        from repro.workloads import ring_allreduce
+
+        compiled = compile_program(ring_allreduce(32, deviant=5))
+        original = dataflow.stmt_use_def
+        computed = []
+
+        def counted(stmt, summaries):
+            computed.append(stmt.node_id)
+            return original(stmt, summaries)
+
+        monkeypatch.setattr(dataflow, "stmt_use_def", counted)
+        lint_compiled(compiled)
+        assert computed == []
+
+    @pytest.mark.parametrize("code", CODES)
+    def test_standalone_lint_agrees(self, code):
+        """run_lint, which builds its own analyses, finds what
+        lint_compiled finds over the compile's."""
+        from repro.analysis.lint import run_lint
+        from repro.analysis.symbols import check_program
+        from repro.lang import parse
+
+        program = parse(FIXTURES[code])
+        standalone = run_lint(program, check_program(program))
+        assert standalone.to_json() == lint_source(FIXTURES[code]).to_json()

@@ -46,6 +46,34 @@ class TestSessionStart:
         assert again is first
         assert session.replay_count() == 1
 
+    @pytest.mark.parametrize(
+        "source, seed, inputs",
+        [
+            (buggy_average(5), 0, [10, 20, 30, 40, 50]),
+            (fig53_program(), 1, None),
+        ],
+        ids=["halted-starts-at-an-open-interval", "completed-starts-at-a-root"],
+    )
+    def test_start_indexes_each_log_once(self, monkeypatch, source, seed, inputs):
+        """Opening a session and starting it builds each log's interval
+        index once: the start picks its interval from the emulation
+        package's index instead of indexing the log again."""
+        from repro.core import emulation
+        from repro.runtime import logging as runtime_logging
+
+        build = runtime_logging.build_interval_index
+        built = []
+
+        def counted(log):
+            built.append(log.pid)
+            return build(log)
+
+        monkeypatch.setattr(emulation, "build_interval_index", counted)
+        monkeypatch.setattr(runtime_logging, "build_interval_index", counted)
+        record = run_program(source, seed=seed, inputs=inputs)
+        PPDSession(record).start()
+        assert sorted(built) == sorted(record.logs)
+
 
 class TestIncrementalExpansion:
     def test_subgraph_expansion_adds_detail(self):
