@@ -13,26 +13,12 @@ Quickstart::
     session = PPDSession(record)
     session.start()                      # replay the halting e-block
     tree = session.why_value("average")  # flowback: why this value?
+
+Each exported name is imported on first use (:mod:`repro._lazy`), so
+``import repro`` loads none of the debugger.
 """
 
-from . import obs
-from .compiler import CompiledProgram, EBlockPolicy, compile_program
-from .core import (
-    EmulationPackage,
-    PPDSession,
-    ParallelDynamicGraph,
-    analyze_deadlock,
-    find_races_indexed,
-    find_races_naive,
-    flowback,
-    is_race_free,
-    render_flowback,
-    render_parallel,
-    render_simplified,
-    why_value,
-)
-from .lang import parse, program_to_str
-from .runtime import ExecutionRecord, Machine, run_program
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -59,3 +45,21 @@ __all__ = [
     "run_program",
     "why_value",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "compiler.compile": ("CompiledProgram", "compile_program"),
+        "compiler.eblocks": ("EBlockPolicy",),
+        "core.controller": ("PPDSession",),
+        "core.deadlock": ("analyze_deadlock",),
+        "core.emulation": ("EmulationPackage",),
+        "core.flowback": ("flowback", "why_value"),
+        "core.parallel_graph": ("ParallelDynamicGraph",),
+        "core.races": ("find_races_indexed", "find_races_naive", "is_race_free"),
+        "core.render": ("render_flowback", "render_parallel", "render_simplified"),
+        "lang.parser": ("parse",),
+        "lang.pretty": ("program_to_str",),
+        "runtime.machine": ("ExecutionRecord", "Machine", "run_program"),
+    },
+)

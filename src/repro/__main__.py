@@ -1,8 +1,8 @@
-"""``python -m repro`` — the ``ppd`` command (serve / connect)."""
+"""``python -m repro`` — the ``ppd`` command (see :mod:`repro.ppd`)."""
 
 import sys
 
-from .core.cli import main
+from .ppd import main
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -9,6 +9,7 @@ simplified static graph with synchronization units, and the program
 database.
 """
 
+from .._lazy import lazy_exports
 from .cfg import CFG, CFGNode, build_cfg, build_cfgs
 from .database import IdentifierSites, ProgramDatabase
 from .dataflow import (
@@ -56,25 +57,6 @@ from .simplified import (
 )
 from .symbols import SemanticChecker, SymbolTable, VarInfo, check_program
 from .varsets import BitVarSet, FrozenVarSet, VariableRegistry, make_varset
-
-#: repro.analysis.effects names re-exported lazily: the module imports
-#: repro.vm (for opcode tables), which transitively imports the compiler,
-#: so an eager import here would close a cycle during package init.
-_EFFECTS_NAMES = (
-    "CodeEffects",
-    "ProgramEffects",
-    "analyze_code",
-    "analyze_program",
-    "effect_max",
-)
-
-
-def __getattr__(name):
-    if name in _EFFECTS_NAMES:
-        from . import effects
-
-        return getattr(effects, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AccessSite",
@@ -141,3 +123,19 @@ __all__ = [
     "stmt_defs",
     "stmt_uses",
 ]
+
+#: repro.analysis.effects is exported lazily: it imports repro.vm (for
+#: opcode tables), which transitively imports the compiler, so an eager
+#: import here would close a cycle during package init.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "effects": (
+            "CodeEffects",
+            "ProgramEffects",
+            "analyze_code",
+            "analyze_program",
+            "effect_max",
+        ),
+    },
+)

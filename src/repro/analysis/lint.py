@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from ..lang import ast
 from ..obs import hooks as _obs
@@ -372,13 +372,16 @@ def _check_uninit(
         cfg = cfgs[proc.name]
         reach = reaching[proc.name]
         params = {p.name for p in proc.params}
-        # Accept parameters are bound by the accept node itself.
-        accept_params = {
-            p.name
-            for stmt in ast.walk_statements(proc.body)
-            if isinstance(stmt, ast.Accept)
-            for p in stmt.params
-        }
+        # Accept parameters are bound by the accept node itself.  Bare
+        # declarations (no initialiser) are collected by name in the same
+        # walk, the one walk of the procedure this check makes.
+        accept_params: set[str] = set()
+        bare_decls: dict[str, list[ast.VarDecl]] = {}
+        for stmt in ast.walk_statements(proc.body):
+            if isinstance(stmt, ast.Accept):
+                accept_params.update(p.name for p in stmt.params)
+            elif isinstance(stmt, ast.VarDecl) and stmt.init is None:
+                bare_decls.setdefault(stmt.name, []).append(stmt)
         locals_here = set(table.locals.get(proc.name, ()))
         flaggable = locals_here - params - accept_params
         reported: set[tuple[str, int]] = set()
@@ -392,12 +395,8 @@ def _check_uninit(
                 # Uninitialized declarations still *define* (the runtime
                 # assigns a default), so only flag when no definition of
                 # any kind reaches the use on some path.
-                decl_defines = any(
-                    isinstance(s, ast.VarDecl) and s.name == var and s.init is None
-                    for s in ast.walk_statements(proc.body)
-                )
                 if (var, -1) in reach.reach_in[node_id] and not _decl_reaches(
-                    reach, cfg, proc, var, node_id
+                    cfg, bare_decls.get(var, ()), node_id
                 ):
                     key = (var, stmt.line)
                     if key in reported:
@@ -405,7 +404,7 @@ def _check_uninit(
                     reported.add(key)
                     hint = (
                         " (declared, but not on every path to this use)"
-                        if decl_defines
+                        if var in bare_decls
                         else ""
                     )
                     diags.append(
@@ -421,18 +420,11 @@ def _check_uninit(
     return diags
 
 
-def _decl_reaches(reach, cfg: CFG, proc: ast.ProcDef, var: str, use_node: int) -> bool:
-    """True when an uninitialized ``VarDecl`` of *var* reaches the use on
-    every path (i.e. the entry pseudo-def only survives because a bare
+def _decl_reaches(cfg: CFG, decls: Iterable[ast.VarDecl], use_node: int) -> bool:
+    """True when the bare declarations *decls* of a variable reach the use
+    on every path (i.e. the entry pseudo-def only survives because a bare
     declaration generates no definition in the dataflow)."""
-    decl_nodes = {
-        cfg.node_of_stmt[s.node_id]
-        for s in ast.walk_statements(proc.body)
-        if isinstance(s, ast.VarDecl)
-        and s.name == var
-        and s.init is None
-        and s.node_id in cfg.node_of_stmt
-    }
+    decl_nodes = {cfg.node_of_stmt[s.node_id] for s in decls if s.node_id in cfg.node_of_stmt}
     if not decl_nodes:
         return False
     # Every entry->use path must pass a declaration node: check by removing

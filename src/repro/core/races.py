@@ -74,9 +74,26 @@ def _edge_conflicts(e1: InternalEdge, e2: InternalEdge) -> list[tuple[str, str]]
     return conflicts
 
 
-def _sites_for(edge: InternalEdge, var: str) -> tuple[tuple[int, str], ...]:
-    sites = [s for s in edge.segment.read_sites + edge.segment.write_sites if s[1] == var]
-    return tuple(sites[:8])
+class _SiteIndex:
+    """Each reported segment's access sites by variable, built once per
+    scan on the segment's first race: its read sites, then its write
+    sites, the first 8 per variable."""
+
+    def __init__(self) -> None:
+        self._by_segment: dict[int, dict[str, tuple[tuple[int, str], ...]]] = {}
+
+    def sites(self, edge: InternalEdge, var: str) -> tuple[tuple[int, str], ...]:
+        segment = edge.segment
+        by_var = self._by_segment.get(segment.seg_id)
+        if by_var is None:
+            grouped: dict[str, list[tuple[int, str]]] = {}
+            for site in segment.read_sites:
+                grouped.setdefault(site[1], []).append(site)
+            for site in segment.write_sites:
+                grouped.setdefault(site[1], []).append(site)
+            by_var = {name: tuple(found[:8]) for name, found in grouped.items()}
+            self._by_segment[segment.seg_id] = by_var
+        return by_var.get(var, ())
 
 
 def _race_order(race: Race) -> tuple[int, int, str, str]:
@@ -85,12 +102,10 @@ def _race_order(race: Race) -> tuple[int, int, str, str]:
     return (race.seg_id_a, race.seg_id_b, race.variable, race.kind)
 
 
-def _make_races(
-    graph: ParallelDynamicGraph, e1: InternalEdge, e2: InternalEdge
-) -> list[Race]:
+def _make_races(e1: InternalEdge, e2: InternalEdge, site_index: _SiteIndex) -> list[Race]:
     races = []
+    first, second = (e1, e2) if e1.segment.seg_id < e2.segment.seg_id else (e2, e1)
     for var, kind in _edge_conflicts(e1, e2):
-        first, second = (e1, e2) if e1.segment.seg_id < e2.segment.seg_id else (e2, e1)
         races.append(
             Race(
                 variable=var,
@@ -99,8 +114,8 @@ def _make_races(
                 seg_id_b=second.segment.seg_id,
                 pid_a=first.pid,
                 pid_b=second.pid,
-                sites_a=_sites_for(first, var),
-                sites_b=_sites_for(second, var),
+                sites_a=site_index.sites(first, var),
+                sites_b=site_index.sites(second, var),
             )
         )
     return races
@@ -119,6 +134,7 @@ def find_races_naive(
     """
     graph = _as_graph(history_or_graph)
     result = RaceScanResult()
+    site_index = _SiteIndex()
     edges = graph.internal_edges
     seen: set[tuple[int, int, str]] = set()
     for i, e1 in enumerate(edges):
@@ -137,7 +153,7 @@ def find_races_naive(
             result.order_checks += 1
             if not graph.simultaneous(e1, e2):
                 continue
-            for race in _make_races(graph, e1, e2):
+            for race in _make_races(e1, e2, site_index):
                 key = (race.seg_id_a, race.seg_id_b, race.variable)
                 if key not in seen:
                     seen.add(key)
@@ -184,27 +200,28 @@ def find_races_indexed(
             writers.setdefault(var, []).append(edge)
 
     seen: set[tuple[int, int, str]] = set()
+    site_index = _SiteIndex()
 
     def check(var: str, kind: str, e1: InternalEdge, e2: InternalEdge) -> None:
-        if e1.pid == e2.pid or e1.segment.seg_id == e2.segment.seg_id:
+        id1, id2 = e1.segment.seg_id, e2.segment.seg_id
+        if e1.pid == e2.pid or id1 == id2:
             return
-        a, b = sorted((e1.segment.seg_id, e2.segment.seg_id))
-        key = (a, b, var)
+        key = (id1, id2, var) if id1 < id2 else (id2, id1, var)
         if key in seen:
             return
         if index.simultaneous(e1, e2):
             seen.add(key)
-            first, second = (e1, e2) if e1.segment.seg_id == a else (e2, e1)
+            first, second = (e1, e2) if id1 < id2 else (e2, e1)
             result.races.append(
                 Race(
                     variable=var,
                     kind=kind,
-                    seg_id_a=a,
-                    seg_id_b=b,
+                    seg_id_a=key[0],
+                    seg_id_b=key[1],
                     pid_a=first.pid,
                     pid_b=second.pid,
-                    sites_a=_sites_for(first, var),
-                    sites_b=_sites_for(second, var),
+                    sites_a=site_index.sites(first, var),
+                    sites_b=site_index.sites(second, var),
                 )
             )
 
@@ -234,8 +251,9 @@ def find_races_indexed(
                 ):
                     result.pairs_pruned += 1
                     continue
-                if (var, WRITE_WRITE) in _edge_conflicts(e1, e2):
-                    # Covered by the write/write report above.
+                if var in e2.segment.writes:
+                    # e1 writes var too: covered by the write/write
+                    # report above.
                     continue
                 check(var, READ_WRITE, e1, e2)
 

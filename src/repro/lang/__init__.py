@@ -13,11 +13,7 @@ front end and the AST:
   (:class:`LexError`, :class:`ParseError`, both :class:`PCLError`).
 """
 
-from . import ast
-from .errors import LexError, ParseError, PCLError, SemanticError
-from .lexer import tokenize
-from .parser import BUILTINS, Parser, parse
-from .pretty import expr_to_str, program_to_str, statement_source, stmt_to_str
+from .._lazy import lazy_exports
 
 __all__ = [
     "ast",
@@ -34,3 +30,13 @@ __all__ = [
     "stmt_to_str",
     "tokenize",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "errors": ("LexError", "ParseError", "PCLError", "SemanticError"),
+        "lexer": ("tokenize",),
+        "parser": ("BUILTINS", "Parser", "parse"),
+        "pretty": ("expr_to_str", "program_to_str", "statement_source", "stmt_to_str"),
+    },
+)

@@ -31,10 +31,10 @@ from __future__ import annotations
 import os
 from typing import Optional
 
+from .._lazy import lazy_exports
+# Eager: replay_cache() and configure_cache() below read ReplayCache as a
+# module global, which a module __getattr__ does not serve.
 from .cache import CacheStats, ReplayCache, record_digest
-from .order_index import OrderIndex
-from .pool import ReplayPool, default_jobs
-from .shm import SEGMENT_PREFIX, RecordSegment, leaked_segments
 
 __all__ = [
     "SEGMENT_PREFIX",
@@ -50,6 +50,15 @@ __all__ = [
     "replay_cache",
     "reset",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "order_index": ("OrderIndex",),
+        "pool": ("ReplayPool", "default_jobs"),
+        "shm": ("SEGMENT_PREFIX", "RecordSegment", "leaked_segments"),
+    },
+)
 
 #: Environment override: a directory for the shared cache's persistent
 #: write-through spill.  Content-addressed by record digest, so any

@@ -44,6 +44,13 @@ from ..obs import hooks as _obs
 from ..compiler.compile import compile_program
 from ..compiler.eblocks import EBlockPolicy
 from ..lang.errors import PCLError
+from .errors import (
+    PersistError,
+    RecordCorruptError,
+    RecordDigestError,
+    RecordIOError,
+    RecordVersionError,
+)
 from .logging import (
     ENTRY_SHAPES,
     VALUE_ATTRS,
@@ -65,58 +72,6 @@ from .machine import (
 from .tracing import Segment, SyncHistory
 
 FORMAT_VERSION = 2
-
-
-class PersistError(ValueError):
-    """A saved record could not be read.
-
-    Raised on corrupt JSON, a missing/future ``version`` field, a
-    structurally broken envelope, a content-digest mismatch, or an
-    unreadable file — always instead of a raw ``KeyError`` /
-    ``json.JSONDecodeError`` / ``OSError`` escaping to the caller.
-    Carries the offending ``path`` (when loading from a file) and
-    ``field`` (the envelope key that was missing or malformed) so a
-    debug service can return a structured error instead of a stack
-    trace; after quarantine, ``quarantined`` names where the bad file
-    was moved.
-
-    The subclasses form the typed error vocabulary of DESIGN §3.13:
-
-    * :class:`RecordCorruptError` — not JSON / broken envelope,
-    * :class:`RecordVersionError` — missing or unsupported version,
-    * :class:`RecordDigestError` — envelope parses but its content
-      digest does not match (bit rot, tampering, torn write),
-    * :class:`RecordIOError` — the file itself cannot be read.
-    """
-
-    def __init__(
-        self, message: str, *, path: str | None = None, field: str | None = None
-    ) -> None:
-        detail = message
-        if field is not None:
-            detail += f" (field {field!r})"
-        if path is not None:
-            detail += f" [{path}]"
-        super().__init__(detail)
-        self.path = path
-        self.field = field
-        self.quarantined: str | None = None
-
-
-class RecordCorruptError(PersistError):
-    """The document is not valid JSON or its envelope is broken."""
-
-
-class RecordVersionError(PersistError):
-    """The document's ``version`` is missing or not readable by this build."""
-
-
-class RecordDigestError(PersistError):
-    """The document parses but fails its content-digest check."""
-
-
-class RecordIOError(PersistError):
-    """The record file could not be read at all."""
 
 
 #: What decoding or compiling a malformed envelope raises; each becomes a

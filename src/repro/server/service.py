@@ -28,7 +28,7 @@ from typing import Any, Optional, Union
 from ..faults import state as _flt
 from ..lang.errors import PCLError
 from ..obs import hooks as _obs
-from ..runtime.persist import PersistError
+from ..runtime.errors import PersistError
 from .breaker import CircuitBreaker
 from .protocol import (
     MAX_LINE_BYTES,

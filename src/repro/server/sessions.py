@@ -19,6 +19,10 @@ multi-tenant service needs:
 All public methods are thread-safe: a manager lock guards the table and
 LRU order, a per-session lock serialises command execution (two clients
 sharing one session see a consistent interleaving).
+
+The methods that open, load, spill or rehydrate a session import the
+debugger (:class:`PPDCommandLine`, the runtime, persist) when they run,
+so a daemon loads it with its first session, not before it listens.
 """
 
 from __future__ import annotations
@@ -30,14 +34,37 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
-from ..core.cli import PPDCommandLine
 from ..faults import state as _flt
 from ..obs import hooks as _obs
 from ..perf import ReplayCache, replay_cache
-from ..runtime.machine import ExecutionRecord, run_program
-from ..runtime.persist import PersistError, load_record, record_from_json, record_to_json
+from ..runtime.errors import PersistError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; the engine loads on demand
+    from ..core.cli import PPDCommandLine
+    from ..runtime.machine import ExecutionRecord
+
+#: Serialises the daemon's first import of the debugger engine.  Requests
+#: run on their own threads, and two sessions opening at once would
+#: otherwise import overlapping engine packages from two threads, which
+#: can fail ("partially initialized module") or be refused as an import
+#: deadlock.
+_engine_lock = threading.Lock()
+
+
+def _load_engine() -> None:
+    """Import the engine a session runs on: the command line and the
+    session over it (:mod:`repro.core`), persist with the runtime and
+    compiler it imports, and the VM that runs and replays programs.
+
+    Every method that opens a session calls this first, so each later
+    engine import in this module finds its module loaded."""
+    with _engine_lock:
+        from .. import vm  # noqa: F401
+        from ..core import cli  # noqa: F401
+        from ..runtime import persist  # noqa: F401
+
 
 #: Commands that mutate session state and must be replayed on rehydration.
 #: Everything else (flowback, races, rendering) is a pure query over the
@@ -85,6 +112,8 @@ def _build_cli(record: ExecutionRecord, cache: Optional[ReplayCache] = None) -> 
     """A command line over *record*; deadlocked/odd records that cannot
     autostart fall back to a cold session (same behaviour every time, so
     rehydration stays deterministic)."""
+    from ..core.cli import PPDCommandLine
+
     try:
         return PPDCommandLine(record, cache=cache)
     except (KeyError, ValueError):
@@ -138,16 +167,25 @@ class SessionManager:
         inputs: Optional[list[Any]] = None,
     ) -> tuple[str, dict[str, Any]]:
         """Execute *source* (logged mode) and open a session over the run."""
+        _load_engine()
+        from ..runtime.machine import run_program
+
         record = run_program(source, seed=seed, inputs=inputs, mode="logged")
         return self._admit(record, origin=f"program(seed={seed})")
 
     def open_record_json(self, text: str) -> tuple[str, dict[str, Any]]:
         """Open a session over an uploaded persist-record document; the
         verified upload itself becomes the session's spill."""
+        _load_engine()
+        from ..runtime.persist import record_from_json
+
         return self._admit(record_from_json(text), origin="upload", text=text)
 
     def open_record_path(self, path: str) -> tuple[str, dict[str, Any]]:
         """Open a session over a record file on the server's filesystem."""
+        _load_engine()
+        from ..runtime.persist import load_record
+
         return self._admit(load_record(path), origin=path)
 
     def _admit(
@@ -159,6 +197,8 @@ class SessionManager:
         persist content digest is the replay-cache key), so starting the
         session serialises nothing more."""
         if text is None:
+            from ..runtime.persist import record_to_json
+
             text = record_to_json(record)
         cli = self._make_cli(record)
         now = self._time()
@@ -204,6 +244,8 @@ class SessionManager:
                 if command == "load":
                     # The session now debugs a different record: re-spill
                     # it and start the journal over.
+                    from ..runtime.persist import record_to_json
+
                     with open(entry.spill_path, "w") as handle:
                         handle.write(record_to_json(cli.record))
                     entry.journal.clear()
@@ -345,6 +387,8 @@ class SessionManager:
                 raise PersistError(
                     "injected rehydrate failure (repro.faults session.rehydrate)"
                 )
+            from ..runtime.persist import load_record
+
             record = load_record(entry.spill_path)
             cli = self._make_cli(record)
             for line in entry.journal:

@@ -249,6 +249,25 @@ class TestReusesTheCompile:
         lint_compiled(compiled)
         assert computed == []
 
+    def test_lint_walks_each_procedure_a_bounded_number_of_times(self, monkeypatch):
+        """Lint walks each procedure a constant number of times (six on
+        this program: the uninit and unused checks, and four in the race
+        candidates and lock-cycle analyses), not once per use of a local."""
+        from repro.lang import ast
+        from repro.workloads import ring_allreduce
+
+        compiled = compile_program(ring_allreduce(32, deviant=5))
+        original = ast.walk_statements
+        walks = []
+
+        def counted(node):
+            walks.append(node)
+            return original(node)
+
+        monkeypatch.setattr(ast, "walk_statements", counted)
+        lint_compiled(compiled)
+        assert len(walks) <= 8 * len(compiled.program.procs)
+
     @pytest.mark.parametrize("code", CODES)
     def test_standalone_lint_agrees(self, code):
         """run_lint, which builds its own analyses, finds what
