@@ -108,10 +108,11 @@ class UseDefTable:
     """Each statement's (USE, DEF) sets, computed at most once per table.
 
     ``compile_program`` builds one table right after the REF/MOD summaries
-    and hands it to the static graph, the simplified graphs, liveness and
-    the e-block builder, so a compile computes each statement's sets once.
-    A builder called without one makes its own.  The sets are shared:
-    nobody may change them.
+    and hands it to the simplified graphs, liveness and the e-block
+    builder; the compiled program keeps it for the static graph it builds
+    on first read.  So each statement's sets are computed once.  A builder
+    called without one makes its own.  The sets are shared: nobody may
+    change them.
     """
 
     def __init__(self, summaries: Summaries) -> None:

@@ -165,9 +165,11 @@ def run_lint(
 def lint_compiled(compiled, candidates: Optional[RaceCandidates] = None) -> LintResult:
     """Lint a ``CompiledProgram``-shaped bundle (attribute access only).
 
-    The uninit and dead-store checks read the reaching definitions the
-    compile's static graph holds, so lint computes no statement's USE/DEF
-    sets again.
+    The uninit and dead-store checks read the reaching definitions that
+    ``compiled.static_graph`` holds.  A compile does not build that graph:
+    the first read (usually this one) builds it from the compile's CFGs,
+    summaries and USE/DEF table, so lint computes no statement's USE/DEF
+    sets again, and a second lint reuses the graph.
     """
     reaching = {name: graph.reaching for name, graph in compiled.static_graph.procs.items()}
     return _lint(

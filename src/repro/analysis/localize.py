@@ -68,19 +68,6 @@ def canonical_name(name: str) -> str:
     return _DIGITS.sub("#", name)
 
 
-@dataclass(frozen=True)
-class SyncUnitShape:
-    """One canonicalized sync unit: the internal edge(s) leading to a sync
-    node, merged across ``unblock`` boundaries (those are schedule
-    artifacts, not program behaviour)."""
-
-    op: str  # canonical (op, obj) label of the closing sync node
-    steps: int  # statements executed on the internal edge(s)
-    events: int  # shared-memory events on the internal edge(s)
-    reads: tuple[str, ...]  # canonical shared reads
-    writes: tuple[str, ...]  # canonical shared writes
-
-
 @dataclass
 class ProcessSignature:
     """The canonical behavioural signature of one process's subgraph."""
@@ -91,13 +78,9 @@ class ProcessSignature:
     ops: tuple[str, ...]  # canonical sync-op sequence, unblocks excluded
     sends: dict[str, int]  # canonical channel -> send count
     recvs: dict[str, int]  # canonical channel -> recv count
-    units: tuple[SyncUnitShape, ...]
+    #: per-sync-unit work: statements executed plus shared-memory events
+    work: tuple[int, ...]
     touched: frozenset  # canonical shared variables read or written
-
-    @property
-    def work(self) -> tuple[int, ...]:
-        """Per-unit work: statements executed plus shared-memory events."""
-        return tuple(unit.steps + unit.events for unit in self.units)
 
     @property
     def total_work(self) -> int:
@@ -247,73 +230,74 @@ class LocalizeResult:
 # --------------------------------------------------------------------------
 
 
+class _Folded(dict):
+    """Name -> :func:`canonical_name`, folding each distinct name once."""
+
+    def __missing__(self, name: str) -> str:
+        folded = self[name] = canonical_name(name)
+        return folded
+
+
 def extract_signature(
     graph: "ParallelDynamicGraph", pid: int, name: str
 ) -> ProcessSignature:
     """Extract *pid*'s event subgraph and canonicalize it into a signature."""
+    return _signature(graph, pid, name, _Folded())
+
+
+def _signature(
+    graph: "ParallelDynamicGraph", pid: int, name: str, fold: _Folded
+) -> ProcessSignature:
     if _obs.enabled:
         _obs.on_subgraph_extract(pid)
     history = graph.history
-    nodes = [history.nodes[uid] for uid in history.per_process.get(pid, ())]
-    op_of_uid = {node.uid: (node.op, node.obj) for node in nodes}
-
     ops = []
     sends: Counter = Counter()
     recvs: Counter = Counter()
-    for node in nodes:
-        if node.op == "unblock":
-            continue  # a schedule artifact (whether a send had to wait)
-        label = f"{node.op}({canonical_name(node.obj)})"
-        ops.append(label)
-        if node.op == "send":
-            sends[canonical_name(node.obj)] += 1
-        elif node.op == "recv":
-            recvs[canonical_name(node.obj)] += 1
+    unblocks = set()
+    for uid in history.per_process.get(pid, ()):
+        node = history.nodes[uid]
+        op = node.op
+        if op == "unblock":
+            unblocks.add(uid)  # a schedule artifact (whether a send had to wait)
+            continue
+        obj = fold[node.obj]
+        ops.append(f"{op}({obj})")
+        if op == "send":
+            sends[obj] += 1
+        elif op == "recv":
+            recvs[obj] += 1
 
     # Internal edges, merged across unblock boundaries: a blocked send
     # splits one program-level sync unit into two segments whose boundary
-    # carries zero behaviour.
-    units: list[SyncUnitShape] = []
-    pending_steps = 0
-    pending_events = 0
-    pending_reads: set[str] = set()
-    pending_writes: set[str] = set()
-    touched: set[str] = set()
-    for edge in graph.edges_of(pid):
-        seg = edge.segment
-        pending_steps += seg.step_count
-        pending_events += seg.event_count
-        pending_reads.update(canonical_name(v) for v in seg.reads)
-        pending_writes.update(canonical_name(v) for v in seg.writes)
-        end = op_of_uid.get(seg.end_uid) if seg.end_uid is not None else None
-        if end is not None and end[0] == "unblock":
-            continue
-        label = f"{end[0]}({canonical_name(end[1])})" if end else "(open)"
-        units.append(
-            SyncUnitShape(
-                op=label,
-                steps=pending_steps,
-                events=pending_events,
-                reads=tuple(sorted(pending_reads)),
-                writes=tuple(sorted(pending_writes)),
-            )
-        )
-        touched.update(pending_reads)
-        touched.update(pending_writes)
-        pending_steps, pending_events = 0, 0
-        pending_reads, pending_writes = set(), set()
+    # carries zero behaviour.  A trailing run that ends at an unblock
+    # closes no unit, so neither its work nor its variables count.
+    segments = [edge.segment for edge in graph.edges_of(pid)]
+    work = []
+    pending = 0
+    closed = 0
+    for position, seg in enumerate(segments, start=1):
+        pending += seg.step_count + seg.event_count
+        if seg.end_uid not in unblocks:
+            work.append(pending)
+            pending = 0
+            closed = position
+    raw: set[str] = set()
+    for seg in segments[:closed]:
+        raw.update(seg.reads)
+        raw.update(seg.writes)
 
     if _obs.enabled:
         _obs.on_signature_build(pid)
     return ProcessSignature(
         pid=pid,
         name=name,
-        group=canonical_name(name),
+        group=fold[name],
         ops=tuple(ops),
         sends=dict(sends),
         recvs=dict(recvs),
-        units=tuple(units),
-        touched=frozenset(touched),
+        work=tuple(work),
+        touched=frozenset({fold[var] for var in raw}),
     )
 
 
@@ -351,7 +335,6 @@ def build_consensus(group: str, members: list[ProcessSignature]) -> Consensus:
         for key in sorted(keys)
     }
 
-    # ``work`` builds a fresh tuple per read: read it once per member.
     works = [sig.work for sig in members]
     depth = max(len(work) for work in works)
     columns = [
@@ -476,8 +459,9 @@ def localize_graph(
     graph: "ParallelDynamicGraph", process_names: dict[int, str]
 ) -> LocalizeResult:
     """Localize over an already-built parallel dynamic graph."""
+    fold = _Folded()
     signatures = [
-        extract_signature(graph, pid, name)
+        _signature(graph, pid, name, fold)
         for pid, name in sorted(process_names.items())
     ]
     groups: dict[str, list[ProcessSignature]] = {}

@@ -51,7 +51,7 @@ def run_with_full_trace(
     record = machine.run()
     assert record.tracer is not None
     if build_graph:
-        builder = DynamicGraphBuilder(compiled.static_graph, compiled.database)
+        builder = DynamicGraphBuilder(compiled.cfgs, compiled.database)
         builder.add_events(record.tracer.events)
         builder.add_sync_edges(record.history, record.trace_of_sync)
         graph = builder.graph

@@ -7,23 +7,28 @@ reproduction the "object code" and the "emulation package" are one
 machine, the bytecode VM (:mod:`repro.vm`), driven by different plans:
 a logged run writes the log and replay re-executes e-blocks from it.
 So :class:`CompiledProgram` carries every preparatory-phase artifact in
-one bundle, plus the VM's lazily-built lowering (:meth:`vm_code`).
+one bundle.  Two are built on first read, because no run or session
+needs them: the VM's lowering (:meth:`vm_code`) and the static program
+dependence graph (:attr:`static_graph`), which only lint reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..lang import ast, parse
 from ..analysis.cfg import CFG, build_cfgs
 from ..analysis.database import ProgramDatabase
 from ..analysis.dataflow import Summaries, UseDefTable
-from ..analysis.dependence import StaticGraph, build_static_graph
 from ..analysis.interproc import CallGraph, build_call_graph, compute_summaries
 from ..analysis.simplified import SimplifiedGraph, build_simplified_graphs
 from ..analysis.symbols import SymbolTable, check_program
 from .eblocks import EBlockPolicy, EBlockSet, build_eblocks
 from .instrument import InstrumentationPlan, build_instrumentation_plan
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..analysis.dependence import StaticGraph
 
 
 @dataclass
@@ -35,7 +40,8 @@ class CompiledProgram:
     call_graph: CallGraph
     summaries: Summaries
     cfgs: dict[str, CFG]
-    static_graph: StaticGraph
+    #: each statement's USE/DEF sets, shared by every analysis that reads them
+    use_def: UseDefTable
     simplified: dict[str, SimplifiedGraph]
     database: ProgramDatabase
     eblocks: EBlockSet
@@ -47,6 +53,30 @@ class CompiledProgram:
 
     def proc(self, name: str) -> ast.ProcDef:
         return self.program.proc(name)
+
+    @property
+    def static_graph(self) -> "StaticGraph":
+        """The static program dependence graph (§4.1), built on first read.
+
+        It reuses the compile's call graph, summaries, CFGs and USE/DEF
+        table.  The whole graph is built before one assignment publishes
+        it, so threads racing on a first read each build an equal graph
+        and none reads a partial one.
+        """
+        graph = self.__dict__.get("_static_graph")
+        if graph is None:
+            from ..analysis.dependence import build_static_graph
+
+            graph = build_static_graph(
+                self.program,
+                self.table,
+                self.call_graph,
+                self.summaries,
+                self.cfgs,
+                self.use_def,
+            )
+            self.__dict__["_static_graph"] = graph
+        return graph
 
     def vm_code(self):
         """The lazily-built bytecode lowering of this program (repro.vm).
@@ -63,10 +93,12 @@ class CompiledProgram:
         return cache
 
     def __getstate__(self):
-        # The bytecode cache holds AST back-references only; rebuild it
-        # on the far side instead of shipping it in replay-pool blobs.
+        # The bytecode cache and the static graph are derived from what
+        # is shipped; rebuild them on the far side (on first read) instead
+        # of shipping them in replay-pool blobs.
         state = dict(self.__dict__)
         state.pop("_vm_cache", None)
+        state.pop("_static_graph", None)
         return state
 
     def __setstate__(self, state):
@@ -81,7 +113,9 @@ def compile_program(
     Accepts either source text or an already-parsed :class:`Program`.
     Each analysis is built once and shared with those that read it: the
     call graph, the REF/MOD summaries, the CFGs and each statement's
-    USE/DEF sets (:class:`~repro.analysis.dataflow.UseDefTable`).
+    USE/DEF sets (:class:`~repro.analysis.dataflow.UseDefTable`).  The
+    static program dependence graph is not built here; the compiled
+    program builds it from these on first read.
     """
     program = parse(source) if isinstance(source, str) else source
     table = check_program(program)
@@ -89,7 +123,6 @@ def compile_program(
     summaries = compute_summaries(program, table, call_graph)
     use_def = UseDefTable(summaries)
     cfgs = build_cfgs(program)
-    static_graph = build_static_graph(program, table, call_graph, summaries, cfgs, use_def)
     simplified = build_simplified_graphs(program, table, summaries, cfgs, use_def)
     database = ProgramDatabase.build(program, table, call_graph, summaries)
     eblocks = build_eblocks(program, table, call_graph, summaries, cfgs, policy, use_def)
@@ -100,7 +133,7 @@ def compile_program(
         call_graph=call_graph,
         summaries=summaries,
         cfgs=cfgs,
-        static_graph=static_graph,
+        use_def=use_def,
         simplified=simplified,
         database=database,
         eblocks=eblocks,

@@ -290,7 +290,7 @@ class PPDCommandLine:
             return "usage: history <shared variable>"
         from .queries import access_history
 
-        history = access_history(self.record.history, var)
+        history = access_history(self.session.parallel_graph, var)
         if not history.accesses:
             return f"no recorded accesses to {var!r}"
         return history.describe()

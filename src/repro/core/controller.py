@@ -75,9 +75,7 @@ class PPDSession:
         self.record = record
         self.compiled = record.compiled
         self.emulation = EmulationPackage(record)
-        self.builder = DynamicGraphBuilder(
-            self.compiled.static_graph, self.compiled.database
-        )
+        self.builder = DynamicGraphBuilder(self.compiled.cfgs, self.compiled.database)
         self.parallel_graph = ParallelDynamicGraph.from_history(record.history)
         self._uid_base = 0
         self._race_candidates = None

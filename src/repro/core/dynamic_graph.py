@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
+from ..analysis.cfg import CFG
 from ..analysis.database import ProgramDatabase
-from ..analysis.dependence import StaticGraph
 from ..runtime.tracing import (
     EV_ASSERT,
     EV_CALL,
@@ -169,8 +169,8 @@ class DynamicGraphBuilder:
     replay's tracer gets its own base offset.
     """
 
-    def __init__(self, static_graph: StaticGraph, database: ProgramDatabase) -> None:
-        self.static = static_graph
+    def __init__(self, cfgs: dict[str, CFG], database: ProgramDatabase) -> None:
+        self.cfgs = cfgs
         self.database = database
         self.graph = DynamicGraph()
         #: (frame_uid, predicate stmt node_id) -> most recent EV_PRED uid
@@ -182,21 +182,22 @@ class DynamicGraphBuilder:
         #: lazily created INITIAL nodes per variable key
         self._initial_nodes: dict[str, int] = {}
         self._initial_uid = -1000
-        #: static control-dependence: proc -> stmt node_id -> [(pred stmt node_id, label)]
-        self._static_cd = self._build_static_control_deps()
+        #: static control dependence, built for a procedure on its first
+        #: event: proc -> stmt node_id -> [(pred stmt node_id, label)]
+        self._static_cd: dict[str, dict[int, list[tuple[int, str]]]] = {}
         #: call event uid -> (enter uid, ret uid) once seen
         self._call_spans: dict[int, list[int]] = {}
         self._open_calls: dict[int, int] = {}  # enter frame uid -> call uid
 
-    def _build_static_control_deps(self) -> dict[str, dict[int, list[tuple[int, str]]]]:
+    def _proc_control_deps(self, proc: str) -> dict[int, list[tuple[int, str]]]:
+        """*proc*'s statement-level control dependences (empty when the
+        program has no such procedure), computed once."""
         from ..analysis.postdom import control_dependence
 
-        result: dict[str, dict[int, list[tuple[int, str]]]] = {}
-        for proc_name, proc_graph in self.static.procs.items():
-            cfg = proc_graph.cfg
-            deps = control_dependence(cfg)
-            per_stmt: dict[int, list[tuple[int, str]]] = {}
-            for cfg_node_id, parents in deps.items():
+        per_stmt: dict[int, list[tuple[int, str]]] = {}
+        cfg = self.cfgs.get(proc)
+        if cfg is not None:
+            for cfg_node_id, parents in control_dependence(cfg).items():
                 node = cfg.nodes[cfg_node_id]
                 if node.stmt is None:
                     continue
@@ -208,8 +209,8 @@ class DynamicGraphBuilder:
                     entries.append((pred_node.stmt.node_id, label))
                 if entries:
                     per_stmt[node.stmt.node_id] = entries
-            result[proc_name] = per_stmt
-        return result
+        self._static_cd[proc] = per_stmt
+        return per_stmt
 
     # ------------------------------------------------------------------
 
@@ -251,7 +252,9 @@ class DynamicGraphBuilder:
     def _control_dep(self, event: TraceEvent) -> None:
         """Dynamic control dependence: the latest instance of the statically
         governing predicate within the same activation record."""
-        per_stmt = self._static_cd.get(event.proc, {})
+        per_stmt = self._static_cd.get(event.proc)
+        if per_stmt is None:
+            per_stmt = self._proc_control_deps(event.proc)
         parents = per_stmt.get(event.node_id)
         if parents:
             for pred_node_id, label in parents:

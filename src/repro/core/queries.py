@@ -92,7 +92,11 @@ class AccessHistory:
 def access_history(
     history_or_graph: SyncHistory | ParallelDynamicGraph, variable: str
 ) -> AccessHistory:
-    """Collect and order every access to *variable* (§6.3's view)."""
+    """Collect and order every access to *variable* (§6.3's view).
+
+    Pass the session's graph to reuse its ordering index; each unordered
+    pair of accesses is tested once and recorded on both sides.
+    """
     graph = (
         history_or_graph
         if isinstance(history_or_graph, ParallelDynamicGraph)
@@ -105,13 +109,17 @@ def access_history(
     ]
     touching.sort(key=lambda e: graph.node(e.start_uid).timestamp)
 
+    index = graph.order_index()
+    concurrent: list[set[int]] = [set() for _ in touching]
+    for i, edge in enumerate(touching):
+        for j in range(i + 1, len(touching)):
+            other = touching[j]
+            if index.simultaneous(edge, other):
+                concurrent[i].add(other.segment.seg_id)
+                concurrent[j].add(edge.segment.seg_id)
+
     result = AccessHistory(variable=variable)
-    for edge in touching:
-        concurrent = frozenset(
-            other.segment.seg_id
-            for other in touching
-            if other is not edge and graph.simultaneous(edge, other)
-        )
+    for edge, unordered in zip(touching, concurrent):
         sites = tuple(
             site
             for site in edge.segment.read_sites + edge.segment.write_sites
@@ -123,7 +131,7 @@ def access_history(
                 reads=variable in edge.reads,
                 writes=variable in edge.writes,
                 sites=sites,
-                concurrent_with=concurrent,
+                concurrent_with=frozenset(unordered),
             )
         )
     return result

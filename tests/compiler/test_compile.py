@@ -1,13 +1,17 @@
 """The preparatory phase builds each analysis once (§3.2.1, Fig 3.1).
 
 ``compile_program`` shares the call graph, the REF/MOD summaries, the
-CFGs and each statement's USE/DEF sets it has built with the static graph,
-the simplified graphs, liveness and the e-block builder.  That is safe
-only while no consumer mutates them: every artifact must come out as a
-standalone build makes it, and the shared objects must stay as built.
+CFGs and each statement's USE/DEF sets it has built with the simplified
+graphs, liveness, the e-block builder and the static graph, which the
+compiled program builds on first read.  That is safe only while no
+consumer mutates them: every artifact must come out as a standalone
+build makes it, and the shared objects must stay as built.  Only lint
+reads the static graph, so no other path may build it.
 """
 
 import importlib
+import pickle
+import sys
 from collections import Counter
 
 import pytest
@@ -21,9 +25,14 @@ from repro.analysis import (
     compute_summaries,
     dataflow,
 )
+from repro.analysis import dependence
 from repro.analysis.lint import lint_compiled
 from repro.compiler import EBlockPolicy, build_eblocks, build_instrumentation_plan
+from repro.core.cli import PPDCommandLine
+from repro.ppd import main as ppd_main
 from repro.runtime import run_program
+from repro.runtime.persist import load_record, save_record
+from repro.workloads import ring_allreduce
 from tests.runtime.test_schedule_golden import PROGRAMS
 
 #: Every module of the compile path that names one of the builders.
@@ -88,6 +97,66 @@ def test_static_graph_matches_a_standalone_build(name):
         assert graph.edges == standalone.procs[proc].edges
 
 
+@pytest.fixture()
+def static_builds(monkeypatch):
+    """Counts every ``build_static_graph`` call, under every module's name for it."""
+    real = dependence.build_static_graph
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and vars(module).get("build_static_graph") is real:
+            monkeypatch.setattr(module, "build_static_graph", counting)
+    return calls
+
+
+def test_only_lint_builds_the_static_graph(static_builds, tmp_path):
+    """A compile, a logged run, a save and a load, ``ppd replay`` and a
+    session's questions build no static program dependence graph."""
+    compiled = compile_program(ring_allreduce(8, deviant=3))
+    record = run_program(compiled, seed=1)
+    path = tmp_path / "ring.ppd.json"
+    save_record(record, str(path))
+    loaded = load_record(str(path))
+    assert ppd_main(["replay", str(path), "--jobs", "1"]) == 0
+    cli = PPDCommandLine(loaded)
+    for line in ("why total", "races", "localize", "history total"):
+        cli.execute(line)
+    assert static_builds == []
+    assert "_static_graph" not in vars(compiled) and "_static_graph" not in vars(loaded.compiled)
+
+
+@pytest.mark.parametrize("first", ["lint", "read"])
+def test_the_first_read_builds_the_static_graph_once(static_builds, first):
+    compiled = compile_program(PROGRAMS["examples/locked_counters.pcl"])
+    assert static_builds == []
+    if first == "lint":
+        lint_compiled(compiled)
+    else:
+        compiled.static_graph
+    assert static_builds == [compiled.program]
+    graph = compiled.static_graph
+    lint_compiled(compiled)
+    assert compiled.static_graph is graph
+    assert len(static_builds) == 1
+
+
+def test_a_pickled_compile_carries_no_static_graph(static_builds):
+    compiled = compile_program(PROGRAMS["examples/locked_counters.pcl"])
+    graph = compiled.static_graph
+    blob = pickle.dumps(compiled)
+    assert b"StaticProcGraph" not in blob
+    clone = pickle.loads(blob)
+    assert len(static_builds) == 1
+    assert {proc: g.edges for proc, g in clone.static_graph.procs.items()} == {
+        proc: g.edges for proc, g in graph.procs.items()
+    }
+    assert len(static_builds) == 2
+
+
 @pytest.mark.parametrize("name", ["bank_race", "producer_consumer", "ring_allreduce"])
 def test_shared_analyses_stay_as_built(name):
     """A logged run, a debugging session, a race scan and lint read the
@@ -119,7 +188,8 @@ def test_each_statements_use_def_is_computed_once(monkeypatch, name, policy):
         return real(stmt, summaries)
 
     monkeypatch.setattr(dataflow, "stmt_use_def", counting)
-    compile_program(PROGRAMS[name], POLICIES[policy])
+    compiled = compile_program(PROGRAMS[name], POLICIES[policy])
+    assert compiled.static_graph.procs
     assert computed and max(computed.values()) == 1
 
 

@@ -1,10 +1,17 @@
 """Dynamic-graph builder unit tests (§4.2)."""
 
+from collections import Counter
+
+import pytest
+
 from repro import compile_program, PPDSession
+from repro.analysis import postdom
 from repro.baselines import run_with_full_trace
 from repro.core import DATA, FLOW, SINGULAR, SYNC_EDGE
+from repro.core.cli import PPDCommandLine
+from repro.core.dynamic_graph import ENTRY, DynamicGraphBuilder
 from repro.runtime import run_program
-from repro.workloads import bank_safe, fig41_program
+from repro.workloads import bank_safe, fib_recursive, fig41_program, ring_allreduce
 
 
 def graph_of(source, seed=0, inputs=None):
@@ -113,3 +120,52 @@ class TestInterior:
             if n.kind == "subgraph" and n.interval_id is not None
         )
         assert session.graph.interior_of(call.uid) == []
+
+
+#: A procedure no run calls: no graph builder may derive its control dependence.
+UNCALLED = "\nproc idle() { int x = 1; if (x > 0) { x = 2; } }\n"
+
+
+class TestStaticControlDependence:
+    """The builder derives a procedure's static control dependence when it
+    first folds an event of that procedure, and never again."""
+
+    @pytest.fixture()
+    def derived(self, monkeypatch):
+        calls = Counter()
+        real = postdom.control_dependence
+
+        def counting(cfg):
+            calls[cfg.proc_name] += 1
+            return real(cfg)
+
+        monkeypatch.setattr(postdom, "control_dependence", counting)
+        return calls
+
+    def test_a_session_derives_only_the_procedures_it_folds(self, derived):
+        record = run_program(ring_allreduce(8, deviant=3), seed=0)
+        cli = PPDCommandLine(record)
+        for line in ("why total", "races", "localize", "why total", "expandable"):
+            cli.execute(line)
+        folded = {node.proc for node in cli.session.graph.nodes.values()}
+        assert derived and max(derived.values()) == 1
+        assert set(derived) <= folded
+        assert len(derived) < len(record.compiled.cfgs)
+
+    def test_a_full_trace_derives_each_called_procedure_once(self, derived):
+        session = run_with_full_trace(compile_program(fib_recursive(6) + UNCALLED))
+        assert derived == Counter({"main": 1, "fib": 1})
+        assert session.graph.control_parent(session.graph.find_assignments("r")[0].uid)
+
+    def test_a_procedure_without_a_cfg_hangs_off_its_entry(self, derived):
+        compiled = compile_program(
+            "proc main() { for (i = 0; i < 2; i = i + 1) { int unused = i; } }"
+        )
+        record = run_with_full_trace(compiled, build_graph=False).record
+        builder = DynamicGraphBuilder({}, compiled.database)
+        builder.add_events(record.tracer.events)
+        graph = builder.graph
+        assigns = graph.find_assignments("unused")
+        assert len(assigns) == 2
+        assert {graph.control_parent(n.uid).kind for n in assigns} == {ENTRY}
+        assert not derived
