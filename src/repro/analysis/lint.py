@@ -35,13 +35,7 @@ from .cfg import CFG, ENTRY, PRED, STMT, build_cfgs
 from .dataflow import ReachingDefinitions, Summaries, UseDefTable, reaching_definitions
 from .interproc import CallGraph, build_call_graph, compute_summaries
 from .liveness import liveness_from_reaching
-from .racecands import (
-    RaceCandidates,
-    _own_exprs,
-    analyze_candidates,
-    analyze_concurrency,
-    analyze_locksets,
-)
+from .racecands import ProgramFacts, RaceCandidates, analyze_candidates
 from .simplified import N_SYNC, SimplifiedGraph, build_simplified_graphs
 from .symbols import SymbolTable
 
@@ -196,13 +190,17 @@ def _lint(
 ) -> LintResult:
     if candidates is None:
         candidates = analyze_candidates(program, table, call_graph, summaries, cfgs)
+    # The walk and the lockset analysis the candidates were built from.
+    facts = candidates.facts
+    if facts is None:
+        facts = ProgramFacts(program, table, call_graph, cfgs)
 
     result = LintResult(candidates=candidates)
     diags = result.diagnostics
     diags.extend(_check_races(candidates))
-    diags.extend(_check_lock_cycles(program, table, call_graph, cfgs))
+    diags.extend(_check_lock_cycles(program, cfgs, facts))
     diags.extend(_check_uninit(program, table, cfgs, reaching))
-    diags.extend(_check_unsync(program, table, candidates, simplified))
+    diags.extend(_check_unsync(program, candidates, simplified, facts))
     diags.extend(_check_dead_stores(program, table, cfgs, reaching))
     diags.extend(_check_unreachable(program, cfgs))
     diags.extend(_check_unused(program, table))
@@ -269,30 +267,25 @@ def _check_races(candidates: RaceCandidates) -> list[Diagnostic]:
 
 
 def _check_lock_cycles(
-    program: ast.Program,
-    table: SymbolTable,
-    call_graph: CallGraph,
-    cfgs: dict[str, CFG],
+    program: ast.Program, cfgs: dict[str, CFG], facts: ProgramFacts
 ) -> list[Diagnostic]:
     """Static lock-order graph: token A -> token B when B is acquired while
-    A is must-held somewhere; any cycle is a potential deadlock."""
-    concurrency = analyze_concurrency(program, call_graph)
-    locksets = analyze_locksets(
-        program, table, call_graph, cfgs, set(concurrency.procs_under_root)
-    )
+    A is must-held somewhere; any cycle is a potential deadlock.
+
+    Reads the lockset analysis *facts* holds (the candidate analysis's, if
+    it ran one); a program that declares no token has no cycle."""
+    if not facts.declared_tokens:
+        return []
+    locksets = facts.locksets()
     #: (held, acquired) -> acquire site (proc, line, node_id)
     order: dict[tuple[str, str], tuple[str, int, int]] = {}
     for proc in program.procs:
-        cfg = cfgs[proc.name]
-        for node_id, node in cfg.nodes.items():
-            stmt = node.stmt
-            acquired = None
-            if isinstance(stmt, ast.SemP) and stmt.sem in locksets.tokens:
-                acquired = stmt.sem
-            elif isinstance(stmt, ast.LockStmt) and stmt.lock in locksets.tokens:
-                acquired = stmt.lock
-            if acquired is None:
+        takes = facts.procs[proc.name].takes
+        for node_id in sorted(takes):
+            acquired = takes[node_id]
+            if acquired not in locksets.tokens:
                 continue
+            stmt = cfgs[proc.name].nodes[node_id].stmt
             for held in locksets.held_at(proc.name, node_id):
                 if held != acquired:
                     order.setdefault(
@@ -446,19 +439,17 @@ def _decl_reaches(cfg: CFG, decls: Iterable[ast.VarDecl], use_node: int) -> bool
 
 def _check_unsync(
     program: ast.Program,
-    table: SymbolTable,
     candidates: RaceCandidates,
     simplified: dict[str, SimplifiedGraph],
+    facts: ProgramFacts,
 ) -> list[Diagnostic]:
     """Shared accesses reachable from procedure entry without crossing any
     synchronization operation (they sit in a sync unit that starts at
-    ENTRY), in programs that actually run multiple processes."""
-    spawns_any = any(
-        isinstance(node, ast.Spawn)
-        for proc in program.procs
-        for node in ast.walk(proc.body)
-    )
-    if not spawns_any:
+    ENTRY), in programs that actually run multiple processes.  Only
+    candidate variables are reported."""
+    if not candidates.variables:
+        return []
+    if not any(walked.spawns for walked in facts.procs.values()):
         return []
     diags = []
     for proc in program.procs:
@@ -484,11 +475,7 @@ def _check_unsync(
             for site in candidates.sites_by_var.get(var, ()):
                 if site.proc != proc.name or var in reported:
                     continue
-                cfg_node = (
-                    cfg.node_of_stmt.get(site.node_id)
-                    if site.write
-                    else _read_site_node(cfg, proc, program, site.node_id)
-                )
+                cfg_node = facts.site_node(site)
                 if cfg_node is None or cfg_node not in covered:
                     continue
                 if graph.node_kinds.get(cfg_node) == N_SYNC:
@@ -508,20 +495,6 @@ def _check_unsync(
                     )
                 )
     return diags
-
-
-def _read_site_node(
-    cfg: CFG, proc: ast.ProcDef, program: ast.Program, expr_node_id: int
-) -> Optional[int]:
-    for stmt in ast.walk_statements(proc.body):
-        cfg_node = cfg.node_of_stmt.get(stmt.node_id)
-        if cfg_node is None:
-            continue
-        for expr in _own_exprs(stmt):
-            for node in ast.walk(expr):
-                if node.node_id == expr_node_id:
-                    return cfg_node
-    return None
 
 
 def _check_dead_stores(
@@ -619,6 +592,26 @@ def _check_unreachable(
                 )
             )
     return diags
+
+
+def _own_exprs(stmt: ast.Stmt) -> list[ast.Expr]:
+    """The expressions evaluated by *stmt*'s own CFG node."""
+    if isinstance(stmt, ast.Assign):
+        exprs = [stmt.value]
+        if isinstance(stmt.target, ast.Index):
+            exprs.append(stmt.target.index)
+        return exprs
+    if isinstance(stmt, ast.VarDecl):
+        return [stmt.init] if stmt.init is not None else []
+    if isinstance(stmt, (ast.If, ast.While, ast.For, ast.AssertStmt)):
+        return [stmt.cond]
+    if isinstance(stmt, ast.CallStmt):
+        return [stmt.call]
+    if isinstance(stmt, (ast.Return, ast.Send, ast.Reply)):
+        return [stmt.value] if stmt.value is not None else []
+    if isinstance(stmt, (ast.Spawn, ast.Print)):
+        return list(stmt.args)
+    return []
 
 
 def _check_unused(program: ast.Program, table: SymbolTable) -> list[Diagnostic]:

@@ -23,6 +23,12 @@ in ``tests/analysis/test_lint_properties.py`` checks exactly that), so
 ``find_races_*(..., candidates=...)`` may skip non-candidate pairs without
 changing its output.
 
+Every fact the analysis reads comes from one walk of each procedure
+(:class:`ProgramFacts`), and each later step runs only for the pairs that
+need it: the concurrency analysis once some variable has a writer, the
+lockset dataflow once a concurrent pair exists and the program declares a
+token, and main's join quiescence once such a pair has a site in ``main``.
+
 Site identities match what the runtime records into
 :class:`~repro.runtime.tracing.Segment` site lists: shared *reads* carry
 the ``Name``/``Index`` expression node id, shared *writes* carry the
@@ -31,13 +37,14 @@ assigning statement's node id.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from ..lang import ast
 from .cfg import CFG, build_cfgs
 from .dataflow import Summaries
-from .interproc import CallGraph, build_call_graph, compute_summaries
+from .interproc import CallGraph, build_call_graph
 from .symbols import SymbolTable
 
 #: Matches repro.runtime.machine._MAX_SITES: segment site lists at this
@@ -46,6 +53,8 @@ DEFAULT_SITE_CAP = 64
 
 WRITE_WRITE = "write/write"
 READ_WRITE = "read/write"
+
+_NOTHING: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -83,13 +92,15 @@ class RaceCandidates:
     #: (node id, var) keys of every known static site (unknown ids are
     #: treated conservatively as conflicting)
     known_sites: frozenset[tuple[int, str]] = frozenset()
-    #: mutual-exclusion tokens that survived the P/V-discipline check
-    mutex_tokens: frozenset[str] = frozenset()
     #: segment site lists at this length may be truncated (see machine.py)
     site_cap: int = DEFAULT_SITE_CAP
     #: pairs dropped by the bytecode effect refinement (an endpoint the
     #: lowered code provably never executes as a shared access)
     effect_pruned: int = 0
+
+    #: The :class:`ProgramFacts` the analysis read, so lint reuses its walk
+    #: and lockset analysis.  Not a field: equality and ``repr`` skip it.
+    facts = None
 
     def pair_count(self, variable: Optional[str] = None) -> int:
         if variable is None:
@@ -156,50 +167,216 @@ def _site_text(site: AccessSite, database=None) -> str:
 
 
 # --------------------------------------------------------------------------
-# Access-site collection
+# One walk per procedure
 # --------------------------------------------------------------------------
 
 
-def _shared_name(name: str, proc: str, table: SymbolTable) -> bool:
-    return name in table.shared and name not in table.locals.get(proc, {})
+class ProcFacts:
+    """Everything the analysis reads of one procedure, from one walk.
+
+    CFG-node facts are keyed by the node that evaluates the statement (an
+    expression belongs to the node of the statement that evaluates it).
+    """
+
+    __slots__ = (
+        "sites",
+        "site_node",
+        "spawns",
+        "calls",
+        "takes",
+        "releases",
+        "sem_v",
+        "spawn_nodes",
+        "join_nodes",
+    )
+
+    def __init__(self) -> None:
+        #: shared access sites: the writes in statement order, then the
+        #: reads in walk order
+        self.sites: list[AccessSite] = []
+        #: site node id -> the CFG node that performs the access
+        self.site_node: dict[int, int] = {}
+        #: (target, spawned inside a loop body) per ``spawn`` statement
+        self.spawns: list[tuple[str, bool]] = []
+        #: CFG node -> the user procedures its expressions call
+        self.calls: dict[int, list[str]] = {}
+        #: CFG node -> the lock or semaphore it takes (``lock``/``P``)
+        self.takes: dict[int, str] = {}
+        #: CFG node -> the lock or semaphore it releases (``unlock``/``V``)
+        self.releases: dict[int, str] = {}
+        #: CFG node -> the semaphore it ``V``s (the P/V-discipline check)
+        self.sem_v: dict[int, str] = {}
+        self.spawn_nodes: set[int] = set()
+        self.join_nodes: set[int] = set()
+
+
+def _walk_procedure(
+    proc: ast.ProcDef,
+    shared: set[str],
+    proc_names: set[str],
+    node_of_stmt: dict[int, int],
+) -> ProcFacts:
+    """Record *proc*'s facts in one walk of its body.
+
+    *shared* holds the shared names the procedure does not shadow;
+    *node_of_stmt* maps statements to CFG nodes (empty when only sites and
+    spawns are wanted).  Nodes are visited in :func:`repro.lang.ast.walk`
+    order; the order of the pairs, which lint and the scans report in,
+    follows from it.
+    """
+    facts = ProcFacts()
+    name = proc.name
+    writes: list[AccessSite] = []
+    reads: list[AccessSite] = []
+    site_node = facts.site_node
+    calls = facts.calls
+
+    def expression(root: ast.Node, owner: Optional[int], target: Optional[ast.Node]) -> None:
+        # An Assign's target is written, not read; its subscript is read.
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            kind = type(node)
+            if kind is ast.Name or kind is ast.Index:
+                if node is not target and node.name in shared:
+                    reads.append(AccessSite(name, node.node_id, node.name, False, node.line))
+                    if owner is not None:
+                        site_node[node.node_id] = owner
+            elif kind is ast.CallExpr and node.name in proc_names and owner is not None:
+                calls.setdefault(owner, []).append(node.name)
+            children = node._children
+            if children is None:
+                children = ast.iter_child_nodes(node)
+            if children:
+                stack.extend(reversed(children))
+
+    def statement(stmt: ast.Stmt, in_loop: bool) -> None:
+        owner = node_of_stmt.get(stmt.node_id)
+        kind = type(stmt)
+        target = None
+        if kind is ast.Assign:
+            target = stmt.target
+            if target.name in shared:
+                writes.append(AccessSite(name, stmt.node_id, target.name, True, stmt.line))
+                if owner is not None:
+                    site_node[stmt.node_id] = owner
+        elif kind is ast.Spawn:
+            facts.spawns.append((stmt.name, in_loop))
+            if owner is not None:
+                facts.spawn_nodes.add(owner)
+        elif kind is ast.While or kind is ast.For:
+            in_loop = True
+        elif owner is not None:
+            if kind is ast.SemP:
+                facts.takes[owner] = stmt.sem
+            elif kind is ast.LockStmt:
+                facts.takes[owner] = stmt.lock
+            elif kind is ast.SemV:
+                facts.releases[owner] = facts.sem_v[owner] = stmt.sem
+            elif kind is ast.UnlockStmt:
+                facts.releases[owner] = stmt.lock
+            elif kind is ast.Join:
+                facts.join_nodes.add(owner)
+        children = stmt._children
+        if children is None:
+            children = ast.iter_child_nodes(stmt)
+        for child in children:
+            if isinstance(child, ast.Stmt):
+                statement(child, in_loop)
+            elif isinstance(child, ast.Expr):
+                expression(child, owner, target)
+
+    statement(proc.body, False)
+    writes.extend(reads)
+    facts.sites = writes
+    return facts
+
+
+def _shared_in(table: SymbolTable, proc: str) -> set[str]:
+    """The shared names *proc* can see (locals shadow shared variables)."""
+    return set(table.shared).difference(table.locals.get(proc, ()))
+
+
+class ProgramFacts:
+    """The per-procedure facts of one program, and the concurrency and
+    lockset analyses built on them, each computed on first use.
+
+    Reading :attr:`procs` walks every procedure once; :meth:`concurrency`
+    and :meth:`locksets` read only what that walk recorded.  Lint's
+    lock-cycle check asks the candidate set's facts for the locksets, so a
+    lint after the candidate analysis computes them at most once.
+    """
+
+    def __init__(
+        self,
+        program: ast.Program,
+        table: SymbolTable,
+        call_graph: CallGraph,
+        cfgs: dict[str, CFG],
+    ) -> None:
+        self.program = program
+        self.table = table
+        self.call_graph = call_graph
+        self.cfgs = cfgs
+        self._procs: Optional[dict[str, ProcFacts]] = None
+        self._concurrency: Optional[ConcurrencyInfo] = None
+        self._locksets: Optional[LocksetInfo] = None
+
+    @property
+    def procs(self) -> dict[str, ProcFacts]:
+        """Procedure name -> its facts (walks every procedure on first read)."""
+        if self._procs is None:
+            proc_names = set(self.program.proc_names)
+            self._procs = {
+                proc.name: _walk_procedure(
+                    proc,
+                    _shared_in(self.table, proc.name),
+                    proc_names,
+                    self.cfgs[proc.name].node_of_stmt,
+                )
+                for proc in self.program.procs
+            }
+        return self._procs
+
+    @property
+    def declared_tokens(self) -> frozenset[str]:
+        """Locks and binary semaphores, before the P/V-discipline check."""
+        table = self.table
+        return frozenset(table.locks) | frozenset(
+            name for name, initial in table.semaphores.items() if initial == 1
+        )
+
+    def site_node(self, site: AccessSite) -> Optional[int]:
+        """The CFG node that performs *site*'s access (``None``: unknown)."""
+        return self.procs[site.proc].site_node.get(site.node_id)
+
+    def concurrency(self) -> ConcurrencyInfo:
+        if self._concurrency is None:
+            self._concurrency = _concurrency(self.procs, self.call_graph)
+        return self._concurrency
+
+    def locksets(self) -> LocksetInfo:
+        """The must-held lockset analysis rooted at every process root."""
+        if self._locksets is None:
+            self._locksets = _locksets(
+                self.procs,
+                self.call_graph,
+                self.cfgs,
+                self.declared_tokens,
+                set(self.concurrency().procs_under_root),
+            )
+        return self._locksets
 
 
 def collect_access_sites(
     program: ast.Program, table: SymbolTable
 ) -> list[AccessSite]:
     """Every static shared read/write site, with runtime-matching node ids."""
+    proc_names = set(program.proc_names)
     sites: list[AccessSite] = []
     for proc in program.procs:
-        # Assign targets are not evaluated as reads; remember their node ids.
-        target_nodes: set[int] = set()
-        for stmt in ast.walk_statements(proc.body):
-            if isinstance(stmt, ast.Assign):
-                target_nodes.add(stmt.target.node_id)
-                name = ast.lvalue_name(stmt.target)
-                if _shared_name(name, proc.name, table):
-                    sites.append(
-                        AccessSite(
-                            proc=proc.name,
-                            node_id=stmt.node_id,
-                            var=name,
-                            write=True,
-                            line=stmt.line,
-                        )
-                    )
-        for node in ast.walk(proc.body):
-            if isinstance(node, (ast.Name, ast.Index)):
-                if node.node_id in target_nodes:
-                    continue
-                if _shared_name(node.name, proc.name, table):
-                    sites.append(
-                        AccessSite(
-                            proc=proc.name,
-                            node_id=node.node_id,
-                            var=node.name,
-                            write=False,
-                            line=node.line,
-                        )
-                    )
+        facts = _walk_procedure(proc, _shared_in(table, proc.name), proc_names, {})
+        sites.extend(facts.sites)
     return sites
 
 
@@ -218,43 +395,32 @@ class ConcurrencyInfo:
     #: roots that may have two simultaneous process instances
     multi_instance_roots: set[str] = field(default_factory=set)
 
+    #: proc -> the roots it runs under, built on the first query (not a
+    #: field)
+    _roots = None
+
+    def roots_of(self, proc: str) -> frozenset[str]:
+        """The roots *proc* runs under."""
+        roots = self._roots
+        if roots is None:
+            grouped: dict[str, set[str]] = {}
+            for root, under in self.procs_under_root.items():
+                for name in under:
+                    grouped.setdefault(name, set()).add(root)
+            roots = self._roots = {name: frozenset(rs) for name, rs in grouped.items()}
+        return roots.get(proc, _NOTHING)
+
     def concurrent_procs(self, p1: str, p2: str) -> bool:
         """May *p1* and *p2* run in two distinct concurrent processes?"""
-        for r1, under1 in self.procs_under_root.items():
-            if p1 not in under1:
-                continue
-            for r2, under2 in self.procs_under_root.items():
-                if p2 not in under2:
-                    continue
-                if r1 != r2:
-                    return True
-                if r1 in self.multi_instance_roots:
-                    return True
-        return False
-
-
-def _spawn_sites_in_loops(program: ast.Program) -> set[str]:
-    """Spawn targets spawned from inside a loop body."""
-    looped: set[str] = set()
-
-    def visit(stmt: ast.Stmt, in_loop: bool) -> None:
-        if isinstance(stmt, ast.Block):
-            for child in stmt.body:
-                visit(child, in_loop)
-        elif isinstance(stmt, ast.If):
-            visit(stmt.then, in_loop)
-            if stmt.orelse is not None:
-                visit(stmt.orelse, in_loop)
-        elif isinstance(stmt, (ast.While, ast.For)):
-            visit(stmt.body, True)
-        elif isinstance(stmt, ast.Accept):
-            visit(stmt.body, in_loop)
-        elif isinstance(stmt, ast.Spawn) and in_loop:
-            looped.add(stmt.name)
-
-    for proc in program.procs:
-        visit(proc.body, False)
-    return looped
+        roots1 = self.roots_of(p1)
+        roots2 = self.roots_of(p2)
+        if not roots1 or not roots2:
+            return False
+        if len(roots1) > 1 or len(roots2) > 1:
+            return True  # two distinct roots can be picked
+        (root1,) = roots1
+        (root2,) = roots2
+        return root1 != root2 or root1 in self.multi_instance_roots
 
 
 def analyze_concurrency(program: ast.Program, graph: CallGraph) -> ConcurrencyInfo:
@@ -266,19 +432,28 @@ def analyze_concurrency(program: ast.Program, graph: CallGraph) -> ConcurrencyIn
     spawned at more than one site, spawned from inside a loop, or spawned
     by a procedure that itself runs under a multi-instance root.
     """
+    proc_names = set(program.proc_names)
+    procs = {
+        proc.name: _walk_procedure(proc, set(), proc_names, {}) for proc in program.procs
+    }
+    return _concurrency(procs, graph)
+
+
+def _concurrency(procs: dict[str, ProcFacts], graph: CallGraph) -> ConcurrencyInfo:
     info = ConcurrencyInfo()
     spawn_counts: dict[str, int] = {}
-    for spawner, targets in graph.spawns.items():
+    for targets in graph.spawns.values():
         for target in targets:
-            spawn_counts[target] = spawn_counts.get(target, 0)
-    for proc in program.procs:
-        for node in ast.walk(proc.body):
-            if isinstance(node, ast.Spawn):
-                spawn_counts[node.name] = spawn_counts.get(node.name, 0) + 1
+            spawn_counts.setdefault(target, 0)
+    looped: set[str] = set()
+    for facts in procs.values():
+        for target, in_loop in facts.spawns:
+            spawn_counts[target] = spawn_counts.get(target, 0) + 1
+            if in_loop:
+                looped.add(target)
 
     roots = {"main"} | set(spawn_counts)
-
-    def call_reachable(root: str) -> set[str]:
+    for root in roots:
         seen: set[str] = set()
         stack = [root]
         while stack:
@@ -287,27 +462,21 @@ def analyze_concurrency(program: ast.Program, graph: CallGraph) -> ConcurrencyIn
                 continue
             seen.add(name)
             stack.extend(graph.calls.get(name, ()))
-        return seen
+        info.procs_under_root[root] = seen
 
-    for root in roots:
-        info.procs_under_root[root] = call_reachable(root)
-
-    looped = _spawn_sites_in_loops(program)
+    spawners: dict[str, set[str]] = {}
+    for spawner, targets in graph.spawns.items():
+        for target in targets:
+            spawners.setdefault(target, set()).add(spawner)
     multi = {t for t, n in spawn_counts.items() if n > 1} | looped
     # Fixpoint: a proc spawned (even once, outside loops) by something that
     # can itself be multiply instantiated is multi-instance too.
     changed = True
     while changed:
         changed = False
-        for root in sorted(roots - multi):
-            spawners = {
-                p for p, targets in graph.spawns.items() if root in targets
-            }
-            if any(
-                spawner in info.procs_under_root.get(mroot, ())
-                for spawner in spawners
-                for mroot in sorted(multi)
-            ):
+        under_multi = set().union(*(info.procs_under_root[m] for m in multi))
+        for root in roots - multi:
+            if not spawners.get(root, _NOTHING).isdisjoint(under_multi):
                 multi.add(root)
                 changed = True
     info.multi_instance_roots = multi
@@ -336,45 +505,6 @@ class LocksetInfo:
         return self.at_node.get((proc, cfg_node), frozenset())
 
 
-def _stmt_user_calls(stmt: ast.Stmt, proc_names: set[str]) -> list[str]:
-    calls = []
-    for node in _own_exprs(stmt):
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.CallExpr) and sub.name in proc_names:
-                calls.append(sub.name)
-    return calls
-
-
-def _own_exprs(stmt: ast.Stmt) -> list[ast.Expr]:
-    """The expressions evaluated by *stmt*'s own CFG node."""
-    if isinstance(stmt, ast.Assign):
-        exprs = [stmt.value]
-        if isinstance(stmt.target, ast.Index):
-            exprs.append(stmt.target.index)
-        return exprs
-    if isinstance(stmt, ast.VarDecl):
-        return [stmt.init] if stmt.init is not None else []
-    if isinstance(stmt, (ast.If, ast.While, ast.For, ast.AssertStmt)):
-        return [stmt.cond]
-    if isinstance(stmt, ast.CallStmt):
-        return [stmt.call]
-    if isinstance(stmt, (ast.Return, ast.Send, ast.Reply)):
-        return [stmt.value] if stmt.value is not None else []
-    if isinstance(stmt, (ast.Spawn, ast.Print)):
-        return list(stmt.args)
-    return []
-
-
-def _direct_releases(proc: ast.ProcDef, tokens: frozenset[str]) -> set[str]:
-    released: set[str] = set()
-    for stmt in ast.walk_statements(proc.body):
-        if isinstance(stmt, ast.SemV) and stmt.sem in tokens:
-            released.add(stmt.sem)
-        elif isinstance(stmt, ast.UnlockStmt) and stmt.lock in tokens:
-            released.add(stmt.lock)
-    return released
-
-
 def analyze_locksets(
     program: ast.Program,
     table: SymbolTable,
@@ -391,46 +521,49 @@ def analyze_locksets(
     demoted and the analysis reruns (the token set only shrinks, so this
     terminates).
     """
-    proc_names = set(program.proc_names)
-    root_set = set(roots)
-    tokens = frozenset(table.locks) | frozenset(
-        name for name, initial in table.semaphores.items() if initial == 1
-    )
+    facts = ProgramFacts(program, table, graph, cfgs)
+    return _locksets(facts.procs, graph, cfgs, facts.declared_tokens, set(roots))
 
+
+def _locksets(
+    procs: dict[str, ProcFacts],
+    graph: CallGraph,
+    cfgs: dict[str, CFG],
+    tokens: frozenset[str],
+    roots: set[str],
+) -> LocksetInfo:
     while True:
-        info = _locksets_for_tokens(program, graph, cfgs, proc_names, root_set, tokens)
-        undisciplined: set[str] = set()
-        for proc in program.procs:
-            cfg = cfgs[proc.name]
-            for node_id, node in cfg.nodes.items():
-                stmt = node.stmt
-                if isinstance(stmt, ast.SemV) and stmt.sem in tokens:
-                    if stmt.sem not in info.held_at(proc.name, node_id):
-                        undisciplined.add(stmt.sem)
+        info = _locksets_for_tokens(procs, graph, cfgs, tokens, roots)
+        undisciplined = {
+            sem
+            for name, facts in procs.items()
+            for node, sem in facts.sem_v.items()
+            if sem in tokens and sem not in info.held_at(name, node)
+        }
         if not undisciplined:
             return info
         tokens = tokens - undisciplined
 
 
 def _locksets_for_tokens(
-    program: ast.Program,
+    procs: dict[str, ProcFacts],
     graph: CallGraph,
     cfgs: dict[str, CFG],
-    proc_names: set[str],
-    roots: set[str],
     tokens: frozenset[str],
+    roots: set[str],
 ) -> LocksetInfo:
     info = LocksetInfo(tokens=tokens)
 
     # Transitive may-release per proc (union over calls; spawns excluded —
     # the spawned process has its own lockset).
     release = {
-        proc.name: _direct_releases(proc, tokens) for proc in program.procs
+        name: {token for token in facts.releases.values() if token in tokens}
+        for name, facts in procs.items()
     }
     changed = True
     while changed:
         changed = False
-        for name in proc_names:
+        for name in procs:
             for callee in graph.calls.get(name, ()):
                 extra = release[callee] - release[name]
                 if extra:
@@ -438,51 +571,73 @@ def _locksets_for_tokens(
                     changed = True
     info.may_release = release
 
-    top = tokens  # must-lattice top: "all tokens held" (before first visit)
-    entry: dict[str, frozenset[str]] = {
-        name: (frozenset() if name in roots else top) for name in proc_names
-    }
+    # Each node's transfer as (kill, gen): held_after = (held - kill) | gen.
+    # Calls inside a statement may release tokens on the caller's behalf.
+    transfers: dict[str, dict[int, tuple[frozenset[str], frozenset[str]]]] = {}
+    for name, facts in procs.items():
+        table: dict[int, tuple[frozenset[str], frozenset[str]]] = {}
+        for node, callees in facts.calls.items():
+            kill = frozenset().union(*(release[callee] for callee in callees))
+            if kill:
+                table[node] = (kill, _NOTHING)
+        for node, token in facts.takes.items():
+            if token in tokens:
+                table[node] = (table.get(node, (_NOTHING,))[0], frozenset((token,)))
+        for node, token in facts.releases.items():
+            if token in tokens:
+                kill, gen = table.get(node, (_NOTHING, _NOTHING))
+                table[node] = (kill | {token}, gen)
+        transfers[name] = table
 
-    def run_proc(name: str) -> dict[int, frozenset[str]]:
+    top = tokens  # must-lattice top: "all tokens held" (before first visit)
+
+    def run_proc(name: str, held_at_entry: frozenset[str]) -> dict[int, frozenset[str]]:
         """Must-held set *before* each CFG node of proc *name*."""
         cfg = cfgs[name]
-        held_in: dict[int, Optional[frozenset[str]]] = {n: None for n in cfg.nodes}
-        held_in[cfg.entry] = entry[name]
-        worklist = [cfg.entry]
+        succs = cfg.succs
+        transfer = transfers[name]
+        held_in: dict[int, frozenset[str]] = {cfg.entry: held_at_entry}
+        worklist = deque((cfg.entry,))
         while worklist:
-            node_id = worklist.pop(0)
-            before = held_in[node_id]
-            if before is None:
-                continue
-            after = _transfer(cfg.nodes[node_id].stmt, before, tokens, release, proc_names)
-            for succ in cfg.successors(node_id):
-                current = held_in[succ]
+            node_id = worklist.popleft()
+            after = held_in[node_id]
+            effect = transfer.get(node_id)
+            if effect is not None:
+                after = (after - effect[0]) | effect[1]
+            for succ, _label in succs[node_id]:
+                current = held_in.get(succ)
                 merged = after if current is None else (current & after)
                 if merged != current:
                     held_in[succ] = merged
                     worklist.append(succ)
-        return {n: (s if s is not None else top) for n, s in held_in.items()}
+        return {n: held_in.get(n, top) for n in cfg.nodes}
 
     # Interprocedural fixpoint: entry lockset of a callee is the
     # intersection of the caller locksets at its call sites.  Entries only
-    # shrink from top, so this terminates.
+    # shrink from top, so this terminates.  A procedure whose entry did not
+    # change keeps its last solution.
+    entry = {name: (_NOTHING if name in roots else top) for name in procs}
+    solved: dict[str, tuple[frozenset[str], dict[int, frozenset[str]]]] = {}
     while True:
-        per_proc = {name: run_proc(name) for name in proc_names}
-        new_entry = dict(entry)
-        call_site_held: dict[str, list[frozenset[str]]] = {n: [] for n in proc_names}
-        for name in proc_names:
-            cfg = cfgs[name]
-            for node_id, node in cfg.nodes.items():
-                if node.stmt is None:
-                    continue
-                for callee in _stmt_user_calls(node.stmt, proc_names):
-                    call_site_held[callee].append(per_proc[name][node_id])
-        for name in proc_names:
+        per_proc = {}
+        for name in procs:
+            last = solved.get(name)
+            if last is None or last[0] != entry[name]:
+                last = solved[name] = (entry[name], run_proc(name, entry[name]))
+            per_proc[name] = last[1]
+        call_site_held: dict[str, list[frozenset[str]]] = {n: [] for n in procs}
+        for name, facts in procs.items():
+            held = per_proc[name]
+            for node, callees in facts.calls.items():
+                for callee in callees:
+                    call_site_held[callee].append(held[node])
+        new_entry = {}
+        for name in procs:
             if name in roots or not call_site_held[name]:
                 # Spawned instances start with nothing held (and a proc
                 # that is both called and spawned must be safe on both
                 # paths); never-called procs get no guarantee either.
-                new_entry[name] = frozenset()
+                new_entry[name] = _NOTHING
             else:
                 new_entry[name] = frozenset.intersection(*call_site_held[name])
         if new_entry == entry:
@@ -490,33 +645,10 @@ def _locksets_for_tokens(
         entry = new_entry
 
     info.entry = entry
-    for name in proc_names:
-        for node_id, held in per_proc[name].items():
-            info.at_node[(name, node_id)] = held
+    for name, held in per_proc.items():
+        for node_id, tokens_held in held.items():
+            info.at_node[(name, node_id)] = tokens_held
     return info
-
-
-def _transfer(
-    stmt: Optional[ast.Stmt],
-    held: frozenset[str],
-    tokens: frozenset[str],
-    release: dict[str, set[str]],
-    proc_names: set[str],
-) -> frozenset[str]:
-    if stmt is None:
-        return held
-    # Calls inside the statement may release tokens on our behalf.
-    for callee in _stmt_user_calls(stmt, proc_names):
-        held = held - frozenset(release.get(callee, ()))
-    if isinstance(stmt, ast.SemP) and stmt.sem in tokens:
-        return held | {stmt.sem}
-    if isinstance(stmt, ast.SemV) and stmt.sem in tokens:
-        return held - {stmt.sem}
-    if isinstance(stmt, ast.LockStmt) and stmt.lock in tokens:
-        return held | {stmt.lock}
-    if isinstance(stmt, ast.UnlockStmt) and stmt.lock in tokens:
-        return held - {stmt.lock}
-    return held
 
 
 # --------------------------------------------------------------------------
@@ -524,28 +656,8 @@ def _transfer(
 # --------------------------------------------------------------------------
 
 
-def _spawning_closure(program: ast.Program, graph: CallGraph) -> set[str]:
-    """Procs whose call-reachable closure contains a ``spawn``."""
-    direct = {
-        proc.name
-        for proc in program.procs
-        if any(isinstance(n, ast.Spawn) for n in ast.walk(proc.body))
-    }
-    spawning = set(direct)
-    changed = True
-    while changed:
-        changed = False
-        for proc in program.procs:
-            if proc.name in spawning:
-                continue
-            if any(c in spawning for c in graph.calls.get(proc.name, ())):
-                spawning.add(proc.name)
-                changed = True
-    return spawning
-
-
 def _main_quiescent_nodes(
-    program: ast.Program, graph: CallGraph, cfgs: dict[str, CFG]
+    procs: dict[str, ProcFacts], graph: CallGraph, cfgs: dict[str, CFG]
 ) -> set[int]:
     """CFG nodes of ``main`` where no direct child process can be live.
 
@@ -557,40 +669,39 @@ def _main_quiescent_nodes(
     Empty when ``main`` itself can be spawned (extra instances would void
     the argument).
     """
-    spawn_targets = {
-        n.name
-        for proc in program.procs
-        for n in ast.walk(proc.body)
-        if isinstance(n, ast.Spawn)
-    }
-    if "main" in spawn_targets or "main" not in cfgs:
+    if "main" not in cfgs or "main" not in procs:
         return set()
-    spawning = _spawning_closure(program, graph)
-    proc_names = set(program.proc_names)
+    if any(target == "main" for facts in procs.values() for target, _ in facts.spawns):
+        return set()
+    # Procs whose call-reachable closure contains a ``spawn``.
+    spawning = {name for name, facts in procs.items() if facts.spawns}
+    changed = True
+    while changed:
+        changed = False
+        for name in procs:
+            if name not in spawning and not spawning.isdisjoint(graph.calls.get(name, ())):
+                spawning.add(name)
+                changed = True
+
+    main = procs["main"]
     cfg = cfgs["main"]
 
-    def transfer(stmt: Optional[ast.Stmt], state: bool) -> bool:
-        if stmt is None:
-            return state
-        if isinstance(stmt, ast.Spawn):
+    def transfer(node_id: int, state: bool) -> bool:
+        if node_id in main.spawn_nodes:
             return False
-        if isinstance(stmt, ast.Join):
+        if node_id in main.join_nodes:
             return True
-        if any(c in spawning for c in _stmt_user_calls(stmt, proc_names)):
+        if not spawning.isdisjoint(main.calls.get(node_id, ())):
             return False
         return state
 
-    state_in: dict[int, Optional[bool]] = {n: None for n in cfg.nodes}
-    state_in[cfg.entry] = True
-    worklist = [cfg.entry]
+    state_in: dict[int, bool] = {cfg.entry: True}
+    worklist = deque((cfg.entry,))
     while worklist:
-        node_id = worklist.pop(0)
-        before = state_in[node_id]
-        if before is None:
-            continue
-        after = transfer(cfg.nodes[node_id].stmt, before)
-        for succ in cfg.successors(node_id):
-            current = state_in[succ]
+        node_id = worklist.popleft()
+        after = transfer(node_id, state_in[node_id])
+        for succ, _label in cfg.succs[node_id]:
+            current = state_in.get(succ)
             merged = after if current is None else (current and after)
             if merged != current:
                 state_in[succ] = merged
@@ -599,26 +710,22 @@ def _main_quiescent_nodes(
 
 
 def _direct_child_roots(
-    program: ast.Program, under: dict[str, set[str]]
+    procs: dict[str, ProcFacts], under: dict[str, set[str]]
 ) -> set[str]:
     """Roots whose every instance is a *direct* child of the initial main:
     all their spawn sites live in procs belonging exclusively to main's
     call closure."""
     spawn_site_procs: dict[str, set[str]] = {}
-    for proc in program.procs:
-        for node in ast.walk(proc.body):
-            if isinstance(node, ast.Spawn):
-                spawn_site_procs.setdefault(node.name, set()).add(proc.name)
+    for name, facts in procs.items():
+        for target, _ in facts.spawns:
+            spawn_site_procs.setdefault(target, set()).add(name)
     main_closure = under.get("main", set())
-    result = set()
-    for root, site_procs in spawn_site_procs.items():
-        if all(
-            p in main_closure
-            and not any(p in procs for r, procs in under.items() if r != "main")
-            for p in site_procs
-        ):
-            result.add(root)
-    return result
+    elsewhere = set().union(*(procs_ for r, procs_ in under.items() if r != "main"))
+    return {
+        root
+        for root, site_procs in spawn_site_procs.items()
+        if all(p in main_closure and p not in elsewhere for p in site_procs)
+    }
 
 
 # --------------------------------------------------------------------------
@@ -634,88 +741,102 @@ def analyze_candidates(
     cfgs: Optional[dict[str, CFG]] = None,
     site_cap: int = DEFAULT_SITE_CAP,
 ) -> RaceCandidates:
-    """Compute the static race-candidate set for *program*."""
+    """Compute the static race-candidate set for *program*.
+
+    The steps run in demand order, each only if the one before left work:
+
+    1. collect the sites in one walk of each procedure (a program that
+       declares no shared variable returns before the walk, one with no
+       site right after it);
+    2. form the pairs that have a writer and whose procedures may run
+       concurrently;
+    3. drop pairs a common must-held token orders, running the lockset
+       dataflow (with its P/V-discipline loop) only if a pair survived
+       step 2 and the program declares a token;
+    4. drop pairs main's join quiescence orders, running that analysis only
+       if a surviving pair has a site in ``main``.
+
+    The call graph and CFGs are built when not given; *summaries* is not
+    read.  The result carries its :class:`ProgramFacts` for lint.
+    """
     if call_graph is None:
         call_graph = build_call_graph(program)
-    if summaries is None:
-        summaries = compute_summaries(program, table, call_graph)
     if cfgs is None:
         cfgs = build_cfgs(program)
+    facts = ProgramFacts(program, table, call_graph, cfgs)
+    if not table.shared:
+        return _candidate_set(facts, [], {}, [], site_cap)
 
-    sites = collect_access_sites(program, table)
-    concurrency = analyze_concurrency(program, call_graph)
-    roots = set(concurrency.procs_under_root)
-    locksets = analyze_locksets(program, table, call_graph, cfgs, roots)
-    quiescent = _main_quiescent_nodes(program, call_graph, cfgs)
-    direct_children = _direct_child_roots(program, concurrency.procs_under_root)
-
-    expr_owners = {
-        proc.name: _expr_owner_map(cfgs[proc.name], proc) for proc in program.procs
-    }
-
-    def site_lockset(site: AccessSite) -> frozenset[str]:
-        cfg = cfgs[site.proc]
-        if site.write:
-            stmt_node = cfg.node_of_stmt.get(site.node_id)
-        else:
-            stmt_node = expr_owners[site.proc].get(site.node_id)
-        if stmt_node is None:
-            return frozenset()  # unknown position: assume nothing held
-        return locksets.held_at(site.proc, stmt_node)
-
+    sites = [site for proc in facts.procs.values() for site in proc.sites]
     by_var: dict[str, list[AccessSite]] = {}
     for site in sites:
         by_var.setdefault(site.var, []).append(site)
 
-    pairs: list[CandidatePair] = []
-    lock_cache: dict[tuple[str, int, bool], frozenset[str]] = {}
-
-    def cached_lockset(site: AccessSite) -> frozenset[str]:
-        key = (site.proc, site.node_id, site.write)
-        if key not in lock_cache:
-            lock_cache[key] = site_lockset(site)
-        return lock_cache[key]
-
-    def site_cfg_node(site: AccessSite) -> Optional[int]:
-        if site.write:
-            return cfgs[site.proc].node_of_stmt.get(site.node_id)
-        return expr_owners[site.proc].get(site.node_id)
-
-    def ordered_by_join(x: AccessSite, y: AccessSite) -> bool:
-        """x sits in a quiescent region of main and every instance that can
-        execute y is a direct child of main — the join edges order them."""
-        if x.proc != "main":
-            return False
-        node = site_cfg_node(x)
-        if node is None or node not in quiescent:
-            return False
-        return all(
-            root == "main" or root in direct_children
-            for root, under in concurrency.procs_under_root.items()
-            if y.proc in under
-        )
-
+    # Step 2: pairs with a writer, in procedures that may run concurrently.
+    surviving: list[tuple[str, AccessSite, AccessSite]] = []
     for var, var_sites in by_var.items():
+        if not any(site.write for site in var_sites):
+            continue
+        concurrent = facts.concurrency().concurrent_procs
         for i, a in enumerate(var_sites):
             # A site pairs with itself too: two concurrent instances of the
             # same procedure may both execute the same write site.
             for b in var_sites[i:]:
-                if a is b and not a.write:
-                    continue
                 if not (a.write or b.write):
                     continue
-                if not concurrency.concurrent_procs(a.proc, b.proc):
+                if a is b and not a.write:
                     continue
-                if cached_lockset(a) & cached_lockset(b):
-                    continue  # a common token orders them on every path
-                if ordered_by_join(a, b) or ordered_by_join(b, a):
-                    continue
-                kind = WRITE_WRITE if (a.write and b.write) else READ_WRITE
-                first, second = (a, b) if a.node_id <= b.node_id else (b, a)
-                pairs.append(
-                    CandidatePair(variable=var, kind=kind, site_a=first, site_b=second)
-                )
+                if concurrent(a.proc, b.proc):
+                    surviving.append((var, a, b))
 
+    # Step 3: a common must-held token orders them on every path.
+    if surviving and facts.declared_tokens:
+        locksets = facts.locksets()
+        held_by_site: dict[int, frozenset[str]] = {}
+
+        def held(site: AccessSite) -> frozenset[str]:
+            tokens = held_by_site.get(site.node_id)
+            if tokens is None:
+                node = facts.site_node(site)
+                # An unknown position holds nothing.
+                tokens = _NOTHING if node is None else locksets.held_at(site.proc, node)
+                held_by_site[site.node_id] = tokens
+            return tokens
+
+        surviving = [(v, a, b) for v, a, b in surviving if held(a).isdisjoint(held(b))]
+
+    # Step 4: main's join quiescence orders them.
+    if any(a.proc == "main" or b.proc == "main" for _, a, b in surviving):
+        quiescent = _main_quiescent_nodes(facts.procs, call_graph, cfgs)
+        concurrency = facts.concurrency()
+        direct_children = _direct_child_roots(facts.procs, concurrency.procs_under_root)
+
+        def ordered_by_join(x: AccessSite, y: AccessSite) -> bool:
+            """x sits in a quiescent region of main and every instance that
+            can execute y is a direct child of main — the join edges order
+            them."""
+            if x.proc != "main" or facts.site_node(x) not in quiescent:
+                return False
+            return all(
+                root == "main" or root in direct_children
+                for root in concurrency.roots_of(y.proc)
+            )
+
+        surviving = [
+            (v, a, b)
+            for v, a, b in surviving
+            if not (ordered_by_join(a, b) or ordered_by_join(b, a))
+        ]
+
+    pairs = []
+    for var, a, b in surviving:
+        kind = WRITE_WRITE if (a.write and b.write) else READ_WRITE
+        first, second = (a, b) if a.node_id <= b.node_id else (b, a)
+        pairs.append(CandidatePair(variable=var, kind=kind, site_a=first, site_b=second))
+    return _candidate_set(facts, sites, by_var, pairs, site_cap)
+
+
+def _conflicts(pairs: list[CandidatePair]) -> dict[tuple[int, str], frozenset[int]]:
     conflicts: dict[tuple[int, str], set[int]] = {}
     for pair in pairs:
         conflicts.setdefault((pair.site_a.node_id, pair.variable), set()).add(
@@ -724,33 +845,26 @@ def analyze_candidates(
         conflicts.setdefault((pair.site_b.node_id, pair.variable), set()).add(
             pair.site_a.node_id
         )
+    return {k: frozenset(v) for k, v in conflicts.items()}
 
-    return RaceCandidates(
+
+def _candidate_set(
+    facts: ProgramFacts,
+    sites: list[AccessSite],
+    by_var: dict[str, list[AccessSite]],
+    pairs: list[CandidatePair],
+    site_cap: int,
+) -> RaceCandidates:
+    candidates = RaceCandidates(
         variables=frozenset(pair.variable for pair in pairs),
         pairs=pairs,
         sites_by_var=by_var,
-        conflicts_by_node={k: frozenset(v) for k, v in conflicts.items()},
+        conflicts_by_node=_conflicts(pairs),
         known_sites=frozenset((s.node_id, s.var) for s in sites),
-        mutex_tokens=locksets.tokens,
         site_cap=site_cap,
     )
-
-
-def _expr_owner_map(cfg: CFG, proc: ast.ProcDef) -> dict[int, int]:
-    """Expression node id -> CFG node of the statement that evaluates it.
-
-    Read sites carry expression node ids; this maps them back to the CFG
-    node whose lockset governs the access.
-    """
-    owners: dict[int, int] = {}
-    for stmt in ast.walk_statements(proc.body):
-        cfg_node = cfg.node_of_stmt.get(stmt.node_id)
-        if cfg_node is None:
-            continue
-        for expr in _own_exprs(stmt):
-            for node in ast.walk(expr):
-                owners.setdefault(node.node_id, cfg_node)
-    return owners
+    candidates.facts = facts
+    return candidates
 
 
 def refine_with_effects(candidates: RaceCandidates, effects) -> RaceCandidates:
@@ -788,24 +902,17 @@ def refine_with_effects(candidates: RaceCandidates, effects) -> RaceCandidates:
         candidates.effect_pruned = 0
         return candidates
 
-    conflicts: dict[tuple[int, str], set[int]] = {}
-    for pair in kept:
-        conflicts.setdefault((pair.site_a.node_id, pair.variable), set()).add(
-            pair.site_b.node_id
-        )
-        conflicts.setdefault((pair.site_b.node_id, pair.variable), set()).add(
-            pair.site_a.node_id
-        )
-    return RaceCandidates(
+    refined = RaceCandidates(
         variables=frozenset(pair.variable for pair in kept),
         pairs=kept,
         sites_by_var=candidates.sites_by_var,
-        conflicts_by_node={k: frozenset(v) for k, v in conflicts.items()},
+        conflicts_by_node=_conflicts(kept),
         known_sites=candidates.known_sites,
-        mutex_tokens=candidates.mutex_tokens,
         site_cap=candidates.site_cap,
         effect_pruned=dropped,
     )
+    refined.facts = candidates.facts
+    return refined
 
 
 def candidates_from_compiled(
@@ -815,7 +922,8 @@ def candidates_from_compiled(
 
     With ``refine=True`` (the default) the candidate set is additionally
     filtered through the bytecode effect analysis — see
-    :func:`refine_with_effects`."""
+    :func:`refine_with_effects`.  A set with no pair has nothing to
+    refine, so it does not ask for the effect analysis."""
     candidates = analyze_candidates(
         compiled.program,
         compiled.table,
@@ -824,6 +932,6 @@ def candidates_from_compiled(
         compiled.cfgs,
         site_cap=site_cap,
     )
-    if refine:
+    if refine and candidates.pairs:
         candidates = refine_with_effects(candidates, compiled.vm_code().effects())
     return candidates

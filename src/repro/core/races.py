@@ -177,9 +177,12 @@ def find_races_indexed(
     """Variable-indexed scan: only pairs sharing a variable (with at least
     one writer) are considered, and ordering goes through the graph's
     :class:`~repro.perf.order_index.OrderIndex` — the "cheaper algorithm"
-    of §7.  ``order_checks`` counts the *actual* vector-clock comparisons
-    the index performed for this scan (thresholds amortize across pairs),
-    not the number of pair tests.
+    of §7.  The scan asks for the index at its first order test, so a
+    history with no pair to order (no shared variable has a writer, or
+    the candidates rule every pair out) never builds one.
+    ``order_checks`` counts the *actual* vector-clock comparisons the index
+    performed for this scan (thresholds amortize across pairs), not the
+    number of pair tests; it is 0 when the scan made no order test.
 
     With *candidates* (:class:`repro.analysis.racecands.RaceCandidates`),
     whole variables outside the candidate set are skipped arithmetically
@@ -187,9 +190,9 @@ def find_races_indexed(
     races are identical to the unpruned scan (the candidates are an
     over-approximation — the property suite asserts this)."""
     graph = _as_graph(history_or_graph)
-    index = graph.order_index()
-    comparisons_before = index.comparisons
     result = RaceScanResult()
+    index = None  # the graph's order index, taken at the first order test
+    comparisons_before = 0
 
     readers: dict[str, list[InternalEdge]] = {}
     writers: dict[str, list[InternalEdge]] = {}
@@ -203,12 +206,16 @@ def find_races_indexed(
     site_index = _SiteIndex()
 
     def check(var: str, kind: str, e1: InternalEdge, e2: InternalEdge) -> None:
+        nonlocal index, comparisons_before
         id1, id2 = e1.segment.seg_id, e2.segment.seg_id
         if e1.pid == e2.pid or id1 == id2:
             return
         key = (id1, id2, var) if id1 < id2 else (id2, id1, var)
         if key in seen:
             return
+        if index is None:
+            index = graph.order_index()
+            comparisons_before = index.comparisons
         if index.simultaneous(e1, e2):
             seen.add(key)
             first, second = (e1, e2) if id1 < id2 else (e2, e1)
@@ -257,7 +264,8 @@ def find_races_indexed(
                     continue
                 check(var, READ_WRITE, e1, e2)
 
-    result.order_checks = index.comparisons - comparisons_before
+    if index is not None:
+        result.order_checks = index.comparisons - comparisons_before
     result.races.sort(key=_race_order)
     if _obs.enabled:
         _obs.on_race_scan(

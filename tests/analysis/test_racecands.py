@@ -284,3 +284,103 @@ class TestPrunedScansIdentical:
         assert scan.is_race_free
         assert scan.pairs_pruned > 0
         assert session.race_candidates() is session.race_candidates()  # memoized
+
+
+class TestWorkSaved:
+    """The analysis builds only what its answer reads."""
+
+    #: Reaches every step: worker sites guarded by a token (the lockset
+    #: step), a main read (the join step) and a helper called while the
+    #: token is held (interprocedural entry locksets).
+    EVERY_STEP = """
+shared int total;
+sem m = 1;
+func int bump() { total = total + 1; return total; }
+proc worker() { int r = 0; P(m); r = bump(); V(m); }
+proc main() { spawn worker(); spawn worker(); join(); print(total); }
+"""
+
+    def _count(self, monkeypatch, name):
+        from repro.analysis import racecands
+
+        calls = []
+        original = getattr(racecands, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(racecands, name, counted)
+        return calls
+
+    def test_each_procedure_walked_at_most_once(self, monkeypatch):
+        from repro.lang import ast
+
+        bundle = compiled(self.EVERY_STEP)
+        walks = self._count(monkeypatch, "_walk_procedure")
+        quiescence = self._count(monkeypatch, "_main_quiescent_nodes")
+        generic = []
+        for name in ("walk", "walk_statements"):
+            original = getattr(ast, name)
+            monkeypatch.setattr(
+                ast, name, lambda node, _f=original: generic.append(node) or _f(node)
+            )
+        cands = analyze_candidates(
+            bundle.program, bundle.table, bundle.call_graph, bundle.summaries, bundle.cfgs
+        )
+        assert sorted(args[0].name for args in walks) == sorted(bundle.program.proc_names)
+        assert generic == []
+        # Every later step ran, reading only what the walk recorded.
+        assert cands.facts.locksets().entry["bump"] == frozenset({"m"})
+        assert len(quiescence) == 1
+        assert len(walks) == len(bundle.program.procs)
+        assert "total" not in cands.variables
+
+    def test_message_passing_program_runs_no_later_step(self, monkeypatch):
+        from repro.workloads import ring_allreduce
+
+        bundle = compiled(ring_allreduce(32))
+        counts = {
+            name: self._count(monkeypatch, name)
+            for name in ("_walk_procedure", "_concurrency", "_locksets", "_main_quiescent_nodes")
+        }
+
+        def no_effects():
+            raise AssertionError("an empty candidate set asked for the effect analysis")
+
+        monkeypatch.setattr(bundle, "vm_code", no_effects)
+        cands = candidates_from_compiled(bundle)
+        assert not cands.pairs and not cands.known_sites
+        assert {name: len(calls) for name, calls in counts.items()} == dict.fromkeys(counts, 0)
+
+    def test_lint_computes_locksets_at_most_once(self, monkeypatch):
+        from repro import PPDSession
+        from repro.analysis.lint import lint_compiled
+        from repro.workloads import ring_allreduce
+
+        locksets = self._count(monkeypatch, "_locksets_for_tokens")
+        lint_compiled(compiled(ring_allreduce(32)))
+        assert locksets == []
+        lint_compiled(compiled(bank_safe(2, 2)))
+        assert len(locksets) == 1
+
+        # A session's lint reads the locksets its race candidates computed.
+        bundle = compiled(bank_safe(2, 2))
+        session = PPDSession(Machine(bundle, seed=3, mode="logged").run())
+        session.start()
+        session.races()
+        session.lint()
+        assert len(locksets) == 2
+
+    def test_join_quiescence_ends_at_a_call_that_spawns(self):
+        # main's write follows a call whose callee spawns the writer, so
+        # no join orders the two writes.
+        source = """
+shared int x;
+proc w() { x = 1; }
+func int h() { spawn w(); return 0; }
+proc main() { int r = h(); x = 2; join(); }
+"""
+        assert "x" in candidates_of(source).variables
+        joined_first = source.replace("x = 2; join();", "join(); x = 2;")
+        assert "x" not in candidates_of(joined_first).variables

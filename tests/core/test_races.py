@@ -141,3 +141,46 @@ proc main() { spawn writer(); spawn interloper(); spawn reader(); int r = recv(o
         kinds = {r.kind for r in races}
         assert WRITE_WRITE in kinds  # writer vs interloper
         assert READ_WRITE in kinds  # interloper vs reader
+
+
+class TestLazyOrderIndex:
+    """The indexed scan builds the order index at its first order test."""
+
+    def _session(self, source):
+        from repro import PPDSession
+
+        session = PPDSession(Machine(compile_program(source), seed=0).run())
+        session.start()
+        return session
+
+    def _count_builds(self, monkeypatch):
+        from repro.core.parallel_graph import ParallelDynamicGraph
+
+        builds = []
+        original = ParallelDynamicGraph.order_index
+
+        def counted(graph):
+            builds.append(graph)
+            return original(graph)
+
+        monkeypatch.setattr(ParallelDynamicGraph, "order_index", counted)
+        return builds
+
+    def test_spmd_scan_builds_no_index(self, monkeypatch):
+        from repro.workloads import ring_allreduce
+
+        session = self._session(ring_allreduce(32, deviant=5))
+        builds = self._count_builds(monkeypatch)
+        scan = session.races()
+        assert builds == []
+        assert (scan.pairs_examined, scan.order_checks, scan.pairs_pruned) == (0, 0, 0)
+        assert scan.races == []
+
+    def test_scan_with_pairs_builds_it_once(self, monkeypatch):
+        # Counters as they stood when every scan built the index on entry.
+        session = self._session(bank_race(4, 3))
+        builds = self._count_builds(monkeypatch)
+        scan = session.races()
+        assert len(builds) == 1
+        assert (scan.pairs_examined, scan.order_checks, scan.pairs_pruned) == (26, 12, 4)
+        assert len(scan.races) == 6

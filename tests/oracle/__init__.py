@@ -11,6 +11,9 @@ compare every observable surface.
 character-at-a-time scanner and the one-function-per-precedence-level
 parser that ``repro.lang`` replaced; ``tests/lang/test_front_end_differential.py``
 holds the current front end to their tokens, ASTs and errors.
+:mod:`tests.oracle.racecands` is the race-candidate analysis that walked
+each procedure once per fact; ``tests/analysis/test_racecands_differential.py``
+holds ``repro.analysis.racecands`` to its candidate sets and locksets.
 """
 
 from __future__ import annotations
