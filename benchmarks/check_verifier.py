@@ -5,11 +5,10 @@ Usage::
     python benchmarks/check_verifier.py
 
 Every workload in :mod:`repro.workloads` (the check_vm_parity table) and
-every ``examples/*.pcl`` program is compiled and verified twice per
-procedure — the raw lowering and its fused fast-path twin — against all
-four structural invariants (jump targets, stack balance, e-block
-reachability, one yield site per preemption point).  A verifier
-rejection here means the compiler or the superinstruction fuser emitted
+every ``examples/*.pcl`` program is compiled and each procedure's
+lowering verified against all four structural invariants (jump targets,
+stack balance, e-block reachability, one yield site per preemption
+point).  A verifier rejection here means the compiler emitted
 structurally broken code; the typed error names the code object and
 instruction index.
 
@@ -24,7 +23,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import compile_program  # noqa: E402
-from repro.vm.verify import VerifyError, verify_code, verify_program  # noqa: E402
+from repro.vm.verify import VerifyError, verify_program  # noqa: E402
 
 from check_vm_parity import WORKLOADS, example_programs  # noqa: E402
 
@@ -36,13 +35,7 @@ def main() -> int:
     codes = 0
     for name, (source, _inputs) in sorted(programs.items()):
         try:
-            compiled = compile_program(source)
-            raw = verify_program(compiled)
-            codes += len(raw)
-            program_code = compiled.vm_code()
-            for proc in compiled.program.procs:
-                verify_code(program_code.proc(proc.name, fast=True))
-                codes += 1
+            codes += len(verify_program(compile_program(source)))
         except VerifyError as error:
             failures += 1
             print(f"REJECTED {name}: {error}")
@@ -51,7 +44,7 @@ def main() -> int:
     verdict = "PASS" if failures == 0 else f"FAIL ({failures} programs rejected)"
     print(
         f"\nverifier gate: {verdict} — {codes} code objects "
-        f"(raw + fused) across {len(programs)} programs"
+        f"across {len(programs)} programs"
     )
     return 0 if failures == 0 else 1
 

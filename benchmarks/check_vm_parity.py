@@ -38,8 +38,7 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
 from repro import Machine, compile_program, obs  # noqa: E402
-from repro.obs.report import deterministic_counters, strip_meta_counters  # noqa: E402
-from repro.runtime.machine import DEFAULT_FASTPATH  # noqa: E402
+from repro.obs.report import deterministic_counters  # noqa: E402
 from repro.runtime.persist import record_to_json  # noqa: E402
 from repro import workloads  # noqa: E402
 from tests.oracle import oracle  # noqa: E402
@@ -94,9 +93,7 @@ def observe(source, seed, mode, trace, inputs):
             trace=trace,
             inputs=list(inputs) if inputs else None,
         ).run()
-        # Fast-path/effect tallies exist only on the VM side; everything
-        # else must match to the byte.
-        counters = strip_meta_counters(deterministic_counters(registry))
+        counters = deterministic_counters(registry)
     persisted = None
     if mode == "logged":
         persisted = json.dumps(record_to_json(record), sort_keys=True)
@@ -168,11 +165,9 @@ def main(argv: list[str]) -> int:
             else:
                 print(f"ok {name} [mode={mode} trace={trace}]")
     verdict = "FAIL" if failures else "PASS"
-    fastpath = "on" if DEFAULT_FASTPATH else "off"
     print(
         f"\nvm parity gate: {verdict} — {runs - failures}/{runs} run pairs "
-        f"identical across {len(programs)} programs "
-        f"(seed={args.seed}, fastpath={fastpath})"
+        f"identical across {len(programs)} programs (seed={args.seed})"
     )
     return 1 if failures else 0
 

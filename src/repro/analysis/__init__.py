@@ -40,7 +40,6 @@ from .racecands import (
     analyze_candidates,
     candidates_from_compiled,
     collect_access_sites,
-    refine_with_effects,
 )
 from .postdom import control_dependence, immediate_postdominators, postdominators
 from .simplified import (
@@ -76,7 +75,6 @@ __all__ = [
     "collect_access_sites",
     "effect_max",
     "lint_compiled",
-    "refine_with_effects",
     "run_lint",
     "CFG",
     "CFGNode",

@@ -1,11 +1,7 @@
-"""Static effect analysis over compiled PCL bytecode (the "prove" half
-of prove-and-skip).
+"""Static effect analysis over compiled PCL bytecode.
 
-The VM pays a scheduler yield and trace bookkeeping at every statement
-boundary (``PRE``) even when the statement provably cannot interact with
-any other process.  This pass classifies every statement span of a
-lowered :class:`~repro.vm.bytecode.Code` into a three-point effect
-lattice::
+This pass classifies every statement span of a lowered
+:class:`~repro.vm.bytecode.Code` into a three-point effect lattice::
 
     LOCAL  <  SHARED  <  SYNC
 
@@ -24,30 +20,19 @@ bytecode, so loop back-edges correctly charge the loop *condition* to
 the span of the body's final statement (which is exactly what the
 executor runs between those two preemption points).
 
-Two consumers act on the proofs:
-
-* the **fast path** (:mod:`repro.vm.fuse` rewrites ``PRE`` →
-  ``PRE_LOCAL`` at elidable sites; :class:`~repro.vm.executor.VMExec`
-  then skips the yield whenever the schedule is pre-committed), and
-* **racecands refinement** — the SHARED site set here is provably a
-  superset of :func:`~repro.analysis.racecands.collect_access_sites`
-  (asserted by the hypothesis soundness suite), so a candidate pair
-  whose endpoint the bytecode never classifies SHARED can be pruned
-  with identical race results guaranteed.
-
-Elidability is deliberately stricter than the effect alone: a span is
-*elidable* only when no reachable instruction can yield to the scheduler
-or unwind the frame (calls, returns, break/continue stay pinned even
-when their effect is LOCAL), so skipping the ``PRE`` yield can never
-change which preemption points exist.
+The analysis is a diagnostic: ``ppd analyze`` and ``ppd disasm
+--effects`` print it, and no run, replay or session question reads it.
+Its SHARED site set contains every access site
+:func:`~repro.analysis.racecands.collect_access_sites` finds (the test
+suite asserts the containment), so it also cross-checks the AST walk
+against what the lowered code can actually touch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
-from ..lang import ast
 from ..obs import hooks as _obs
 from ..vm import bytecode as bc
 
@@ -108,12 +93,6 @@ TERMINAL_OPS = frozenset(
     }
 )
 
-#: Opcodes pinned for elision even though their *effect* may be LOCAL:
-#: they transfer control out of the straight-line span (a user call runs
-#: the callee's own preemption points; unwinds may run accept-exit
-#: hooks), so the span containing them keeps its real ``PRE`` yield.
-PINNED_OPS = TERMINAL_OPS | {bc.CALL_USER}
-
 #: Variable-access opcodes: opcode -> (is_write, site-id operand index).
 #: Reads carry the expression node id directly; writes carry the
 #: statement node (matching :class:`~repro.analysis.racecands.AccessSite`).
@@ -162,7 +141,6 @@ class StmtEffect:
     node_id: int
     stmt_label: str
     effect: str  # LOCAL | SHARED | SYNC
-    elidable: bool
 
 
 @dataclass
@@ -173,8 +151,6 @@ class CodeEffects:
     kind: str
     owner: str  # owning procedure (names resolve against its locals)
     stmts: list[StmtEffect] = field(default_factory=list)
-    #: PRE indexes whose statement span is proven elidable
-    elidable_pres: frozenset[int] = frozenset()
     #: (proc, node_id, var, write) for every shared access in this code
     shared_sites: frozenset[tuple[str, int, str, bool]] = frozenset()
 
@@ -183,12 +159,6 @@ class CodeEffects:
         for stmt in self.stmts:
             out[stmt.effect] += 1
         return out
-
-    def effect_at(self, pre_index: int) -> Optional[str]:
-        for stmt in self.stmts:
-            if stmt.pre_index == pre_index:
-                return stmt.effect
-        return None
 
 
 def _op_effect(
@@ -238,7 +208,6 @@ def analyze_code(
     """Classify every statement span of one lowered code object."""
     instrs = code.instrs
     stmts: list[StmtEffect] = []
-    elidable: set[int] = set()
     sites: set[tuple[str, int, str, bool]] = set()
 
     for index, ins in enumerate(instrs):
@@ -252,22 +221,14 @@ def analyze_code(
             continue
         stmt = ins[1]
         effect = LOCAL
-        pinned = False
         for index in _span_indexes(code, pre_index):
-            span_ins = instrs[index]
-            effect = effect_max(effect, _op_effect(span_ins, owner, table, summaries))
-            if span_ins[0] in PINNED_OPS:
-                pinned = True
-        can_elide = not pinned and effect == LOCAL
-        if can_elide:
-            elidable.add(pre_index)
+            effect = effect_max(effect, _op_effect(instrs[index], owner, table, summaries))
         stmts.append(
             StmtEffect(
                 pre_index=pre_index,
                 node_id=stmt.node_id,
                 stmt_label=getattr(stmt, "stmt_label", ""),
                 effect=effect,
-                elidable=can_elide,
             )
         )
 
@@ -276,7 +237,6 @@ def analyze_code(
         kind=code.kind,
         owner=owner,
         stmts=stmts,
-        elidable_pres=frozenset(elidable),
         shared_sites=frozenset(sites),
     )
 
@@ -308,7 +268,7 @@ def _proc_summaries(
 
 @dataclass
 class ProgramEffects:
-    """Whole-program effect summaries, cached alongside the bytecode."""
+    """Whole-program effect summaries."""
 
     #: per-procedure code effects, by procedure name
     procs: dict[str, CodeEffects] = field(default_factory=dict)
@@ -316,8 +276,6 @@ class ProgramEffects:
     summaries: dict[str, str] = field(default_factory=dict)
     #: every shared access site across all procedures
     shared_sites: frozenset[tuple[str, int, str, bool]] = frozenset()
-    #: statement node id -> owning procedure (for replay-root codes)
-    stmt_owner: dict[int, str] = field(default_factory=dict)
 
     def counts(self) -> dict[str, int]:
         out = {LOCAL: 0, SHARED: 0, SYNC: 0}
@@ -326,27 +284,15 @@ class ProgramEffects:
                 out[effect] += count
         return out
 
-    def owner_of(self, node_id: int) -> Optional[str]:
-        return self.stmt_owner.get(node_id)
-
 
 def analyze_program(compiled: "CompiledProgram") -> ProgramEffects:
-    """Analyze every procedure of a compiled program.
-
-    Deterministic for a given program, so the result is cached on the
-    :class:`~repro.vm.bytecode.ProgramCode` and shared by every machine,
-    replay worker, and CLI query over the same compiled program.
-    """
+    """Analyze every procedure of a compiled program (not cached: only
+    ``ppd analyze`` and ``ppd disasm --effects``/``--json`` ask)."""
     program = compiled.program
     table = compiled.table
     program_code = compiled.vm_code()
     codes = {proc.name: program_code.proc(proc.name) for proc in program.procs}
     summaries = _proc_summaries(codes, table)
-
-    stmt_owner: dict[int, str] = {}
-    for proc in program.procs:
-        for stmt in ast.walk_statements(proc.body):
-            stmt_owner[stmt.node_id] = proc.name
 
     procs: dict[str, CodeEffects] = {}
     all_sites: set[tuple[str, int, str, bool]] = set()
@@ -359,7 +305,6 @@ def analyze_program(compiled: "CompiledProgram") -> ProgramEffects:
         procs=procs,
         summaries=summaries,
         shared_sites=frozenset(all_sites),
-        stmt_owner=stmt_owner,
     )
     if _obs.enabled:
         counts = result.counts()

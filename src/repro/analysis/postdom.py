@@ -14,25 +14,26 @@ full-set formulation quadratic).
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .cfg import CFG
 
 
-def _reverse_postorder_from_exit(cfg: CFG) -> list[int]:
-    """Reverse postorder of the reversed CFG, rooted at the exit node."""
+def reverse_postorder(root: int, edges: Callable[[int], list[int]]) -> list[int]:
+    """Reverse postorder of the nodes reachable from *root* along *edges*
+    (``cfg.successors`` for the CFG, ``cfg.predecessors`` for its reverse)."""
     order: list[int] = []
-    visited: set[int] = set()
-    # Iterative DFS over predecessor edges (= successors in reversed graph).
-    stack: list[tuple[int, int]] = [(cfg.exit, 0)]
-    visited.add(cfg.exit)
+    visited: set[int] = {root}
+    # Iterative DFS; each stack entry keeps its node's edge list and cursor.
+    stack: list[tuple[int, list[int], int]] = [(root, edges(root), 0)]
     while stack:
-        node, edge_index = stack[-1]
-        preds = cfg.predecessors(node)
-        if edge_index < len(preds):
-            stack[-1] = (node, edge_index + 1)
-            nxt = preds[edge_index]
+        node, targets, edge_index = stack[-1]
+        if edge_index < len(targets):
+            stack[-1] = (node, targets, edge_index + 1)
+            nxt = targets[edge_index]
             if nxt not in visited:
                 visited.add(nxt)
-                stack.append((nxt, 0))
+                stack.append((nxt, edges(nxt), 0))
         else:
             stack.pop()
             order.append(node)
@@ -46,7 +47,7 @@ def immediate_postdominators(cfg: CFG) -> dict[int, int]:
     Cooper-Harvey-Kennedy on the reversed graph.  Nodes that cannot reach
     the exit (none, for structured PCL) are omitted.
     """
-    order = _reverse_postorder_from_exit(cfg)
+    order = reverse_postorder(cfg.exit, cfg.predecessors)
     index = {node: i for i, node in enumerate(order)}
     ipdom: dict[int, int] = {cfg.exit: cfg.exit}
 

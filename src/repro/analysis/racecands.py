@@ -94,9 +94,6 @@ class RaceCandidates:
     known_sites: frozenset[tuple[int, str]] = frozenset()
     #: segment site lists at this length may be truncated (see machine.py)
     site_cap: int = DEFAULT_SITE_CAP
-    #: pairs dropped by the bytecode effect refinement (an endpoint the
-    #: lowered code provably never executes as a shared access)
-    effect_pruned: int = 0
 
     #: The :class:`ProgramFacts` the analysis read, so lint reuses its walk
     #: and lockset analysis.  Not a field: equality and ``repr`` skip it.
@@ -867,64 +864,9 @@ def _candidate_set(
     return candidates
 
 
-def refine_with_effects(candidates: RaceCandidates, effects) -> RaceCandidates:
-    """Drop candidate pairs the bytecode effect analysis disproves.
-
-    *effects* is a :class:`~repro.analysis.effects.ProgramEffects`.  Its
-    ``shared_sites`` set — ``(proc, node_id, var, write)`` tuples taken
-    from the lowered bytecode — is a superset of every shared access the
-    VM can perform at runtime
-    (the hypothesis soundness suite asserts the containment against
-    :func:`collect_access_sites`).  A pair endpoint absent from that set
-    is therefore an access site the AST walk over-collected but no
-    execution ever reaches, so dropping the pair cannot lose a race.
-
-    ``known_sites`` is deliberately left unchanged: a runtime site id the
-    static pass never enumerated still degrades :meth:`may_conflict` to
-    ``True``.  Dropped pairs surface at scan time as ordinary prunes
-    (``debug.races.pairs_pruned``) and are tallied on ``effect_pruned``.
-    """
-    bytecode_sites = {
-        (proc, node_id, var, write)
-        for (proc, node_id, var, write) in effects.shared_sites
-    }
-
-    def executed(site: AccessSite) -> bool:
-        return (site.proc, site.node_id, site.var, site.write) in bytecode_sites
-
-    kept = [
-        pair
-        for pair in candidates.pairs
-        if executed(pair.site_a) and executed(pair.site_b)
-    ]
-    dropped = len(candidates.pairs) - len(kept)
-    if not dropped:
-        candidates.effect_pruned = 0
-        return candidates
-
-    refined = RaceCandidates(
-        variables=frozenset(pair.variable for pair in kept),
-        pairs=kept,
-        sites_by_var=candidates.sites_by_var,
-        conflicts_by_node=_conflicts(kept),
-        known_sites=candidates.known_sites,
-        site_cap=candidates.site_cap,
-        effect_pruned=dropped,
-    )
-    refined.facts = candidates.facts
-    return refined
-
-
-def candidates_from_compiled(
-    compiled, site_cap: int = DEFAULT_SITE_CAP, refine: bool = True
-) -> RaceCandidates:
-    """Convenience wrapper over a ``CompiledProgram``-shaped bundle.
-
-    With ``refine=True`` (the default) the candidate set is additionally
-    filtered through the bytecode effect analysis — see
-    :func:`refine_with_effects`.  A set with no pair has nothing to
-    refine, so it does not ask for the effect analysis."""
-    candidates = analyze_candidates(
+def candidates_from_compiled(compiled, site_cap: int = DEFAULT_SITE_CAP) -> RaceCandidates:
+    """Convenience wrapper over a ``CompiledProgram``-shaped bundle."""
+    return analyze_candidates(
         compiled.program,
         compiled.table,
         compiled.call_graph,
@@ -932,6 +874,3 @@ def candidates_from_compiled(
         compiled.cfgs,
         site_cap=site_cap,
     )
-    if refine and candidates.pairs:
-        candidates = refine_with_effects(candidates, compiled.vm_code().effects())
-    return candidates

@@ -39,12 +39,10 @@ Counter catalogue (names are a stable API; see README "Observability"):
 ``debug.races.order_checks``     happened-before tests performed
 ``debug.races.found``            races reported
 ``analysis.lint.diagnostics``    lint findings reported (+ ``.errors``)
-``analysis.effects.programs``    whole-program effect analyses run (cached after)
+``analysis.effects.programs``    whole-program effect analyses run (``ppd analyze``,
+                                 ``ppd disasm --effects``/``--json``)
 ``analysis.effects.local``       statement spans proven LOCAL (+ ``.shared``,
                                  ``.sync`` for the other lattice points)
-``vm.fastpath.elided``           scheduler yields elided by the verified fast path
-``vm.fastpath.fused_ops``        instructions removed by superinstruction fusion
-``vm.fastpath.pre_local``        statement boundaries rewritten to ``PRE_LOCAL``
 ``graph.subgraph_extractions``   per-process subgraphs extracted from the
                                  parallel dynamic graph (localization)
 ``graph.signature_builds``       behavioural signatures canonicalized
@@ -231,17 +229,6 @@ def on_effects(procs: int, local: int, shared: int, sync: int) -> None:
     tracer.emit(
         "analysis.effects", procs=procs, local=local, shared=shared, sync=sync
     )
-
-
-def on_fastpath(elided: int) -> None:
-    """One machine (or replay) finished with *elided* yields skipped."""
-    registry.counter("vm.fastpath.elided").inc(elided)
-
-
-def on_fuse(removed: int, pre_local: int) -> None:
-    """One code object was rewritten by superinstruction fusion."""
-    registry.counter("vm.fastpath.fused_ops").inc(removed)
-    registry.counter("vm.fastpath.pre_local").inc(pre_local)
 
 
 def on_subgraph_extract(pid: int) -> None:

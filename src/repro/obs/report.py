@@ -127,21 +127,3 @@ def deterministic_counters(registry: MetricsRegistry) -> dict[str, Any]:
         if not name.partition("{")[0].endswith(".seconds")
         and not name.endswith(("_s", ".total_s", ".mean_s", ".max_s", ".min_s"))
     }
-
-
-#: Counters that describe *how* a run executed (fast-path elisions,
-#: effect-analysis tallies) rather than *what* it computed.  They are
-#: deterministic for a fixed configuration — benchmark baselines keep
-#: them — but legitimately differ with the fast path on or off
-#: (``PPD_VM_FASTPATH``), and the tree-walking test oracle emits none,
-#: so parity gates strip them before diffing.
-META_COUNTER_PREFIXES = ("vm.fastpath.", "analysis.effects.")
-
-
-def strip_meta_counters(counters: dict[str, Any]) -> dict[str, Any]:
-    """Drop execution-configuration counters from a deterministic snapshot."""
-    return {
-        name: value
-        for name, value in counters.items()
-        if not name.startswith(META_COUNTER_PREFIXES)
-    }

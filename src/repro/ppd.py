@@ -119,9 +119,6 @@ def _build_parser():  # pragma: no cover - exercised via main()
     disasm.add_argument("program", help="PCL source file to lower")
     disasm.add_argument("--proc", default=None, metavar="NAME",
                         help="only list this procedure/function")
-    disasm.add_argument("--fast", action="store_true",
-                        help="list the verified fast-path form (PRE_LOCAL / "
-                             "fused superinstructions) instead of the raw lowering")
     disasm.add_argument("--effects", action="store_true",
                         help="annotate statement boundaries with their "
                              "local/shared/sync effect classification")
@@ -320,8 +317,7 @@ def _main_analyze(args) -> int:
     """``ppd analyze``: static effect analysis of one PCL source file.
 
     Prints each procedure's interprocedural summary, its per-statement
-    local/shared/sync classification (with elidability), and the shared
-    access-site table racecands refinement consumes."""
+    local/shared/sync classification, and the shared access-site table."""
     import json
 
     from .analysis.effects import analyze_program
@@ -345,7 +341,6 @@ def _main_analyze(args) -> int:
                             "label": stmt.stmt_label,
                             "node_id": stmt.node_id,
                             "effect": stmt.effect,
-                            "elidable": stmt.elidable,
                         }
                         for stmt in proc.stmts
                     ],
@@ -357,20 +352,15 @@ def _main_analyze(args) -> int:
         print(json.dumps(document, indent=2, sort_keys=True))
         return 0
     total = sum(counts.values())
-    elidable = sum(
-        1 for proc in effects.procs.values() for stmt in proc.stmts if stmt.elidable
-    )
     print(
         f"effects: {len(effects.procs)} procedure(s), {total} statement(s) — "
-        f"{counts['local']} local ({elidable} elidable), "
-        f"{counts['shared']} shared, {counts['sync']} sync"
+        f"{counts['local']} local, {counts['shared']} shared, {counts['sync']} sync"
     )
     for name, proc in effects.procs.items():
         print(f"\n{proc.kind} {name}  [summary={effects.summaries[name]}]")
         for stmt in proc.stmts:
             label = stmt.stmt_label or f"n{stmt.node_id}"
-            note = stmt.effect + (" elidable" if stmt.elidable else "")
-            print(f"  {label:<8} {note}")
+            print(f"  {label:<8} {stmt.effect}")
     if effects.shared_sites:
         print("\nshared sites:")
         for proc_name, node_id, var, write in sorted(effects.shared_sites):
@@ -382,10 +372,9 @@ def _main_analyze(args) -> int:
 def _main_disasm(args) -> int:
     """``ppd disasm``: print the bytecode lowering of a PCL program.
 
-    ``--fast`` shows the verified fast-path form the VM actually runs,
     ``--effects`` annotates statement boundaries with their effect
-    classification, and ``--json`` emits both plus the shared-site table
-    as one machine-readable document."""
+    classification, and ``--json`` emits the listing, the effects and the
+    shared-site table as one machine-readable document."""
     import json
 
     from .compiler.compile import compile_program
@@ -396,11 +385,11 @@ def _main_disasm(args) -> int:
     compiled = compile_program(source)
     try:
         if args.as_json:
-            print(json.dumps(disasm_json(compiled, proc=args.proc, fast=args.fast),
+            print(json.dumps(disasm_json(compiled, proc=args.proc),
                              indent=2, sort_keys=True))
         else:
             print(disassemble_program(compiled, proc=args.proc,
-                                      fast=args.fast, annotate=args.effects))
+                                      annotate=args.effects))
     except KeyError as error:
         print(f"error: {error.args[0]}")
         return 1

@@ -19,7 +19,6 @@ vector clock; the history derives clocks when an ordering query asks.
 
 from __future__ import annotations
 
-import os
 import random
 import sys
 import time as _time
@@ -157,25 +156,6 @@ class ExecutionRecord:
         return sum(len(log) for log in self.logs.values())
 
 
-def _fastpath_from_env() -> bool:
-    value = os.environ.get("PPD_VM_FASTPATH")
-    if value is None:
-        return True
-    return value.strip().lower() not in ("0", "off", "no", "false")
-
-
-#: Process-wide default for the VM's verified fast path (effect-proven
-#: yield elision + superinstruction fusion); ``fastpath=None`` resolves
-#: to this.  On by default; ``PPD_VM_FASTPATH=off`` (or 0/no/false)
-#: disables it — the vm-vs-oracle CI job runs the full matrix both ways.
-DEFAULT_FASTPATH = _fastpath_from_env()
-
-
-def resolve_fastpath(fastpath: Optional[bool]) -> bool:
-    """Default ``None`` to the process-wide :data:`DEFAULT_FASTPATH`."""
-    return DEFAULT_FASTPATH if fastpath is None else bool(fastpath)
-
-
 class Machine:
     """Runs one execution of a compiled program."""
 
@@ -192,17 +172,11 @@ class Machine:
         max_steps: int = 2_000_000,
         interventions: Optional[dict[tuple[int, int], list[tuple[str, Any]]]] = None,
         breakpoints: Optional[set[str]] = None,
-        fastpath: Optional[bool] = None,
     ) -> None:
         if mode not in ("plain", "logged"):
             raise ValueError(f"unknown mode {mode!r}")
         self.compiled = compiled
         self.mode = mode
-        self.fastpath = resolve_fastpath(fastpath)
-        #: set per run-loop iteration: True while the schedule is
-        #: pre-committed to the sole READY process (elision window)
-        self.fastpath_commit = False
-        self.fastpath_elided = 0
         self.seed = seed
         self.scheduler = Scheduler(seed=seed, quantum=quantum)
         self.tracer: Optional[Tracer] = Tracer() if trace else None
@@ -304,14 +278,6 @@ class Machine:
                     )
                 break
             process = self.scheduler.pick(ready)
-            # With a sole READY process the schedule is forced until some
-            # operation can change the ready set — and every such
-            # operation yields through a machine method, closing the
-            # window.  Fault injection keeps its per-yield firing sequence
-            # by disabling elision outright.
-            self.fastpath_commit = (
-                self.fastpath and len(ready) == 1 and not _flt.active
-            )
             try:
                 next(process.generator)
             except StopIteration:
@@ -382,8 +348,6 @@ class Machine:
             context_switches=self.scheduler.context_switches,
         )
         if _obs.enabled:
-            if self.fastpath_elided:
-                _obs.on_fastpath(self.fastpath_elided)
             _obs.on_run_complete(record)
         return record
 
@@ -997,25 +961,6 @@ class Machine:
             procdef, args, call_expr.node_id, call_uid
         )
         return result
-
-    def note_elided_step(self, process: Process) -> bool:
-        """Account one ``PRE`` yield the fast path elided.
-
-        Replicates exactly what :meth:`run` does around a real yield —
-        ``total_steps``, the solo scheduler bookkeeping, the obs step
-        hook — so records stay byte-identical.  Returns ``False`` to
-        force a real yield when the step budget is exhausted, letting
-        :meth:`run` raise the overflow error at the same step it always
-        would.
-        """
-        if self.total_steps + 1 > self.max_steps:
-            return False
-        self.total_steps += 1
-        self.scheduler.note_solo_step()
-        self.fastpath_elided += 1
-        if _obs.enabled:
-            _obs.on_step(process.pid)
-        return True
 
     def before_stmt(self, process: Process, stmt: ast.Stmt) -> None:
         """Pre-statement hook: breakpoints and what-if interventions (§5.7).

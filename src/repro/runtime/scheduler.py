@@ -51,17 +51,3 @@ class Scheduler:
         self._current = choice
         self._remaining = self.quantum - 1
         return choice
-
-    def note_solo_step(self) -> None:
-        """Account one step the fast path ran without calling :meth:`pick`.
-
-        Only legal while exactly one process is READY (the machine's
-        ``fastpath_commit``): :meth:`pick` would have returned the current
-        process either from its remaining quantum or as ``ready[0]`` —
-        neither consumes the RNG nor counts a switch — so replicating the
-        quantum arithmetic is all that keeps later picks byte-identical.
-        """
-        if self._remaining > 0:
-            self._remaining -= 1
-        else:
-            self._remaining = self.quantum - 1

@@ -13,7 +13,6 @@ are byte-identical under both.
 from .bytecode import Code, ProgramCode, compile_proc, compile_stmt
 from .disasm import disasm_json, disassemble, disassemble_program
 from .executor import VMExec
-from .fuse import fuse_code
 from .verify import (
     JumpTargetError,
     StackDepthError,
@@ -38,7 +37,6 @@ __all__ = [
     "disasm_json",
     "disassemble",
     "disassemble_program",
-    "fuse_code",
     "verify_code",
     "verify_program",
 ]

@@ -89,23 +89,6 @@ CALL_USER = 47  # (expr, procdef) pop args; invoke; push result
 PROC_RETURN = 48  # (procdef)     implicit end of a procedure body
 ROOT_RETURN = 49  # ()            end of a replay-root statement code
 
-# Fast-path opcodes.  Only :mod:`repro.vm.fuse` emits these, and only at
-# sites the effect analysis (:mod:`repro.analysis.effects`) proved LOCAL;
-# the verifier checks the rewritten code like any other.
-PRE_LOCAL = 50  # (stmt)          statement boundary; yield elided when the
-#                                 schedule is pre-committed to this process
-LOADL = 51  # (name, node_id)     push a proven process-local variable
-STOREL = 52  # (name, stmt)       pop value; write proven-local scalar
-LOADL_CONST = 53  # (name, node_id, value)  LOADL immediately followed by CONST
-BINOP_STOREL = 54  # (op, name, stmt)       BINOP immediately followed by STOREL
-PRE_LOCAL_R = 55  # (stmt)          PRE_LOCAL immediately followed by BEGIN_READS
-BINOP_LL = 56  # (op, a, a_id, b, b_id)  LOADL a; LOADL b; BINOP — push a <op> b
-BINOP_LC = 57  # (op, name, node_id, value)  LOADL; CONST; BINOP — push var <op> lit
-BINOP_C = 58  # (op, value)         CONST; BINOP — pop left, push left <op> lit
-BINOP_L = 59  # (op, name, node_id) LOADL; BINOP — pop left, push left <op> var
-PRED_JF = 60  # (stmt, target)      PRED immediately followed by JUMP_IF_FALSE
-LOAD_ELEML = 61  # (name, node_id, idx, idx_id)  LOADL idx; LOAD_ELEM name
-
 OPNAMES = [
     "PRE",
     "CONST",
@@ -157,18 +140,6 @@ OPNAMES = [
     "CALL_USER",
     "PROC_RETURN",
     "ROOT_RETURN",
-    "PRE_LOCAL",
-    "LOADL",
-    "STOREL",
-    "LOADL_CONST",
-    "BINOP_STOREL",
-    "PRE_LOCAL_R",
-    "BINOP_LL",
-    "BINOP_LC",
-    "BINOP_C",
-    "BINOP_L",
-    "PRED_JF",
-    "LOAD_ELEML",
 ]
 
 
@@ -457,39 +428,18 @@ class ProgramCode:
     Lowering is deterministic, so every machine, replay worker, and
     disassembler over the same compiled program shares one cache (attached
     lazily by :meth:`CompiledProgram.vm_code` and excluded from pickles).
-
     Every lowered code object passes the structural verifier
-    (:mod:`repro.vm.verify`) before it is cached.  ``fast=True`` variants
-    additionally run superinstruction fusion (:mod:`repro.vm.fuse`) over
-    the spans the effect analysis proved LOCAL — and are re-verified, so
-    a buggy rewrite can never reach an executor.
+    (:mod:`repro.vm.verify`) before it is cached.
     """
 
     def __init__(self, compiled) -> None:
         self.compiled = compiled
         self._procs: dict[str, Code] = {}
         self._stmts: dict[int, Code] = {}
-        self._procs_fast: dict[str, Code] = {}
-        self._stmts_fast: dict[int, Code] = {}
-        self._effects = None
-
-    def effects(self):
-        """Whole-program effect analysis, computed once and cached."""
-        if self._effects is None:
-            from ..analysis.effects import analyze_program
-
-            self._effects = analyze_program(self.compiled)
-        return self._effects
 
     def proc(self, name: str, fast: bool = False) -> Code:
-        if fast:
-            code = self._procs_fast.get(name)
-            if code is None:
-                base = self.proc(name)
-                effects = self.effects().procs[name]
-                code = self._fuse(base, effects.elidable_pres, name)
-                self._procs_fast[name] = code
-            return code
+        # ``fast`` is ignored: there is one lowering.  The keyword stays
+        # only because bench/local.py still passes ``fast=True``.
         code = self._procs.get(name)
         if code is None:
             from .verify import verify_code
@@ -500,40 +450,11 @@ class ProgramCode:
             self._procs[name] = code
         return code
 
-    def stmt(self, stmt: ast.Stmt, fast: bool = False) -> Code:
-        if fast:
-            code = self._stmts_fast.get(stmt.node_id)
-            if code is None:
-                from ..analysis.effects import analyze_code
-
-                base = self.stmt(stmt)
-                program_effects = self.effects()
-                owner = program_effects.owner_of(stmt.node_id) or ""
-                effects = analyze_code(
-                    base, owner, self.compiled.table, program_effects.summaries
-                )
-                code = self._fuse(base, effects.elidable_pres, owner)
-                self._stmts_fast[stmt.node_id] = code
-            return code
+    def stmt(self, stmt: ast.Stmt) -> Code:
         code = self._stmts.get(stmt.node_id)
         if code is None:
             from .verify import verify_code
 
             code = verify_code(compile_stmt(self.compiled, stmt))
             self._stmts[stmt.node_id] = code
-        return code
-
-    def _fuse(self, base: Code, elidable_pres: frozenset, owner: str) -> Code:
-        from ..obs import hooks as _obs
-        from .fuse import fuse_code
-        from .verify import verify_code
-
-        code = verify_code(
-            fuse_code(base, elidable_pres, self.compiled.table, owner)
-        )
-        if _obs.enabled:
-            _obs.on_fuse(
-                removed=len(base.instrs) - len(code.instrs),
-                pre_local=len(elidable_pres),
-            )
         return code

@@ -39,25 +39,8 @@ def _instr_str(ins: tuple) -> str:
         )
     if op == bc.CHUNK_ENTER:
         return f"{name:<14} {_operand_str(ins[1])} skip->{ins[2]}"
-    if op == bc.PRED_JF:
-        return f"{name:<14} {_operand_str(ins[1])} -> {ins[2]}"
     parts = " ".join(_operand_str(operand) for operand in ins[1:])
     return f"{name:<14} {parts}".rstrip()
-
-
-def _effect_notes(effects) -> dict[int, str]:
-    """Statement node id -> inline annotation, from a CodeEffects.
-
-    Keyed by node id rather than instruction index so the same notes
-    apply to both the raw listing and the fused one (fusion renumbers
-    instructions but keeps statement identity)."""
-    notes: dict[int, str] = {}
-    for stmt in effects.stmts:
-        note = stmt.effect
-        if stmt.elidable:
-            note += " elidable"
-        notes[stmt.node_id] = note
-    return notes
 
 
 def disassemble(code: bc.Code, effects=None) -> str:
@@ -65,43 +48,39 @@ def disassemble(code: bc.Code, effects=None) -> str:
 
     With *effects* (a :class:`~repro.analysis.effects.CodeEffects`),
     every statement boundary line carries its effect classification as a
-    trailing ``; local|shared|sync [elidable]`` comment.
+    trailing ``; local|shared|sync`` comment.
     """
-    notes = _effect_notes(effects) if effects is not None else {}
+    notes = {}
+    if effects is not None:
+        notes = {stmt.pre_index: stmt.effect for stmt in effects.stmts}
     lines = [f"{code.kind} {code.name}  ({len(code.instrs)} instrs)"]
     for index, ins in enumerate(code.instrs):
         text = _instr_str(ins)
-        if notes and ins[0] in (bc.PRE, bc.PRE_LOCAL, bc.PRE_LOCAL_R):
-            note = notes.get(ins[1].node_id)
-            if note is not None:
-                text = f"{text:<24} ; {note}"
+        note = notes.get(index)
+        if note is not None:
+            text = f"{text:<24} ; {note}"
         lines.append(f"  {index:>4}  {text}")
     return "\n".join(lines)
 
 
-def disassemble_program(
-    compiled,
-    proc: str | None = None,
-    fast: bool = False,
-    annotate: bool = False,
-) -> str:
+def disassemble_program(compiled, proc: str | None = None, annotate: bool = False) -> str:
     """Every procedure of *compiled* (or just *proc*) as one listing.
 
-    ``fast=True`` lists the verified fast-path form (``PRE_LOCAL`` /
-    fused superinstructions) the VM executes when the fast path is on;
     ``annotate=True`` adds per-statement effect comments.
     """
     program_code = compiled.vm_code()
     per_proc_effects = {}
     if annotate:
-        per_proc_effects = program_code.effects().procs
+        from ..analysis.effects import analyze_program
+
+        per_proc_effects = analyze_program(compiled).procs
     names = [procdef.name for procdef in compiled.program.procs]
     if proc is not None:
         if proc not in names:
             raise KeyError(proc)
         names = [proc]
     sections = [
-        disassemble(program_code.proc(name, fast), per_proc_effects.get(name))
+        disassemble(program_code.proc(name), per_proc_effects.get(name))
         for name in names
     ]
     return "\n\n".join(sections)
@@ -119,18 +98,17 @@ def _instr_json(index: int, ins: tuple) -> dict:
     elif op == bc.CHUNK_ENTER:
         entry["operands"] = [_operand_str(ins[1])]
         entry["skip"] = ins[2]
-    elif op == bc.PRED_JF:
-        entry["operands"] = [_operand_str(ins[1])]
-        entry["target"] = ins[2]
     else:
         entry["operands"] = [_operand_str(operand) for operand in ins[1:]]
     return entry
 
 
-def disasm_json(compiled, proc: str | None = None, fast: bool = False) -> dict:
+def disasm_json(compiled, proc: str | None = None) -> dict:
     """Machine-readable disassembly + effect analysis (``ppd disasm --json``)."""
+    from ..analysis.effects import analyze_program
+
     program_code = compiled.vm_code()
-    program_effects = program_code.effects()
+    program_effects = analyze_program(compiled)
     names = [procdef.name for procdef in compiled.program.procs]
     if proc is not None:
         if proc not in names:
@@ -138,17 +116,14 @@ def disasm_json(compiled, proc: str | None = None, fast: bool = False) -> dict:
         names = [proc]
     procs = []
     for name in names:
-        code = program_code.proc(name, fast)
+        code = program_code.proc(name)
         effects = program_effects.procs[name]
-        notes = {stmt.node_id: stmt for stmt in effects.stmts}
+        notes = {stmt.pre_index: stmt.effect for stmt in effects.stmts}
         instrs = []
         for index, ins in enumerate(code.instrs):
             entry = _instr_json(index, ins)
-            if ins[0] in (bc.PRE, bc.PRE_LOCAL, bc.PRE_LOCAL_R):
-                stmt = notes.get(ins[1].node_id)
-                if stmt is not None:
-                    entry["effect"] = stmt.effect
-                    entry["elidable"] = stmt.elidable
+            if index in notes:
+                entry["effect"] = notes[index]
             instrs.append(entry)
         procs.append(
             {
@@ -161,7 +136,6 @@ def disasm_json(compiled, proc: str | None = None, fast: bool = False) -> dict:
             }
         )
     return {
-        "fast": fast,
         "procs": procs,
         "shared_sites": [list(site) for site in sorted(program_effects.shared_sites)],
     }

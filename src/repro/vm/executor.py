@@ -129,10 +129,6 @@ class VMExec:
         self._sync_prelog_sites = machine.sync_prelog_sites
         self._tracer = machine.tracer
         self._code = machine.compiled.vm_code()
-        #: Fast-path machines run fused code (PRE_LOCAL/LOADL/... opcodes);
-        #: the rewrite is effect-proven and re-verified, and elision is
-        #: additionally gated at runtime by machine.fastpath_commit.
-        self._fastpath = bool(getattr(machine, "fastpath", False))
         #: Machines that keep the base nested-call policy let the VM push
         #: callee frames onto its own trampoline (no Python recursion);
         #: overriding machines (replay) get the generator protocol.
@@ -163,9 +159,7 @@ class VMExec:
 
     def exec_stmt(self, stmt: ast.Stmt) -> Generator:
         """Execute one statement against the current frame (replay roots)."""
-        frame = _VMFrame(
-            self._code.stmt(stmt, self._fastpath), self.process.frames[-1], None, -1, -1
-        )
+        frame = _VMFrame(self._code.stmt(stmt), self.process.frames[-1], None, -1, -1)
         yield from self._run([frame])
 
     # ------------------------------------------------------------------
@@ -211,13 +205,7 @@ class VMExec:
             for param in procdef.params:
                 frame.def_events[param.name] = event.uid
         frames.append(
-            _VMFrame(
-                self._code.proc(procdef.name, self._fastpath),
-                frame,
-                procdef,
-                call_uid,
-                interval_id,
-            )
+            _VMFrame(self._code.proc(procdef.name), frame, procdef, call_uid, interval_id)
         )
 
     def _deliver(
@@ -482,339 +470,6 @@ class VMExec:
                             else:
                                 machine.note_shared_def(name, name, event.uid)
                         ip += 1
-                    elif op >= 50:  # fused fast-path ops (repro.vm.fuse)
-                        # One range test guards all fused opcodes, so raw
-                        # opcodes below pay a single extra comparison
-                        # while fused hot loops stay near the chain head.
-                        if op == 56:  # BINOP_LL — LOADL a; LOADL b; BINOP
-                            name = ins[2]
-                            bname = ins[4]
-                            if name in fvars and bname in fvars:
-                                left = fvars[name]
-                                right = fvars[bname]
-                                if tracer is not None:
-                                    reads = self._reads
-                                    reads.append(
-                                        (name, rframe.def_events.get(name, -1))
-                                    )
-                                    reads.append(
-                                        (bname, rframe.def_events.get(bname, -1))
-                                    )
-                            else:
-                                if name not in fvars:
-                                    raise PCLRuntimeError(
-                                        f"read of undefined variable {name!r}"
-                                    )
-                                if tracer is not None:
-                                    self._reads.append(
-                                        (name, rframe.def_events.get(name, -1))
-                                    )
-                                raise PCLRuntimeError(
-                                    f"read of undefined variable {bname!r}"
-                                )
-                            bop = ins[1]
-                            if type(left) is int and type(right) is int:
-                                if bop == "+":
-                                    stack.append(left + right)
-                                elif bop == "-":
-                                    stack.append(left - right)
-                                elif bop == "*":
-                                    stack.append(left * right)
-                                elif bop == "<":
-                                    stack.append(left < right)
-                                elif bop == "<=":
-                                    stack.append(left <= right)
-                                elif bop == ">":
-                                    stack.append(left > right)
-                                elif bop == ">=":
-                                    stack.append(left >= right)
-                                elif bop == "==":
-                                    stack.append(left == right)
-                                elif bop == "!=":
-                                    stack.append(left != right)
-                                else:
-                                    stack.append(apply_binary(bop, left, right))
-                            else:
-                                stack.append(apply_binary(bop, left, right))
-                            ip += 1
-                        elif op == 55:  # PRE_LOCAL_R — PRE_LOCAL + BEGIN_READS
-                            if not (
-                                machine.fastpath_commit
-                                and machine.note_elided_step(process)
-                            ):
-                                yield
-                            process.steps += 1
-                            segment = process.current_segment
-                            if segment is not None:
-                                segment.step_count += 1
-                            if before_hook is not None:
-                                before_hook(process, ins[1])
-                            self._reads = []
-                            ip += 1
-                        elif op == 60:  # PRED_JF — PRED + JUMP_IF_FALSE
-                            stmt = ins[1]
-                            value = stack.pop()
-                            reads = self._reads
-                            self._reads = []
-                            outcome = True if value else False
-                            if tracer is not None:
-                                emit_trace(
-                                    process,
-                                    kind=EV_PRED,
-                                    node_id=stmt.node_id,
-                                    stmt_label=stmt.stmt_label,
-                                    value=outcome,
-                                    reads=reads,
-                                    label="true" if outcome else "false",
-                                )
-                            if outcome:
-                                ip += 1
-                            else:
-                                ip = ins[2]
-                        elif op == 51:  # LOADL — proven process-local read
-                            name = ins[1]
-                            if name in fvars:
-                                if tracer is not None:
-                                    self._reads.append(
-                                        (name, rframe.def_events.get(name, -1))
-                                    )
-                                stack.append(fvars[name])
-                            else:
-                                raise PCLRuntimeError(
-                                    f"read of undefined variable {name!r}"
-                                )
-                            ip += 1
-                        elif op == 57:  # BINOP_LC — LOADL; CONST; BINOP
-                            name = ins[2]
-                            if name in fvars:
-                                left = fvars[name]
-                                if tracer is not None:
-                                    self._reads.append(
-                                        (name, rframe.def_events.get(name, -1))
-                                    )
-                            else:
-                                raise PCLRuntimeError(
-                                    f"read of undefined variable {name!r}"
-                                )
-                            right = ins[4]
-                            bop = ins[1]
-                            if type(left) is int and type(right) is int:
-                                if bop == "+":
-                                    stack.append(left + right)
-                                elif bop == "-":
-                                    stack.append(left - right)
-                                elif bop == "*":
-                                    stack.append(left * right)
-                                elif bop == "<":
-                                    stack.append(left < right)
-                                elif bop == "<=":
-                                    stack.append(left <= right)
-                                elif bop == ">":
-                                    stack.append(left > right)
-                                elif bop == ">=":
-                                    stack.append(left >= right)
-                                elif bop == "==":
-                                    stack.append(left == right)
-                                elif bop == "!=":
-                                    stack.append(left != right)
-                                else:
-                                    stack.append(apply_binary(bop, left, right))
-                            else:
-                                stack.append(apply_binary(bop, left, right))
-                            ip += 1
-                        elif op == 58:  # BINOP_C — CONST + BINOP
-                            bop = ins[1]
-                            right = ins[2]
-                            left = stack[-1]
-                            if type(left) is int and type(right) is int:
-                                if bop == "+":
-                                    stack[-1] = left + right
-                                elif bop == "-":
-                                    stack[-1] = left - right
-                                elif bop == "*":
-                                    stack[-1] = left * right
-                                elif bop == "<":
-                                    stack[-1] = left < right
-                                elif bop == "<=":
-                                    stack[-1] = left <= right
-                                elif bop == ">":
-                                    stack[-1] = left > right
-                                elif bop == ">=":
-                                    stack[-1] = left >= right
-                                elif bop == "==":
-                                    stack[-1] = left == right
-                                elif bop == "!=":
-                                    stack[-1] = left != right
-                                else:
-                                    stack[-1] = apply_binary(bop, left, right)
-                            else:
-                                stack[-1] = apply_binary(bop, left, right)
-                            ip += 1
-                        elif op == 59:  # BINOP_L — LOADL + BINOP
-                            name = ins[2]
-                            if name in fvars:
-                                right = fvars[name]
-                                if tracer is not None:
-                                    self._reads.append(
-                                        (name, rframe.def_events.get(name, -1))
-                                    )
-                            else:
-                                raise PCLRuntimeError(
-                                    f"read of undefined variable {name!r}"
-                                )
-                            bop = ins[1]
-                            left = stack[-1]
-                            if type(left) is int and type(right) is int:
-                                if bop == "+":
-                                    stack[-1] = left + right
-                                elif bop == "-":
-                                    stack[-1] = left - right
-                                elif bop == "*":
-                                    stack[-1] = left * right
-                                elif bop == "<":
-                                    stack[-1] = left < right
-                                elif bop == "<=":
-                                    stack[-1] = left <= right
-                                elif bop == ">":
-                                    stack[-1] = left > right
-                                elif bop == ">=":
-                                    stack[-1] = left >= right
-                                elif bop == "==":
-                                    stack[-1] = left == right
-                                elif bop == "!=":
-                                    stack[-1] = left != right
-                                else:
-                                    stack[-1] = apply_binary(bop, left, right)
-                            else:
-                                stack[-1] = apply_binary(bop, left, right)
-                            ip += 1
-                        elif op == 61:  # LOAD_ELEML — LOADL idx + LOAD_ELEM
-                            iname = ins[3]
-                            if iname in fvars:
-                                index = fvars[iname]
-                                if tracer is not None:
-                                    self._reads.append(
-                                        (iname, rframe.def_events.get(iname, -1))
-                                    )
-                            else:
-                                raise PCLRuntimeError(
-                                    f"read of undefined variable {iname!r}"
-                                )
-                            name = ins[1]
-                            if name in fvars:
-                                array = fvars[name]
-                                if not isinstance(array, PCLArray):
-                                    raise PCLRuntimeError(
-                                        f"{name!r} is not an array"
-                                    )
-                                value = array.get(index)
-                                if tracer is not None:
-                                    key = f"{name}[{int(index)}]"
-                                    uid = rframe.def_events.get(
-                                        key, rframe.def_events.get(name, -1)
-                                    )
-                                    self._reads.append((key, uid))
-                                stack.append(value)
-                            else:
-                                raise PCLRuntimeError(
-                                    f"read of undefined array {name!r}"
-                                )
-                            ip += 1
-                        elif op == 54:  # BINOP_STOREL — BINOP + STOREL
-                            bop = ins[1]
-                            right = stack.pop()
-                            left = stack.pop()
-                            if type(left) is int and type(right) is int:
-                                if bop == "+":
-                                    value = left + right
-                                elif bop == "-":
-                                    value = left - right
-                                elif bop == "*":
-                                    value = left * right
-                                elif bop == "<":
-                                    value = left < right
-                                elif bop == "<=":
-                                    value = left <= right
-                                elif bop == ">":
-                                    value = left > right
-                                elif bop == ">=":
-                                    value = left >= right
-                                elif bop == "==":
-                                    value = left == right
-                                elif bop == "!=":
-                                    value = left != right
-                                else:
-                                    value = apply_binary(bop, left, right)
-                            else:
-                                value = apply_binary(bop, left, right)
-                            name = ins[2]
-                            stmt = ins[3]
-                            reads = self._reads
-                            self._reads = []
-                            fvars[name] = value
-                            if tracer is not None:
-                                event = emit_trace(
-                                    process,
-                                    kind=EV_STMT,
-                                    node_id=stmt.node_id,
-                                    stmt_label=stmt.stmt_label,
-                                    var=name,
-                                    value=value,
-                                    reads=reads,
-                                )
-                                rframe.def_events[name] = event.uid
-                            ip += 1
-                        elif op == 53:  # LOADL_CONST — LOADL + CONST
-                            name = ins[1]
-                            if name in fvars:
-                                if tracer is not None:
-                                    self._reads.append(
-                                        (name, rframe.def_events.get(name, -1))
-                                    )
-                                stack.append(fvars[name])
-                                stack.append(ins[3])
-                            else:
-                                raise PCLRuntimeError(
-                                    f"read of undefined variable {name!r}"
-                                )
-                            ip += 1
-                        elif op == 52:  # STOREL — proven process-local write
-                            name = ins[1]
-                            stmt = ins[2]
-                            value = stack.pop()
-                            reads = self._reads
-                            self._reads = []
-                            fvars[name] = value
-                            if tracer is not None:
-                                event = emit_trace(
-                                    process,
-                                    kind=EV_STMT,
-                                    node_id=stmt.node_id,
-                                    stmt_label=stmt.stmt_label,
-                                    var=name,
-                                    value=value,
-                                    reads=reads,
-                                )
-                                rframe.def_events[name] = event.uid
-                            ip += 1
-                        else:  # op == 50: PRE_LOCAL — elidable stmt boundary
-                            # The span after this boundary is proven LOCAL:
-                            # it cannot wake another process or touch shared
-                            # state.  When the machine has pre-committed the
-                            # schedule to this process, replicate run()'s
-                            # per-yield bookkeeping and skip the yield.
-                            if not (
-                                machine.fastpath_commit
-                                and machine.note_elided_step(process)
-                            ):
-                                yield
-                            process.steps += 1
-                            segment = process.current_segment
-                            if segment is not None:
-                                segment.step_count += 1
-                            if before_hook is not None:
-                                before_hook(process, ins[1])
-                            ip += 1
                     elif op == 5:  # JUMP
                         ip = ins[1]
                     elif op == 6:  # JUMP_IF_FALSE

@@ -1,8 +1,7 @@
 """Structural bytecode verifier for lowered PCL code objects.
 
-Every :class:`~repro.vm.bytecode.Code` the compiler (or the
-superinstruction fuser) produces is checked against four invariants
-before any executor runs it:
+Every :class:`~repro.vm.bytecode.Code` the compiler produces is checked
+against four invariants before any executor runs it:
 
 1. **Jump targets in bounds** — every jump operand (including the
    loop/chunk skip edges the replay engine may take) names a real
@@ -10,20 +9,20 @@ before any executor runs it:
 2. **Stack-depth balance** — a dataflow pass assigns every reachable
    instruction a unique operand-stack depth; pops never underflow, the
    depths of all predecessors agree, and the depth at every statement
-   boundary (``PRE``/``PRE_LOCAL``) is zero — the executor's contract
-   that statements never leak operands to each other.
+   boundary (``PRE``) is zero — the executor's contract that statements
+   never leak operands to each other.
 3. **E-block boundaries reachable** — every ``LOOP_ENTER``/``LOOP_EXIT``
    /``CHUNK_ENTER``/``CHUNK_EXIT``/``ACCEPT_ENTER``/``ACCEPT_EXIT`` is
    reachable from the entry point, so the instrumentation plan baked
    into the code can actually fire.
 4. **One yield site per preemption point** — each statement object owns
-   exactly one ``PRE``/``PRE_LOCAL``, the ``stmt_at`` table agrees with
-   it, and the table covers every instruction; eliding or fusing can
-   therefore never duplicate or drop a preemption point.
+   exactly one ``PRE``, the ``stmt_at`` table agrees with it, and the
+   table covers every instruction, so no preemption point is duplicated
+   or dropped.
 
 Violations raise a typed :class:`VerifyError` subclass naming the code
-object and instruction index — run at compile time (every lowering and
-every fusion rewrite) and by ``ppd analyze`` / ``ppd disasm``.
+object and instruction index — run at compile time (every lowering) and
+by ``ppd analyze`` / ``ppd disasm``.
 """
 
 from __future__ import annotations
@@ -81,10 +80,6 @@ _BLOCK_OPS = frozenset(
     }
 )
 
-#: Statement-boundary opcodes (invariant 4): the raw ``PRE`` and the
-#: fused ``PRE_LOCAL``/``PRE_LOCAL_R`` are each exactly one yield site.
-_PRE_OPS = frozenset({bc.PRE, bc.PRE_LOCAL, bc.PRE_LOCAL_R})
-
 _TERMINALS = frozenset(
     {
         bc.RETURN_VALUE,
@@ -100,22 +95,10 @@ _TERMINALS = frozenset(
 #: inline in :func:`_stack_effect`.
 _FIXED_EFFECTS = {
     bc.PRE: (0, 0),
-    bc.PRE_LOCAL: (0, 0),
-    bc.PRE_LOCAL_R: (0, 0),
-    bc.BINOP_LL: (0, 1),
-    bc.BINOP_LC: (0, 1),
-    bc.BINOP_C: (1, 1),
-    bc.BINOP_L: (1, 1),
-    bc.PRED_JF: (1, 0),
-    bc.LOAD_ELEML: (0, 1),
     bc.CONST: (0, 1),
     bc.LOAD: (0, 1),
-    bc.LOADL: (0, 1),
-    bc.LOADL_CONST: (0, 2),
     bc.BINOP: (2, 1),
-    bc.BINOP_STOREL: (2, 0),
     bc.STORE: (1, 0),
-    bc.STOREL: (1, 0),
     bc.JUMP: (0, 0),
     bc.JUMP_IF_FALSE: (1, 0),
     bc.PRED: (1, 1),
@@ -185,8 +168,6 @@ def _jump_operands(ins: tuple) -> tuple[int, ...]:
         return (ins[3], ins[4])
     if op == bc.CHUNK_ENTER:
         return (ins[2],)
-    if op == bc.PRED_JF:
-        return (ins[2],)
     return ()
 
 
@@ -216,7 +197,7 @@ def verify_code(code: bc.Code) -> bc.Code:
     # Invariant 4: one yield site per statement, stmt_at agreement.
     pre_of_stmt: dict[int, int] = {}
     for index, ins in enumerate(instrs):
-        if ins[0] in _PRE_OPS:
+        if ins[0] == bc.PRE:
             stmt = ins[1]
             previous = pre_of_stmt.get(id(stmt))
             if previous is not None:
@@ -240,7 +221,7 @@ def verify_code(code: bc.Code) -> bc.Code:
         depth = depth_at[index]
         ins = instrs[index]
         op = ins[0]
-        if op in _PRE_OPS and depth != 0:
+        if op == bc.PRE and depth != 0:
             raise StackDepthError(
                 name, index, f"statement boundary at stack depth {depth} (want 0)"
             )
@@ -258,8 +239,6 @@ def verify_code(code: bc.Code) -> bc.Code:
             edges = [(ins[1], after)]
         elif op == bc.JUMP_IF_FALSE:
             edges = [(index + 1, after), (ins[1], after)]
-        elif op == bc.PRED_JF:
-            edges = [(index + 1, after), (ins[2], after)]
         elif op == bc.LOOP_ENTER:
             edges = [(index + 1, after), (ins[3], after), (ins[4], after)]
         elif op == bc.CHUNK_ENTER:

@@ -2,12 +2,17 @@
 
 For every race-digest case (bank_race(32, 75), every shipped workload and
 example), E14's ring_counters(6, 3), master_worker(48) and
-ring_allreduce(32), the candidate set's contents are hashed with and
-without the bytecode effect refinement: the variables, the pairs in
-order, the sites by variable (in order), the conflict map, the known
-sites and the effect-pruned count.  A change to how the candidates are
-computed must leave every digest unchanged.  Regenerate only for an
-intended change in what the analysis reports:
+ring_allreduce(32), the candidate set's contents are hashed: the
+variables, the pairs in order, the sites by variable (in order), the
+conflict map and the known sites.  The ``refined`` leg first drops every
+pair with an endpoint the bytecode effect analysis never classifies
+SHARED, as the refinement the analysis once applied did, and hashes the
+number dropped where the set's effect-pruned count stood (the
+``unrefined`` leg hashes a literal 0 there).  Both legs pin the same
+value, so they also pin that the deleted refinement would drop nothing.
+A change to how the candidates are computed must leave every digest
+unchanged.  Regenerate only for an intended change in what the analysis
+reports:
 ``PYTHONPATH=src python -m tests.analysis.test_candidate_digests``.
 """
 
@@ -16,6 +21,7 @@ import hashlib
 import pytest
 
 from repro import compile_program
+from repro.analysis.effects import analyze_program
 from repro.analysis.racecands import candidates_from_compiled
 from repro.workloads import master_worker, ring_allreduce
 from tests.core.test_race_digests import cases as race_digest_cases
@@ -34,15 +40,27 @@ def cases() -> dict[str, str]:
 def candidate_digest(source: str, refine: bool) -> str:
     """SHA-256 prefix over every field of the candidate set that a scan,
     lint or ``candidates`` reads."""
-    cands = candidates_from_compiled(compile_program(source), refine=refine)
+    compiled = compile_program(source)
+    cands = candidates_from_compiled(compiled)
+    pairs = cands.pairs
+    if refine:
+        shared = analyze_program(compiled).shared_sites
+        pairs = [
+            pair
+            for pair in pairs
+            if all(
+                (site.proc, site.node_id, site.var, site.write) in shared
+                for site in (pair.site_a, pair.site_b)
+            )
+        ]
     digest = hashlib.sha256()
     for part in (
         sorted(cands.variables),
-        [(p.variable, p.kind, p.site_a, p.site_b) for p in cands.pairs],
+        [(p.variable, p.kind, p.site_a, p.site_b) for p in pairs],
         list(cands.sites_by_var.items()),
         sorted((key, sorted(nodes)) for key, nodes in cands.conflicts_by_node.items()),
         sorted(cands.known_sites),
-        cands.effect_pruned,
+        len(cands.pairs) - len(pairs),
         cands.site_cap,
     ):
         digest.update(repr(part).encode())

@@ -4,9 +4,10 @@
 and runs each later step only for the pairs that need it;
 ``tests/oracle/racecands.py`` is the analysis as it was before, which
 walked each procedure once per fact and ran every step.  On generated
-programs both must give the same candidate set (with and without the
-effect refinement), the same access sites, the same concurrency answers
-and the same lockset information, the one lint's lock-cycle check reads.
+programs both must give the same candidate set (the oracle's with and
+without its effect refinement, which must drop nothing), the same access
+sites, the same concurrency answers and the same lockset information,
+the one lint's lock-cycle check reads.
 
 Besides the two shared fuzz generators, :func:`race_programs` builds
 programs that reach every step: shared variables touched by main, by
@@ -39,7 +40,6 @@ def candidate_view(cands) -> tuple:
         [(var, [_site(s) for s in sites]) for var, sites in cands.sites_by_var.items()],
         cands.conflicts_by_node,
         cands.known_sites,
-        cands.effect_pruned,
         cands.site_cap,
     )
 
@@ -56,10 +56,11 @@ def assert_same_analysis(source: str) -> None:
         compiled.call_graph,
         compiled.cfgs,
     )
+    new = racecands.candidates_from_compiled(compiled)
     for refine in (True, False):
-        new = racecands.candidates_from_compiled(compiled, refine=refine)
         old = oracle.candidates_from_compiled(compiled, refine=refine)
         assert candidate_view(new) == candidate_view(old)
+        assert old.effect_pruned == 0
     assert [_site(s) for s in racecands.collect_access_sites(program, table)] == [
         _site(s) for s in oracle.collect_access_sites(program, table)
     ]
@@ -212,7 +213,7 @@ def test_race_programs_reach_every_step(monkeypatch):
     @settings(max_examples=60, deadline=None, database=None)
     def sample(source):
         compiled = compile_program(source)
-        cands = racecands.candidates_from_compiled(compiled, refine=False)
+        cands = racecands.candidates_from_compiled(compiled)
         reached["pairs"] += bool(cands.pairs)
         sites = racecands.collect_access_sites(compiled.program, compiled.table)
         reached["excluded"] += bool({s.var for s in sites if s.write} - cands.variables)

@@ -46,9 +46,6 @@ STABLE_COUNTER_NAMES = {
     "analysis.effects.local",
     "analysis.effects.shared",
     "analysis.effects.sync",
-    "vm.fastpath.elided",
-    "vm.fastpath.fused_ops",
-    "vm.fastpath.pre_local",
     "perf.cache.hits",
     "perf.cache.misses",
     "perf.cache.evictions",

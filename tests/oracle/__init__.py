@@ -27,10 +27,6 @@ from .interp import Interp
 
 
 def _oracle_executor(machine: Machine, process) -> Interp:
-    # The walker has no fast path; say so, so the machine's fast-path
-    # bookkeeping (and anything that reports it) stays off.
-    machine.fastpath = False
-    machine.fastpath_commit = False
     return Interp(machine, process)
 
 

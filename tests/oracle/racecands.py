@@ -47,6 +47,7 @@ from typing import Iterable, Optional
 from repro.lang import ast
 from repro.analysis.cfg import CFG, build_cfgs
 from repro.analysis.dataflow import Summaries
+from repro.analysis.effects import analyze_program
 from repro.analysis.interproc import CallGraph, build_call_graph, compute_summaries
 from repro.analysis.symbols import SymbolTable
 
@@ -835,5 +836,5 @@ def candidates_from_compiled(
         site_cap=site_cap,
     )
     if refine:
-        candidates = refine_with_effects(candidates, compiled.vm_code().effects())
+        candidates = refine_with_effects(candidates, analyze_program(compiled))
     return candidates

@@ -141,57 +141,10 @@ def test_ppd_disasm_cli(tmp_path, capsys):
     assert ppd_main(["disasm", str(path), "--proc", "ghost"]) == 1
 
 
-GOLDEN_FAST_MAIN = """\
-proc main  (36 instrs)
-     0  PRE_LOCAL_R    @s2
-     1  CONST          0
-     2  DECL_INIT      @s2
-     3  PRE_LOCAL      @s3
-     4  LOOP_ENTER     @s3 - exit->30 continue->5
-     5  BEGIN_READS
-     6  BINOP_LC       < k 12 2
-     7  PRED_JF        @s3 -> 29
-     8  PRE            @s4
-     9  SEM_P          @s4
-    10  POST           @s4
-    11  PRE            @s5
-    12  BEGIN_READS
-    13  LOAD           total 17
-    14  CALL_BEGIN     @n19 proc:twice
-    15  ARG_MARK
-    16  LOADL          k 18
-    17  ARG_CAPTURE
-    18  CALL_USER      @n19 proc:twice
-    19  BINOP          +
-    20  STORE          total @s5
-    21  POST           @s5
-    22  PRE            @s6
-    23  SEM_V          @s6
-    24  POST           @s6
-    25  PRE_LOCAL_R    @s7
-    26  BINOP_LC       + k 24 1
-    27  STOREL         k @s7
-    28  JUMP           -> 5
-    29  LOOP_EXIT
-    30  PRE            @s8
-    31  BEGIN_READS
-    32  CONST          total =
-    33  LOAD           total 31
-    34  PRINT          @s8 2
-    35  PROC_RETURN    proc:main"""
-
-
-def test_golden_fast_listing():
-    """The fused fast-path lowering is golden too: an intentional fusion
-    change must update this listing in the same commit."""
-    compiled = compile_program(SOURCE)
-    assert disassemble_program(compiled, proc="main", fast=True) == GOLDEN_FAST_MAIN
-
-
 def test_effect_annotations_mark_statement_boundaries():
     compiled = compile_program(SOURCE)
     listing = disassemble_program(compiled, annotate=True)
-    assert "; local elidable" in listing  # k = k + 1
+    assert "; local" in listing  # k = k + 1
     assert "; sync" in listing  # P(gate) / V(gate)
     assert "; shared" in listing  # total = total + twice(k)
     # Annotations ride on the same listing text, never reorder it.
@@ -205,17 +158,16 @@ def test_disasm_json_structure():
     from repro.vm import disasm_json
 
     compiled = compile_program(SOURCE)
-    doc = disasm_json(compiled, proc="main", fast=True)
-    assert doc["fast"] is True
+    doc = disasm_json(compiled, proc="main")
     (proc,) = doc["procs"]
     assert proc["name"] == "main" and proc["kind"] == "proc"
     assert proc["summary"] == "sync"
     assert proc["instr_count"] == len(proc["instrs"])
     ops = [ins["op"] for ins in proc["instrs"]]
-    assert "PRE_LOCAL_R" in ops and "BINOP_LC" in ops
+    assert "LOOP_ENTER" in ops and "SEM_P" in ops
     boundary = proc["instrs"][0]
-    assert boundary["effect"] == "local" and boundary["elidable"] is True
-    jumps = [ins for ins in proc["instrs"] if ins["op"] in ("JUMP", "PRED_JF")]
+    assert boundary["op"] == "PRE" and boundary["effect"] == "local"
+    jumps = [ins for ins in proc["instrs"] if ins["op"] in ("JUMP", "JUMP_IF_FALSE")]
     for ins in jumps:
         assert 0 <= ins["target"] < proc["instr_count"]
     assert ("main", "total", True) in {
@@ -229,17 +181,12 @@ def test_ppd_disasm_cli_flags(tmp_path, capsys):
     path = tmp_path / "prog.pcl"
     path.write_text(SOURCE)
 
-    assert ppd_main(["disasm", str(path), "--fast"]) == 0
-    out = capsys.readouterr().out
-    assert "PRE_LOCAL_R" in out and "BINOP_LC" in out
-
     assert ppd_main(["disasm", str(path), "--effects"]) == 0
     out = capsys.readouterr().out
-    assert "; local elidable" in out and "; sync" in out
+    assert "; local" in out and "; sync" in out
 
-    assert ppd_main(["disasm", str(path), "--json", "--fast"]) == 0
+    assert ppd_main(["disasm", str(path), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["fast"] is True
     assert {proc["name"] for proc in doc["procs"]} == {"twice", "main"}
 
 
@@ -252,7 +199,7 @@ def test_ppd_analyze_cli(tmp_path, capsys):
     assert ppd_main(["analyze", str(path)]) == 0
     out = capsys.readouterr().out
     assert "effects: 2 procedure(s), 8 statement(s)" in out
-    assert "4 local (3 elidable), 2 shared, 2 sync" in out
+    assert "4 local, 2 shared, 2 sync" in out
     assert "shared sites:" in out
 
     assert ppd_main(["analyze", str(path), "--json"]) == 0
@@ -260,5 +207,5 @@ def test_ppd_analyze_cli(tmp_path, capsys):
     assert doc["counts"] == {"local": 4, "shared": 2, "sync": 2}
     main_proc = next(p for p in doc["procs"] if p["name"] == "main")
     assert main_proc["summary"] == "sync"
-    elidable = [s["label"] for s in main_proc["stmts"] if s["elidable"]]
-    assert elidable == ["s2", "s3", "s7"]
+    local = [s["label"] for s in main_proc["stmts"] if s["effect"] == "local"]
+    assert local == ["s2", "s3", "s7"]

@@ -307,28 +307,12 @@ def test_error_paths_match_interp(name, source):
 def test_every_opcode_is_covered_somewhere():
     """The CASES + ERROR_CASES tables, together, exercise the full ISA
     except the e-block chunk ops (covered by the workload parity sweep —
-    chunking needs an EBlockPolicy), the replay-root op, and the fused
-    fast-path ops (only repro.vm.fuse emits those; tests/vm/test_fuse.py
-    covers them)."""
+    chunking needs an EBlockPolicy) and the replay-root op."""
     seen: set[str] = set()
     for _, source, _, _ in CASES:
         seen |= _opnames_in(disassemble_program(compile_program(source)))
     uncovered = set(bc.OPNAMES) - seen
-    fused = {
-        "PRE_LOCAL",
-        "PRE_LOCAL_R",
-        "LOADL",
-        "STOREL",
-        "LOADL_CONST",
-        "BINOP_STOREL",
-        "BINOP_LL",
-        "BINOP_LC",
-        "BINOP_C",
-        "BINOP_L",
-        "PRED_JF",
-        "LOAD_ELEML",
-    }
-    assert uncovered <= {"CHUNK_ENTER", "CHUNK_EXIT", "ROOT_RETURN", "POST"} | fused, uncovered
+    assert uncovered <= {"CHUNK_ENTER", "CHUNK_EXIT", "ROOT_RETURN", "POST"}, uncovered
 
 
 def test_chunk_ops_emitted_under_split_policy():
