@@ -467,9 +467,23 @@ class ReplayPool:
         return self._executor
 
     def _teardown_executor(self) -> None:
+        """Stop the executor: its workers are killed, not asked to finish.
+
+        Nothing a torn-down executor's workers hold is wanted, and one
+        that never reads its shutdown message (wedged, or stuck in its
+        initializer) would block interpreter exit, which joins the
+        workers of every executor.  Waiting for the executor's manager
+        thread matters to respawns: a worker forked while that thread
+        holds the executor's lock inherits the lock held, and deadlocks
+        when its garbage collector frees the dead executor, whose weakref
+        callback takes that lock.
+        """
         executor, self._executor = self._executor, None
         if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
+            # ``shutdown`` drops the process table, so read it first.
+            for process in list((executor._processes or {}).values()):
+                process.terminate()
+            executor.shutdown(wait=True, cancel_futures=True)
 
     def _release_segment(self) -> None:
         segment, self._segment = self._segment, None

@@ -2,6 +2,9 @@
 respawned within budget, and degraded to inline serial replay past it —
 with byte-identical results every time (replay is deterministic)."""
 
+import multiprocessing
+import threading
+
 import pytest
 
 from repro import Machine, compile_program, faults, obs
@@ -76,6 +79,24 @@ class TestWorkerHang:
                 results = pool.replay_batch(all_intervals(record))
                 assert plan.total_fired() == 1
                 assert pool.respawns == 1
+        assert surfaces(results) == expected
+
+    def test_no_worker_or_manager_thread_outlives_its_executor(self, record, expected):
+        """A respawn stops the hung executor before it forks again, and
+        closing the pool stops the new one: a worker left running would
+        hold interpreter exit, which joins every live worker, and a dead
+        executor's manager thread could hold its lock while a respawn
+        forks."""
+        children = set(multiprocessing.active_children())
+        threads = set(threading.enumerate())
+        with faults.inject("pool.hang:n=1,s=30.0"):
+            with make_pool(record, worker_timeout_s=0.2) as pool:
+                results = pool.replay_batch(all_intervals(record))
+                assert pool.respawns == 1
+                workers = set(multiprocessing.active_children()) - children
+                assert len(workers) == pool.jobs  # the hung one is gone
+        assert set(multiprocessing.active_children()) - children == set()
+        assert set(threading.enumerate()) - threads == set()
         assert surfaces(results) == expected
 
 
