@@ -109,10 +109,6 @@ class ProgramDatabase:
             use_sites=list(self.table.use_sites.get(name, ())),
         )
 
-    def definition_sites(self, name: str) -> list[tuple[str, int]]:
-        """(proc, stmt node_id) pairs where *name* is written."""
-        return list(self.table.def_sites.get(name, ()))
-
     def use_sites(self, name: str) -> list[tuple[str, int]]:
         """(proc, node_id) pairs where *name* is read."""
         return list(self.table.use_sites.get(name, ()))

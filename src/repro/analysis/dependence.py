@@ -48,9 +48,6 @@ class StaticProcGraph:
     def data_deps_into(self, node_id: int) -> list[StaticEdge]:
         return [e for e in self.edges if e.kind == DATA and e.dst == node_id]
 
-    def control_deps_into(self, node_id: int) -> list[StaticEdge]:
-        return [e for e in self.edges if e.kind == CONTROL and e.dst == node_id]
-
 
 @dataclass
 class StaticGraph:

@@ -77,24 +77,6 @@ def immediate_postdominators(cfg: CFG) -> dict[int, int]:
     return ipdom
 
 
-def _tree_depths(ipdom: dict[int, int], root: int) -> dict[int, int]:
-    depths: dict[int, int] = {root: 0}
-
-    def depth_of(node: int) -> int:
-        chain: list[int] = []
-        while node not in depths:
-            chain.append(node)
-            node = ipdom[node]
-        base = depths[node]
-        for offset, item in enumerate(reversed(chain), start=1):
-            depths[item] = base + offset
-        return depths[chain[0]] if chain else base
-
-    for node in ipdom:
-        depth_of(node)
-    return depths
-
-
 def postdominators(cfg: CFG) -> dict[int, set[int]]:
     """Full post-dominator sets (ancestors in the ipdom tree, plus self).
 

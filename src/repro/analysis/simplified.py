@@ -98,13 +98,6 @@ class SimplifiedGraph:
     def edges_from(self, node_id: int) -> list[SimplifiedEdge]:
         return [e for e in self.edges if e.src == node_id]
 
-    def unit_for_stmt(self, stmt_node_id: int) -> SyncUnit | None:
-        """The sync unit whose start is the given AST statement."""
-        cfg_node = self.cfg.node_of_stmt.get(stmt_node_id)
-        if cfg_node is None:
-            return None
-        return self.unit_at.get(cfg_node)
-
 
 def _is_marked(cfg: CFG, node_id: int, user_procs: set[str]) -> str | None:
     """Classify a CFG node if it belongs in the simplified graph."""

@@ -30,7 +30,7 @@ Commands
 ``slice <uid>``      dynamic slice (statement labels) from a node
 ``stats [obs|json|cache]`` session + observability report (see repro.obs);
                      ``obs`` adds hook counters, ``json`` is machine-readable,
-                     ``cache`` shows replay-engine cache/pool statistics
+                     ``cache`` shows replay-cache statistics
 ``save <path>``      persist this execution record (runtime/persist.py JSON)
 ``load <path>``      load a persisted record, restarting the session over it
 ``help`` / ``quit``
@@ -38,8 +38,8 @@ Commands
 The same command set is served over TCP by :mod:`repro.server`; run
 ``ppd serve <host:port>`` and ``ppd connect <host:port>`` (see
 :func:`main`) — a proxied session's transcript is byte-identical to a
-local one.  ``ppd replay <record> --jobs N`` re-executes every logged
-e-block interval of a persisted record through the process pool
+local one.  ``ppd replay <record>`` re-executes every logged e-block
+interval of a persisted record through the replay cache
 (:mod:`repro.perf`).  ``ppd lint <file> [--json] [--severity S]`` runs
 the static analyzer (:mod:`repro.analysis.lint`) without executing the
 program, exiting non-zero on error-severity findings.  ``ppd localize
@@ -76,10 +76,9 @@ class PPDCommandLine:
         record: ExecutionRecord,
         autostart: bool = True,
         cache=None,
-        pool=None,
     ) -> None:
         self.record = record
-        self.session = PPDSession(record, cache=cache, pool=pool)
+        self.session = PPDSession(record, cache=cache)
         if autostart:
             self.session.start()
 
@@ -320,7 +319,9 @@ class PPDCommandLine:
         from ..runtime.persist import load_record
 
         try:
-            record = load_record(path)
+            # The file belongs to whoever named it (a served client, say):
+            # a bad one gets a typed answer and stays where it is.
+            record = load_record(path, quarantine=False)
         except OSError as error:
             return f"error: {error}"
         self.record = record
@@ -363,7 +364,7 @@ class PPDCommandLine:
         return text
 
     def _render_cache_stats(self) -> str:
-        """``stats cache``: the replay engine's cache/pool counters.
+        """``stats cache``: the replay cache's counters.
 
         A separate mode (not part of plain ``stats``) because the shared
         cache is process-wide state: its numbers depend on every session
@@ -372,66 +373,14 @@ class PPDCommandLine:
         rehydration-transparency contract relies on that).
         """
         info = self.session.cache_stats()
-        lines = [f"session replays: {info['session_replays']}"]
-        shared = info.get("shared") or {}
-        if shared:
-            lines.append(
-                "shared cache: "
-                f"hits={shared['hits']} misses={shared['misses']} "
-                f"evictions={shared['evictions']} spills={shared['spills']} "
-                f"spill_hits={shared['spill_hits']} entries={shared['entries']} "
-                f"events={shared['events']}/{shared['max_events']}"
-            )
-        else:
-            lines.append("shared cache: (detached)")
-        pool = info.get("pool")
-        if pool:
-            lines.append(
-                f"pool: jobs={pool['jobs']} batches={pool['batches']} "
-                f"chunks={pool.get('chunks', 0)} "
-                f"submitted={pool['submitted']} executed={pool['executed']} "
-                f"fallbacks={pool['fallbacks']} respawns={pool.get('respawns', 0)} "
-                f"bytes_shipped={pool.get('bytes_shipped', 0)}"
-            )
-            if pool.get("adaptive"):
-                policy = pool.get("policy") or {}
-                lines.append(
-                    f"pool policy: auto serial={policy.get('serial', 0)} "
-                    f"pooled={policy.get('pooled', 0)} "
-                    f"(last: {policy.get('last') or '-'})"
-                )
-            causes = pool.get("fallback_causes") or {}
-            if causes:
-                summary = " ".join(
-                    f"{cause}={count}" for cause, count in sorted(causes.items())
-                )
-                lines.append(
-                    f"pool fallbacks: {summary} "
-                    f"(last: {pool.get('last_fallback_cause')})"
-                )
-        shm = self._shm_counters()
-        if shm is not None:
-            lines.append(shm)
-        return "\n".join(lines)
-
-    @staticmethod
-    def _shm_counters() -> Optional[str]:
-        """The ``perf.shm.*`` counters (zero-copy record segments), when
-        observability is recording them."""
-        from .. import obs
-
-        if not obs.is_enabled():
-            return None
-        snapshot = obs.registry().snapshot()
-        shm = {
-            name.split(".")[-1]: value
-            for name, value in snapshot.items()
-            if name.startswith("perf.shm.") and "{" not in name
-        }
-        if not shm:
-            return None
-        return "shm: " + " ".join(
-            f"{name}={value}" for name, value in sorted(shm.items())
+        shared = info["shared"]
+        return (
+            f"session replays: {info['session_replays']}\n"
+            "shared cache: "
+            f"hits={shared['hits']} misses={shared['misses']} "
+            f"evictions={shared['evictions']} spills={shared['spills']} "
+            f"spill_hits={shared['spill_hits']} entries={shared['entries']} "
+            f"events={shared['events']}/{shared['max_events']}"
         )
 
 

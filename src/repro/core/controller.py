@@ -21,10 +21,10 @@ required — that is incremental tracing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from ..obs import hooks as _obs
-from ..perf import ReplayCache, ReplayPool, replay_cache
+from ..perf import ReplayCache, replay_cache
 from ..runtime.logging import IntervalInfo, Prelog, innermost_open
 from ..runtime.machine import ExecutionRecord
 from .dynamic_graph import (
@@ -70,7 +70,6 @@ class PPDSession:
         self,
         record: ExecutionRecord,
         cache: Optional[ReplayCache] = None,
-        pool: Optional[ReplayPool] = None,
     ) -> None:
         self.record = record
         self.compiled = record.compiled
@@ -86,20 +85,7 @@ class PPDSession:
         #: The replay cache holds *base-0* results keyed by record digest,
         #: so it is shared across sessions (and server rehydrations) by
         #: default; pass an explicit cache to isolate a session.
-        self.cache: Optional[ReplayCache] = cache if cache is not None else replay_cache()
-        self.pool: Optional[ReplayPool] = pool
-        if self.pool is not None and self.pool.cache is None:
-            self.pool.cache = self.cache
-
-    def attach_pool(self, jobs: Union[int, str, None] = None) -> ReplayPool:
-        """Attach a process pool so prefetches fan out to workers (§7).
-
-        ``jobs`` may be an int, ``None`` (one worker per available CPU),
-        or ``"auto"`` — CPU-sized with the adaptive serial-vs-pooled
-        dispatch policy, so small expansions never pay pool tax."""
-        if self.pool is None:
-            self.pool = ReplayPool(self.record, jobs=jobs, cache=self.cache)
-        return self.pool
+        self.cache: ReplayCache = cache if cache is not None else replay_cache()
 
     # ------------------------------------------------------------------
     # Session lifecycle
@@ -139,10 +125,10 @@ class PPDSession:
             if _obs.enabled:
                 _obs.on_replay_cache_hit(pid, interval_id)
             return self._replayed[key]
-        # Replay at base 0 (through the shared cache/pool), then rebase
-        # into this session's uid space — byte-identical to replaying
-        # natively at the current base.
-        result = self._replay_base0(pid, interval_id).rebased(self._uid_base)
+        # Replay at base 0 (through the shared cache), then rebase into
+        # this session's uid space — byte-identical to replaying natively
+        # at the current base.
+        result = self.cache.replay(self.emulation, pid, interval_id).rebased(self._uid_base)
         self._uid_base += len(result.events) + 1
         self._replayed[key] = result
         self.events_generated += len(result.events)
@@ -150,52 +136,6 @@ class PPDSession:
         self._trace_of_sync.update(result.trace_of_sync)
         self.builder.add_sync_edges(self.record.history, self._trace_of_sync)
         return result
-
-    def _replay_base0(self, pid: int, interval_id: int) -> ReplayResult:
-        """One base-0 replay, served from the shared cache when warm."""
-        if self.pool is not None:
-            return self.pool.replay(pid, interval_id)
-        if self.cache is not None:
-            cached = self.cache.get(self.record, pid, interval_id)
-            if cached is not None:
-                return cached
-        result = self.emulation.replay(pid, interval_id, uid_base=0)
-        if self.cache is not None:
-            self.cache.put(self.record, pid, interval_id, result)
-        return result
-
-    def prefetch(self, requests) -> int:
-        """Warm the replay cache for upcoming expansions (no splicing).
-
-        With a pool attached the batch fans out to worker processes; the
-        subsequent :meth:`expand_interval` calls then splice warm results
-        sequentially, which keeps the dynamic graph byte-identical to a
-        fully serial session.  Returns the number of replays requested.
-        """
-        pending = [
-            key
-            for key in dict.fromkeys(
-                (int(pid), int(interval_id)) for pid, interval_id in requests
-            )
-            if key not in self._replayed
-        ]
-        if not pending:
-            return 0
-        if self.pool is not None:
-            self.pool.replay_batch(pending)
-        else:
-            for pid, interval_id in pending:
-                self._replay_base0(pid, interval_id)
-        return len(pending)
-
-    def expand_intervals(
-        self, requests: list[tuple[int, int]]
-    ) -> list[ReplayResult]:
-        """Prefetch a batch of intervals in parallel, then splice each in
-        request order."""
-        requests = [(int(pid), int(interval_id)) for pid, interval_id in requests]
-        self.prefetch(requests)
-        return [self.expand_interval(pid, iid) for pid, iid in requests]
 
     def expand_subgraph(self, node_uid: int) -> ReplayResult:
         """Expand a sub-graph node: replay the nested interval behind it and
@@ -225,16 +165,6 @@ class PPDSession:
             if var in self.compiled.table.shared:
                 self.graph.add_edge(uid, node_uid, DATA, var)
         return result
-
-    def expand_subgraphs(self, node_uids: list[int]) -> list[ReplayResult]:
-        """Expand several sub-graph nodes: prefetch all their nested
-        intervals as one pool batch, then stitch each sequentially."""
-        self.prefetch(
-            (node.pid, node.interval_id)
-            for node in (self.graph.nodes[uid] for uid in node_uids)
-            if node.kind == SUBGRAPH and node.interval_id is not None
-        )
-        return [self.expand_subgraph(uid) for uid in node_uids]
 
     # ------------------------------------------------------------------
     # Flowback queries (§4)
@@ -280,11 +210,9 @@ class PPDSession:
             frontier = subgraph_frontier(result, self.graph)
             if not frontier:
                 break
-            # The whole round's frontier is prefetched as one batch (§7:
-            # re-execution exploits the multiprocessor), then spliced in
-            # frontier order — the same order the serial loop used.
             batch = frontier[: budget - expanded]
-            self.expand_subgraphs([node.uid for node in batch])
+            for node in batch:
+                self.expand_subgraph(node.uid)
             expanded += len(batch)
             result = flowback(self.graph, event_uid, max_depth=max_depth)
         return result
@@ -470,13 +398,12 @@ class PPDSession:
         return len(self._replayed)
 
     def cache_stats(self) -> dict[str, object]:
-        """Replay-engine statistics: this session, the shared cache, and
-        the pool when one is attached (``ppd stats cache``)."""
-        info: dict[str, object] = {"session_replays": len(self._replayed)}
-        info["shared"] = self.cache.describe() if self.cache is not None else {}
-        if self.pool is not None:
-            info["pool"] = self.pool.describe()
-        return info
+        """Replay-engine statistics: this session and the shared cache
+        (``ppd stats cache``)."""
+        return {
+            "session_replays": len(self._replayed),
+            "shared": self.cache.describe(),
+        }
 
     def describe(self) -> dict[str, object]:
         """A compact, JSON-safe summary of this session.

@@ -55,12 +55,6 @@ class FlowbackResult:
     def reaches(self, predicate) -> bool:
         return self.root.find(lambda s: predicate(s.node)) is not None
 
-    def reaches_stmt(self, stmt_label: str) -> bool:
-        return self.reaches(lambda n: n.stmt_label == stmt_label)
-
-    def reaches_kind(self, kind: str) -> bool:
-        return self.reaches(lambda n: n.kind == kind)
-
 
 def flowback(
     graph: DynamicGraph,
@@ -130,7 +124,7 @@ def flow_forward(
 
 def subgraph_frontier(result: FlowbackResult, graph: DynamicGraph) -> list[DynNode]:
     """The unexpanded sub-graph nodes a flowback result ran into, in walk
-    order — the natural prefetch batch for the next expansion round."""
+    order — the nodes the next expansion round expands."""
     frontier: list[DynNode] = []
     seen: set[int] = set()
     for step in result.root.walk():

@@ -11,7 +11,7 @@ like :mod:`repro.obs`.
 
 Three ways to activate a plan:
 
-* ``PPD_FAULTS="pool.crash;socket.drop:n=2" ppd serve ...`` — the env
+* ``PPD_FAULTS="socket.drop:n=2" ppd serve ...`` — the env
   var (plus ``PPD_FAULTS_SEED``), honoured by every ``ppd`` entry point;
 * ``ppd serve --faults SPEC`` / ``ppd replay --faults SPEC`` — the CLI;
 * ``with faults.inject("cache.spill_io:n=3") as plan: ...`` — tests.

@@ -43,6 +43,20 @@ _BINARY = {
 BUILTINS = {"sqrt", "abs", "min", "max", "len", "input", "rand", "floor"}
 
 
+def _int_value(token: Token) -> int:
+    """The value of an integer literal.  Python refuses to convert one of
+    more digits than ``sys.get_int_max_str_digits()``; that is a typed
+    error at the literal, not a raw ``ValueError``."""
+    try:
+        return int(token.text)
+    except ValueError:
+        raise ParseError(
+            f"integer literal of {len(token.text)} digits is too long",
+            token.line,
+            token.column,
+        ) from None
+
+
 class Parser:
     """Parses a token stream into a :class:`repro.lang.ast.Program`.
 
@@ -141,7 +155,7 @@ class Parser:
         return self._expect(TokenType.NAME).text
 
     def _int(self) -> int:
-        return int(self._expect(TokenType.INT).text)
+        return _int_value(self._expect(TokenType.INT))
 
     def _declarator(self) -> tuple[str, str, Optional[int], Optional[ast.Expr]]:
         """``type name [size]`` or ``type name = init``, then ``;``."""
@@ -450,7 +464,7 @@ class Parser:
             return ast.Name(**self._pos_of(token), name=token.text)
         if token_type is TokenType.INT:
             self._pos += 1
-            return ast.IntLit(**self._pos_of(token), value=int(token.text))
+            return ast.IntLit(**self._pos_of(token), value=_int_value(token))
         if token_type is TokenType.LPAREN:
             self._pos += 1
             expr = self._expression()

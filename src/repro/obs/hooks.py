@@ -76,8 +76,6 @@ Counter catalogue (names are a stable API; see README "Observability"):
 ``server.active_sessions``       gauge: sessions currently held by the manager
 ``server.evictions``             live sessions spilled to persist records (LRU/idle)
 ``server.rehydrations``          evicted sessions rebuilt from their records
-``server.breaker.open``          gauge: 1 while the circuit breaker sheds the
-                                 service to degraded (pool-less) mode
 ``faults.injected``              injected faults fired (+ ``{point=...}``);
                                  provably 0 when :mod:`repro.faults` is inactive
 ``recovery.actions``             every recovery action taken (sum of the below)
@@ -90,7 +88,6 @@ Counter catalogue (names are a stable API; see README "Observability"):
 ``recovery.persist.quarantined`` corrupt record files moved aside to ``*.quarantined``
 ``recovery.session.rehydrate_failures``  rehydrations aborted atomically (no
                                  half-rehydrated session survives)
-``recovery.breaker.opened``      circuit-breaker open transitions (+ ``.closed``)
 ===============================  ====================================================
 """
 
@@ -342,17 +339,6 @@ def on_recovery(action: str) -> None:
         registry.counter("recovery.actions").inc()
         registry.counter(f"recovery.{action}").inc()
     tracer.emit("recovery.action", action=action)
-
-
-def on_breaker(opened: bool) -> None:
-    """The debug service's circuit breaker opened (degraded, pool-less
-    mode) or closed (full service restored)."""
-    with _fault_lock:
-        registry.gauge("server.breaker.open").set(1 if opened else 0)
-        registry.counter(
-            "recovery.breaker.opened" if opened else "recovery.breaker.closed"
-        ).inc()
-    tracer.emit("server.breaker", state="open" if opened else "closed")
 
 
 # ----------------------------------------------------------------------

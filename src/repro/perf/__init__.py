@@ -1,5 +1,4 @@
-"""repro.perf — the parallel replay engine (§7: "the debugger can use
-the multiprocessor to re-execute e-blocks in parallel").
+"""repro.perf — the replay cache and the happened-before index.
 
 Replay of a logged e-block interval is deterministic and side-effect
 free: everything the original execution got from its environment comes
@@ -7,20 +6,24 @@ back out of the log (§5.2), so two replays of the same interval produce
 byte-identical event streams no matter where or when they run.  That
 determinism is the licence for everything in this package:
 
-* :class:`~repro.perf.pool.ReplayPool` fans a batch of ``(pid,
-  interval_id)`` re-executions out to a :mod:`concurrent.futures`
-  process pool (escaping the GIL) against a once-pickled
-  :class:`~repro.runtime.machine.ExecutionRecord`, and merges the
-  results deterministically in request order;
 * :class:`~repro.perf.cache.ReplayCache` is a bounded, thread-safe LRU
   of replay results keyed by record digest + interval, shared across
   :class:`~repro.core.controller.PPDSession`\\ s and all
   :mod:`repro.server` sessions, optionally written through to a
-  directory so later processes start warm;
+  directory so later processes start warm.  Sessions and ``ppd replay``
+  replay through it (:meth:`~repro.perf.cache.ReplayCache.replay`);
 * :class:`~repro.perf.order_index.OrderIndex` turns repeated
   ``simultaneous()`` queries over the parallel dynamic graph into O(1)
   amortized lookups (per-pid sorted sync-node arrays + monotone
-  ordering thresholds + cached vector-clock comparisons).
+  ordering thresholds + cached vector-clock comparisons);
+* :class:`~repro.perf.pool.ReplayPool` fans a batch of ``(pid,
+  interval_id)`` re-executions out to a process pool (§7: "re-execution
+  of e-blocks can exploit the multiprocessor"), with
+  :mod:`~repro.perf.shm` and :mod:`~repro.perf.wire` as its transport.
+  It did not beat serial replay on a 2-CPU machine (DESIGN §3.10), so
+  no session, daemon or ``ppd replay`` uses it; it remains only for the
+  end-to-end benchmark's traced phase and experiments E13/E18, which
+  measure it.
 
 Benchmark E13 (``benchmarks/bench_e13_parallel_replay.py``) measures
 serial vs pooled replay and cold vs warm cache.

@@ -46,7 +46,7 @@ from ..obs import hooks as _obs
 _SPILL_MAGIC = b"PPDSPILL1\n"
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.emulation import ReplayResult
+    from ..core.emulation import EmulationPackage, ReplayResult
     from ..runtime.machine import ExecutionRecord
 
 
@@ -183,6 +183,17 @@ class ReplayCache:
                 self._entries.move_to_end(key)
                 return
             self._insert(key, result)
+
+    def replay(self, emulation: "EmulationPackage", pid: int, interval_id: int) -> "ReplayResult":
+        """One base-0 replay of *emulation*'s record: served from here when
+        warm, else re-executed and admitted.  Debugging sessions and ``ppd
+        replay`` both replay through this."""
+        record = emulation.record
+        result = self.get(record, pid, interval_id)
+        if result is None:
+            result = emulation.replay(pid, interval_id, uid_base=0)
+            self.put(record, pid, interval_id, result)
+        return result
 
     def clear(self, reset_stats: bool = False) -> None:
         with self._lock:

@@ -1,5 +1,11 @@
 """Process-pool e-block re-execution (§7) over a zero-copy transport.
 
+No debugging session, daemon or ``ppd replay`` uses this pool: a warm
+2-worker pool read 0.63–0.95× of serial replay on a 2-CPU machine,
+because the parent rebuilds every returned event.  It remains only for
+the end-to-end benchmark's traced phase and for experiments E13/E18,
+which measure it.
+
 "Re-execution of e-blocks can exploit the multiprocessor itself" — the
 debugger runs on the same hardware as the program it debugs, and replay
 is deterministic (§5.2), so a batch of interval re-executions can fan

@@ -1,5 +1,8 @@
 """Shared-memory record transport for the replay pool (zero-copy, §7).
 
+Like the pool, it remains only for the end-to-end benchmark's traced
+phase and experiments E13/E18.
+
 The parent pickles the :class:`ExecutionRecord` **once** into one
 :mod:`multiprocessing.shared_memory` segment and ships only the segment
 *name* to each worker; each worker maps the segment and unpickles

@@ -1,5 +1,8 @@
 """Compact wire encoding of replay results (pool ⇄ worker transport).
 
+Like the pool, it remains only for the end-to-end benchmark's traced
+phase and experiments E13/E18.
+
 A :class:`~repro.core.emulation.ReplayResult` is a dataclass holding a
 list of :class:`~repro.runtime.tracing.TraceEvent` dataclasses; pickling
 it ships per-class metadata and attribute dictionaries for every event.
@@ -19,8 +22,6 @@ plain python data (ints, floats, lists, PCL arrays-as-lists).
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 from ..core.emulation import ExternInfo, ReplayResult
 from ..runtime.tracing import TraceEvent
@@ -107,10 +108,3 @@ def result_from_wire(w: tuple) -> ReplayResult:
         final_shared=dict(w[11]),
         final_locals=dict(w[12]),
     )
-
-
-def wire_size(w: Any) -> int:
-    """Pickled size of one wire payload (bytes-shipped accounting)."""
-    import pickle
-
-    return len(pickle.dumps(w, protocol=pickle.HIGHEST_PROTOCOL))

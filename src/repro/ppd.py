@@ -3,7 +3,7 @@
 Subcommands: ``serve`` runs the multi-session debug service
 (:mod:`repro.server`), ``connect`` opens a REPL proxied to one,
 ``replay`` re-executes a record's logged e-blocks through the replay
-pool (:mod:`repro.perf`), ``lint`` and ``analyze`` run the static
+cache (:mod:`repro.perf`), ``lint`` and ``analyze`` run the static
 analyses, ``localize`` ranks faulty-process suspects, and ``disasm``
 prints the bytecode lowering.  The debugger's own commands are
 :class:`repro.core.cli.PPDCommandLine`.
@@ -11,8 +11,8 @@ prints the bytecode lowering.  The debugger's own commands are
 At module level this file imports only the standard library, and each
 subcommand imports what it runs.  So ``ppd --help`` loads none of the
 debugger, and a ``ppd serve`` daemon loads the engine (parser, compiler,
-VM, runtime, emulation, replay pool) when it opens its first session,
-not before it listens.
+VM, runtime, emulation) when it opens its first session, not before it
+listens.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def _add_fault_flags(sub) -> None:  # pragma: no cover - exercised via main()
     :mod:`repro.faults`; also honoured as the ``PPD_FAULTS`` env var)."""
     sub.add_argument("--faults", default=None, metavar="SPEC",
                      help="deterministic fault-injection spec, e.g. "
-                          "'pool.crash:n=1;socket.stall:p=0.5,s=0.2'")
+                          "'cache.spill_io:n=1;socket.stall:p=0.5,s=0.2'")
     sub.add_argument("--faults-seed", type=int, default=0, metavar="N",
                      help="seed for probabilistic fault points (default 0)")
 
@@ -53,14 +53,6 @@ def _install_faults(args) -> None:  # pragma: no cover - exercised via main()
         from . import faults
 
         faults.install(faults.FaultPlan.parse(args.faults, seed=args.faults_seed))
-
-
-def _jobs_arg(value: str):
-    """``--jobs``/``--pool-jobs`` value: a worker count or ``auto`` (CPU-
-    sized pool with the adaptive serial-vs-pooled dispatch policy)."""
-    if value == "auto":
-        return "auto"
-    return int(value)
 
 
 def _build_parser():  # pragma: no cover - exercised via main()
@@ -84,10 +76,6 @@ def _build_parser():  # pragma: no cover - exercised via main()
                        help="refuse connections beyond this with a server-busy error")
     serve.add_argument("--no-obs", action="store_true",
                        help="do not enable repro.obs server counters")
-    serve.add_argument("--pool-jobs", type=_jobs_arg, default=None, metavar="N|auto",
-                       help="attach an N-worker replay pool to every session "
-                            "('auto' sizes it per CPU and dispatches adaptively; "
-                            "shed to inline mode when the circuit breaker opens)")
     serve.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="persistent replay cache: write-through spill every "
                             "replay to DIR (keyed by record digest), so a "
@@ -98,13 +86,9 @@ def _build_parser():  # pragma: no cover - exercised via main()
     replay = sub.add_parser(
         "replay",
         help="re-execute every logged e-block interval of a record "
-             "through the process pool (repro.perf)",
+             "through the replay cache (repro.perf)",
     )
     replay.add_argument("record", help="persisted record path (runtime/persist.py JSON)")
-    replay.add_argument("--jobs", type=_jobs_arg, default=None, metavar="N|auto",
-                        help="worker processes (default: one per available CPU; "
-                             "'auto' additionally picks serial vs pooled per "
-                             "batch from interval step mass)")
     replay.add_argument("--repeat", type=int, default=1, metavar="K",
                         help="replay the full interval set K times (cache warmth demo)")
     replay.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -202,7 +186,6 @@ def _main_serve(args) -> int:  # pragma: no cover - exercised by CI server-smoke
         idle_timeout_s=args.idle_timeout,
         request_timeout_s=args.request_timeout,
         max_connections=args.max_connections,
-        pool_jobs=args.pool_jobs,
         cache_dir=args.cache_dir or os.environ.get("PPD_CACHE_DIR") or None,
     )
     host, port = service.start()
@@ -215,50 +198,37 @@ def _main_serve(args) -> int:  # pragma: no cover - exercised by CI server-smoke
 
 
 def _main_replay(args) -> int:
-    """``ppd replay``: pooled re-execution of a record's whole interval set."""
+    """``ppd replay``: serial re-execution of a record's whole interval
+    set, each interval through the replay cache as a session replays it."""
     import os
     import time
 
-    from .core.emulation import interval_indexes
-    from .perf import ReplayCache, ReplayPool
+    from .core.emulation import EmulationPackage
+    from .perf import ReplayCache
     from .runtime.persist import load_record
 
-    record = load_record(args.record)
+    package = EmulationPackage(load_record(args.record))
     requests = [
         (pid, interval_id)
-        for pid, index in sorted(interval_indexes(record).items())
+        for pid, index in sorted(package.indexes.items())
         for interval_id in sorted(index)
     ]
     if not requests:
         print("record has no logged intervals to replay")
         return 1
     cache = ReplayCache(spill_dir=args.cache_dir or os.environ.get("PPD_CACHE_DIR") or None)
-    with ReplayPool(record, jobs=args.jobs, cache=cache) as pool:
-        for round_number in range(max(1, args.repeat)):
-            started = time.perf_counter()
-            results = pool.replay_batch(requests)
-            elapsed = time.perf_counter() - started
-            events = sum(result.event_count for result in results)
-            print(
-                f"round {round_number + 1}: replayed {len(requests)} interval(s) "
-                f"with --jobs {pool.jobs}: {events} events in {elapsed:.3f}s"
-            )
-        info = pool.describe()
-        cache_info = pool.cache.describe()
-    policy = ""
-    if info["adaptive"]:
-        policy = (
-            f" policy(auto): serial={info['policy']['serial']} "
-            f"pooled={info['policy']['pooled']};"
+    for round_number in range(max(1, args.repeat)):
+        started = time.perf_counter()
+        events = sum(
+            cache.replay(package, pid, interval_id).event_count for pid, interval_id in requests
         )
-    print(
-        f"pool: executed={info['executed']} chunks={info['chunks']} "
-        f"bytes_shipped={info['bytes_shipped']} "
-        f"fallbacks={info['fallbacks']} "
-        f"worker_seconds={info['worker_seconds']};{policy} "
-        f"cache: hits={cache_info['hits']} misses={cache_info['misses']} "
-        f"spill_hits={cache_info['spill_hits']}"
-    )
+        elapsed = time.perf_counter() - started
+        print(
+            f"round {round_number + 1}: replayed {len(requests)} interval(s): "
+            f"{events} events in {elapsed:.3f}s"
+        )
+    info = cache.describe()
+    print(f"cache: hits={info['hits']} misses={info['misses']} spill_hits={info['spill_hits']}")
     return 0
 
 

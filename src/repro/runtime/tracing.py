@@ -233,6 +233,3 @@ class SyncHistory:
         return happened_before_or_equal(
             clocks[a_uid], self.nodes[a_uid].pid, clocks[b_uid]
         )
-
-    def closed_segments(self) -> list[Segment]:
-        return [seg for seg in self.segments if seg.end_uid is not None]

@@ -9,8 +9,6 @@ debugging phase into a long-lived, multi-session network service:
   eviction, transparent rehydration from persist records);
 * :mod:`.service` — threaded TCP server with per-request timeouts,
   connection backpressure, structured errors, and graceful drain;
-* :mod:`.breaker` — a circuit breaker that sheds replay pools to a
-  degraded (inline, byte-identical) mode under sustained failure;
 * :mod:`.client` — a small blocking client library with typed connection
   errors and opt-in retry of retry-safe ops.
 
@@ -18,7 +16,6 @@ Served and driven from the command line as ``ppd serve <addr>`` and
 ``ppd connect <addr>`` (see :mod:`repro.core.cli`).
 """
 
-from .breaker import CircuitBreaker
 from .client import (
     DEFAULT_PORT,
     ConnectFailed,
@@ -51,7 +48,6 @@ from .sessions import JOURNALED_COMMANDS, SessionManager, SessionNotFound
 
 __all__ = [
     "ALL_OPS",
-    "CircuitBreaker",
     "ConnectFailed",
     "ConnectionLost",
     "DEFAULT_PORT",

@@ -23,13 +23,12 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import Any, Optional, Union
+from typing import Any, Optional
 
 from ..faults import state as _flt
 from ..lang.errors import PCLError
 from ..obs import hooks as _obs
 from ..runtime.errors import PersistError
-from .breaker import CircuitBreaker
 from .protocol import (
     MAX_LINE_BYTES,
     ProtocolError,
@@ -62,10 +61,7 @@ class DebugService:
         max_connections: int = 32,
         connection_timeout_s: Optional[float] = 300.0,
         spool_dir: Optional[str] = None,
-        pool_jobs: Union[int, str, None] = None,
         cache_dir: Optional[str] = None,
-        breaker_threshold: int = 5,
-        breaker_cooldown_s: float = 30.0,
     ) -> None:
         self.host = host
         self.port = port
@@ -75,9 +71,7 @@ class DebugService:
         #: ``cache_dir`` makes the shared replay cache persistent: every
         #: admitted replay is write-through spilled there, keyed by record
         #: digest, so a restarted daemon (or a different process pointed at
-        #: the same directory) serves previously-seen records warm.  The
-        #: circuit breaker is orthogonal: shedding pools degrades *who*
-        #: replays (inline vs workers), never the cache results themselves.
+        #: the same directory) serves previously-seen records warm.
         cache = None
         if cache_dir:
             from ..perf import ReplayCache
@@ -88,14 +82,6 @@ class DebugService:
             idle_timeout_s=idle_timeout_s,
             spool_dir=spool_dir,
             cache=cache,
-            pool_jobs=pool_jobs,
-        )
-        #: Sheds replay pools (degraded inline mode) after a run of
-        #: timeout/internal failures; restores them once requests succeed
-        #: again past the cooldown.  Replay determinism keeps degraded
-        #: answers byte-identical — the breaker trades speed, never truth.
-        self.breaker = CircuitBreaker(
-            threshold=breaker_threshold, cooldown_s=breaker_cooldown_s
         )
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
@@ -222,7 +208,6 @@ class DebugService:
                     break
                 started = _obs.clock()
                 verb, response = self._process(raw)
-                self._feed_breaker(response)
                 payload = encode_response(response).encode("utf-8")
                 if _flt.active:
                     if _flt.fire("socket.drop") is not None:
@@ -256,26 +241,6 @@ class DebugService:
                 active = len(self._connections)
             if _obs.enabled:
                 _obs.on_server_connection("closed", active)
-
-    def _feed_breaker(self, response: Response) -> None:
-        """Feed one request outcome to the circuit breaker.
-
-        Only *infrastructure* failures (timeouts, internal errors) count
-        against it — client mistakes (bad JSON, unknown sessions) say
-        nothing about backend health.  Opening sheds every session's
-        replay pool (degraded inline mode); closing restores them.
-        """
-        code = (response.error or {}).get("code") if not response.ok else None
-        if code in ("timeout", "internal"):
-            if self.breaker.record_failure():
-                self.sessions.shed_pools()
-                if _obs.enabled:
-                    _obs.on_breaker(True)
-        elif response.ok:
-            if self.breaker.record_success():
-                self.sessions.restore_pools()
-                if _obs.enabled:
-                    _obs.on_breaker(False)
 
     # ------------------------------------------------------------------
     # Request processing (every failure becomes a structured error reply)
@@ -321,14 +286,7 @@ class DebugService:
             self.sessions.close(request.session)
             return Response(id=request.id, output=f"closed {request.session}")
         if request.op == "list":
-            return Response(
-                id=request.id,
-                data={
-                    "sessions": self.sessions.list_info(),
-                    "degraded": self.sessions.degraded,
-                    "breaker": self.breaker.describe(),
-                },
-            )
+            return Response(id=request.id, data={"sessions": self.sessions.list_info()})
         if request.op == "shutdown":
             self.request_shutdown()
             return Response(id=request.id, output="draining")

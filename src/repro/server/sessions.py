@@ -34,7 +34,7 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..faults import state as _flt
 from ..obs import hooks as _obs
@@ -99,15 +99,6 @@ class _Entry:
     commands: int = 0
 
 
-def _close_pool(cli: Optional[PPDCommandLine]) -> None:
-    """Release a session's replay-pool workers (idempotent, best-effort)."""
-    if cli is not None and cli.session.pool is not None:
-        try:
-            cli.session.pool.close()
-        except Exception:  # noqa: BLE001 — teardown must never raise
-            pass
-
-
 def _build_cli(record: ExecutionRecord, cache: Optional[ReplayCache] = None) -> PPDCommandLine:
     """A command line over *record*; deadlocked/odd records that cannot
     autostart fall back to a cold session (same behaviour every time, so
@@ -130,18 +121,11 @@ class SessionManager:
         spool_dir: Optional[str] = None,
         time_fn: Callable[[], float] = time.monotonic,
         cache: Optional[ReplayCache] = None,
-        pool_jobs: Union[int, str, None] = None,
     ) -> None:
         if max_live < 1:
             raise ValueError("max_live must be >= 1")
         self.max_live = max_live
         self.idle_timeout_s = idle_timeout_s
-        #: With ``pool_jobs`` set (an int or ``"auto"`` for the adaptive
-        #: policy), each admitted/rehydrated session gets a
-        #: :class:`ReplayPool`; :meth:`shed_pools` (circuit breaker open)
-        #: drops them all and flips the manager to degraded inline mode.
-        self.pool_jobs = pool_jobs
-        self.degraded = False
         #: Shared replay cache (process-wide by default): results are keyed
         #: by record digest, so a rehydrated session's journal replays hit
         #: the entries its pre-eviction incarnation warmed.
@@ -182,11 +166,13 @@ class SessionManager:
         return self._admit(record_from_json(text), origin="upload", text=text)
 
     def open_record_path(self, path: str) -> tuple[str, dict[str, Any]]:
-        """Open a session over a record file on the server's filesystem."""
+        """Open a session over a record file on the server's filesystem.
+        The file is the client's: a bad one gets a typed answer and is
+        left where it is, never renamed aside."""
         _load_engine()
         from ..runtime.persist import load_record
 
-        return self._admit(load_record(path), origin=path)
+        return self._admit(load_record(path, quarantine=False), origin=path)
 
     def _admit(
         self, record: ExecutionRecord, origin: str, text: Optional[str] = None
@@ -200,7 +186,7 @@ class SessionManager:
             from ..runtime.persist import record_to_json
 
             text = record_to_json(record)
-        cli = self._make_cli(record)
+        cli = _build_cli(record, self.replay_cache)
         now = self._time()
         with self._lock:
             sid = f"s{next(self._next_id)}"
@@ -267,7 +253,6 @@ class SessionManager:
                 os.unlink(entry.spill_path)
             except OSError:
                 pass
-            _close_pool(entry.cli)
             entry.cli = None
         if _obs.enabled:
             _obs.on_server_session("close", len(self._entries))
@@ -291,49 +276,12 @@ class SessionManager:
     # Eviction and rehydration
     # ------------------------------------------------------------------
 
-    def live_count(self) -> int:
-        with self._lock:
-            return sum(1 for e in self._entries.values() if e.cli is not None)
-
     def is_live(self, sid: str) -> bool:
         with self._lock:
             entry = self._entries.get(sid)
             if entry is None:
                 raise SessionNotFound(sid)
             return entry.cli is not None
-
-    def shed_pools(self) -> int:
-        """Enter degraded mode: close every live session's replay pool so
-        replays run inline (circuit breaker open).  Returns pools shed."""
-        with self._lock:
-            self.degraded = True
-            entries = list(self._entries.values())
-        shed = 0
-        for entry in entries:
-            with entry.lock:
-                cli = entry.cli
-                if cli is not None and cli.session.pool is not None:
-                    _close_pool(cli)
-                    cli.session.pool = None
-                    shed += 1
-        return shed
-
-    def restore_pools(self) -> int:
-        """Leave degraded mode: reattach pools to live sessions (circuit
-        breaker closed).  Returns pools restored."""
-        with self._lock:
-            self.degraded = False
-            entries = list(self._entries.values())
-        if self.pool_jobs is None:
-            return 0
-        restored = 0
-        for entry in entries:
-            with entry.lock:
-                cli = entry.cli
-                if cli is not None and cli.session.pool is None:
-                    cli.session.attach_pool(jobs=self.pool_jobs)
-                    restored += 1
-        return restored
 
     def sweep_idle(self) -> int:
         """Evict sessions idle longer than the timeout; returns how many."""
@@ -362,14 +310,6 @@ class SessionManager:
             self._order.append(sid)
             return entry
 
-    def _make_cli(self, record: ExecutionRecord) -> PPDCommandLine:
-        """A command line over *record*, with a replay pool attached when
-        the manager is configured for one and not running degraded."""
-        cli = _build_cli(record, self.replay_cache)
-        if self.pool_jobs is not None and not self.degraded:
-            cli.session.attach_pool(jobs=self.pool_jobs)
-        return cli
-
     def _ensure_live(self, entry: _Entry) -> PPDCommandLine:
         """Rehydrate an evicted session (caller holds ``entry.lock``).
 
@@ -390,7 +330,7 @@ class SessionManager:
             from ..runtime.persist import load_record
 
             record = load_record(entry.spill_path)
-            cli = self._make_cli(record)
+            cli = _build_cli(record, self.replay_cache)
             for line in entry.journal:
                 cli.execute(line)
         except Exception:
@@ -433,7 +373,6 @@ class SessionManager:
         try:
             if entry.cli is None:
                 return False
-            _close_pool(entry.cli)
             entry.cli = None
         finally:
             entry.lock.release()

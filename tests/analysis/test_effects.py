@@ -201,7 +201,7 @@ def test_only_the_diagnostics_run_the_effect_analysis(tmp_path, monkeypatch):
     record = Machine(compiled, seed=0).run()
     record_path = str(tmp_path / "bank_race.ppd.json")
     save_record(record, record_path)
-    assert ppd_main(["replay", record_path, "--jobs", "1"]) == 0
+    assert ppd_main(["replay", record_path]) == 0
     cli = PPDCommandLine(load_record(record_path))
     for line in ("why balance", "races", "candidates", "candidates balance", "lint"):
         cli.execute(line)

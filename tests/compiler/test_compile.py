@@ -121,7 +121,7 @@ def test_only_lint_builds_the_static_graph(static_builds, tmp_path):
     path = tmp_path / "ring.ppd.json"
     save_record(record, str(path))
     loaded = load_record(str(path))
-    assert ppd_main(["replay", str(path), "--jobs", "1"]) == 0
+    assert ppd_main(["replay", str(path)]) == 0
     cli = PPDCommandLine(loaded)
     for line in ("why total", "races", "localize", "history total"):
         cli.execute(line)

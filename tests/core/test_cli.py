@@ -241,3 +241,14 @@ class TestPpdBadInput:
         path.write_text(text, encoding="utf-8")
         assert main([command, str(path)]) == 2
         self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", ["lint", "disasm"])
+    def test_overlong_integer_literal(self, tmp_path, capsys, command):
+        """Past Python's int-conversion limit (4,300 digits by default) a
+        literal is a parse error at its position, not a ``ValueError``."""
+        from repro.core.cli import main
+
+        path = tmp_path / "long.pcl"
+        path.write_text("proc main() { int x = " + "9" * 5000 + "; }\n")
+        assert main([command, str(path)]) == 2
+        self.assert_one_error_line(capsys)

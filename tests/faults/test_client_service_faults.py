@@ -1,11 +1,10 @@
-"""Client/service fault handling: typed connection errors, retry-safe
-retries over dropped and stalled sockets, and the circuit breaker."""
+"""Client/service fault handling: typed connection errors and retry-safe
+retries over dropped and stalled sockets."""
 
 import pytest
 
 from repro import faults
 from repro.server import (
-    CircuitBreaker,
     ConnectFailed,
     ConnectionLost,
     DebugClient,
@@ -114,74 +113,3 @@ class TestRetryTransparency:
         assert ServerError("server-busy", "full").retryable
         assert not ServerError("unknown-session", "gone").retryable
 
-
-class TestCircuitBreaker:
-    def test_opens_on_consecutive_failures_only(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(threshold=3, cooldown_s=10.0, time_fn=lambda: clock[0])
-        assert not breaker.record_failure()
-        assert not breaker.record_failure()
-        assert not breaker.record_success()  # resets the streak
-        assert not breaker.record_failure()
-        assert not breaker.record_failure()
-        assert breaker.record_failure()  # third consecutive -> opens
-        assert breaker.is_open
-
-    def test_closes_only_after_cooldown(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(threshold=1, cooldown_s=10.0, time_fn=lambda: clock[0])
-        assert breaker.record_failure()
-        assert not breaker.record_success()  # cooldown not met
-        clock[0] = 11.0
-        assert breaker.record_success()
-        assert not breaker.is_open
-
-    def test_failures_while_open_extend_cooldown(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(threshold=1, cooldown_s=10.0, time_fn=lambda: clock[0])
-        assert breaker.record_failure()
-        clock[0] = 9.0
-        assert not breaker.record_failure()  # still open, window pushed out
-        clock[0] = 18.0
-        assert not breaker.record_success()  # 9s since last failure < 10s
-        clock[0] = 19.5
-        assert breaker.record_success()
-
-    def test_service_sheds_pools_when_breaker_opens(self, tmp_path):
-        """Timeout failures open the breaker; the session manager drops
-        to degraded pool-less mode and 'list' reports it; a later success
-        past the cooldown restores."""
-        service = DebugService(
-            port=0,
-            request_timeout_s=30.0,
-            spool_dir=str(tmp_path / "spool"),
-            pool_jobs=2,
-            breaker_threshold=2,
-            breaker_cooldown_s=0.0,
-        )
-        service.start()
-        try:
-            client = make_client(service)
-            with client:
-                session = client.open_program(
-                    buggy_average(5), seed=0, inputs=AVG_INPUTS
-                )
-                expected = session.execute("where")
-                from repro.server.protocol import Response, error_response
-
-                service._feed_breaker(error_response(0, "timeout", "x"))
-                service._feed_breaker(error_response(0, "timeout", "x"))
-                assert service.breaker.is_open
-                assert service.sessions.degraded
-                info = client.call("list").data
-                assert info["degraded"] is True
-                assert info["breaker"]["open"] is True
-                # Commands still answer byte-identically while degraded.
-                assert session.execute("where") == expected
-                # The successful 'list'/'where' round past the cooldown
-                # closed the breaker again and restored pools.
-                assert not service.breaker.is_open
-                assert not service.sessions.degraded
-                service._feed_breaker(Response(id=0, ok=True))
-        finally:
-            service.shutdown()

@@ -6,23 +6,27 @@ parser, unchanged.  On every input, the current front end must give the
 same tokens, the same AST (every field, node id, position and ``s``-label
 included) and the same error (type, message and position).
 
-The only allowed differences are two inputs the oracle never handled,
+The only allowed differences are three inputs the oracle never handled,
 each of which escaped it as a raw exception:
 
 * a number with a non-decimal digit (``x = ²;``): the oracle scans ``²``
   as a digit, and its parser's ``int()`` raises ``ValueError``;
 * a string cut off after a backslash (``print("abc\\``): the oracle's
-  escape handling reads past the end and raises ``IndexError``.
+  escape handling reads past the end and raises ``IndexError``;
+* an integer literal longer than Python converts (4,300 digits by
+  default): the oracle's parser's ``int()`` raises ``ValueError``.
 
-The current scanner raises :class:`LexError` on both: at the offending
-character for the first, and as an unterminated string at its opening
-quote for the second.
+The current scanner raises :class:`LexError` on the first two: at the
+offending character for the first, and as an unterminated string at its
+opening quote for the second.  The current parser raises
+:class:`ParseError` at the literal on the third.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,7 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import workloads
-from repro.lang import LexError, ast, parse, tokenize
+from repro.lang import LexError, ParseError, ast, parse, tokenize
 from repro.lang.tokens import TokenType
 from tests.oracle.lexer import Lexer as OracleLexer
 from tests.oracle.parser import parse as oracle_parse
@@ -120,10 +124,21 @@ def check_front_end(source: str) -> None:
     assert outcome(lambda text: [tuple(t) for t in tokenize(text)], source) == expected
 
     parsed = outcome(lambda text: dump(parse(text)), source)
-    assert parsed == outcome(lambda text: dump(oracle_parse(text)), source)
+    expected = outcome(lambda text: dump(oracle_parse(text)), source)
+    if expected[:2] == ("error", "ValueError"):
+        # Allowed difference 3: a ParseError at the first overlong literal.
+        literal = next(
+            t
+            for t in oracle_tokens
+            if t.type is TokenType.INT and len(t.text) > sys.get_int_max_str_digits()
+        )
+        assert parsed[:2] == ("error", "ParseError")
+        assert parsed[3:] == (literal.line, literal.column)
+        return
+    assert parsed == expected
 
 
-# -- the two allowed differences ---------------------------------------------
+# -- the three allowed differences -------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -154,6 +169,23 @@ def test_string_cut_off_after_a_backslash_is_a_lex_error(source):
     assert (caught.value.line, caught.value.column) == (quote_line, quote_column)
     with pytest.raises(IndexError):
         OracleLexer(source).tokenize()  # the defect the differential allows
+    check_front_end(source)
+
+
+@pytest.mark.parametrize(
+    "source,line,column",
+    [
+        ("proc main() { int x = " + "9" * 5000 + "; }", 1, 23),
+        ("shared int a[" + "1" * 4301 + "];", 1, 14),
+    ],
+    ids=["expression", "array-size"],
+)
+def test_overlong_integer_literal_is_a_parse_error(source, line, column):
+    with pytest.raises(ParseError, match="integer literal of") as caught:
+        parse(source)
+    assert (caught.value.line, caught.value.column) == (line, column)
+    with pytest.raises(ValueError):
+        oracle_parse(source)  # the defect the differential allows
     check_front_end(source)
 
 

@@ -196,30 +196,6 @@ class TestSharedAcrossSessions:
         }
         assert warm_events == cold_events
 
-    def test_expand_intervals_matches_serial_expansion(self, record):
-        requests = all_intervals(record)
-        serial = PPDSession(record, cache=ReplayCache())
-        for pid, interval_id in requests:
-            serial.expand_interval(pid, interval_id)
-        batch = PPDSession(record, cache=ReplayCache())
-        batch.expand_intervals(requests)
-        assert {
-            key: transcript(result) for key, result in batch._replayed.items()
-        } == {key: transcript(result) for key, result in serial._replayed.items()}
-
-    def test_session_with_pool_matches_serial(self, record):
-        serial = PPDSession(record, cache=ReplayCache())
-        serial.start()
-        pooled = PPDSession(record, cache=ReplayCache())
-        pooled.attach_pool(jobs=2)
-        try:
-            pooled.start()
-            pooled.prefetch(all_intervals(record))
-        finally:
-            pooled.pool.close()
-        for key, result in serial._replayed.items():
-            assert transcript(pooled._replayed[key]) == transcript(result)
-
     def test_obs_reset_clears_shared_cache(self, record):
         cache = replay_cache()
         PPDSession(record).start()  # default sessions use the shared cache

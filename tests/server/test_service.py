@@ -13,6 +13,7 @@ import pytest
 
 from repro import Machine, compile_program, obs
 from repro.core import PPDCommandLine
+from repro.runtime import save_record
 from repro.server import DebugClient, DebugService, ServerError
 from repro.workloads import bank_race, buggy_average, nested_calls
 
@@ -233,16 +234,22 @@ class TestStructuredErrors:
         "source", ["proc main() { int x = ²; }", 'proc main() { print("abc\\']
     )
     def test_pcl_the_scanner_rejects_is_open_failed(self, service, source):
-        """A malformed program is the client's fault: it must not count as
-        an infrastructure failure, or five opens would open the breaker
-        and shed every session's replay pool."""
+        """A malformed program is the client's fault: every open of it
+        answers ``open-failed``, however often it is sent."""
         with make_client(service) as client:
-            for _ in range(service.breaker.threshold):
+            for _ in range(5):
                 with pytest.raises(ServerError) as excinfo:
                     client.open_program(source)
                 assert excinfo.value.code == "open-failed"
                 assert "lex error" in excinfo.value.message
-        assert not service.breaker.is_open
+
+    def test_overlong_integer_literal_is_open_failed(self, service):
+        source = "proc main() { int x = " + "9" * 5000 + "; }"
+        with make_client(service) as client:
+            with pytest.raises(ServerError) as excinfo:
+                client.open_program(source)
+            assert excinfo.value.code == "open-failed"
+            assert excinfo.value.message.startswith("1:23: parse error: integer literal")
 
     def test_raw_garbage_gets_error_reply_not_disconnect(self, service):
         import socket
@@ -336,3 +343,50 @@ class TestSaveLoadOverTheWire:
             assert restored.execute("why average") == why
             uploaded = client.open_record(str(path))  # client-side read + upload
             assert uploaded.execute("why average") == why
+
+
+def not_a_record(directory, kind):
+    """A file a client names that holds no record: text, or a record cut short."""
+    path = directory / f"{kind}.ppd.json"
+    if kind == "text":
+        path.write_text("meeting notes\n")
+    else:
+        record = Machine(
+            compile_program(buggy_average(5)), seed=0, mode="logged", inputs=AVG_INPUTS
+        ).run()
+        save_record(record, str(path))
+        path.write_text(path.read_text()[:200])
+    return path
+
+
+class TestWireLoadsLeaveFilesAlone:
+    """``open`` with ``record_path`` and the ``load`` verb read a file the
+    client names.  A bad one gets a typed answer and stays where it was:
+    nothing is renamed to ``*.quarantined``."""
+
+    @staticmethod
+    def assert_untouched(path, before):
+        assert path.read_bytes() == before
+        assert not list(path.parent.glob("*.quarantined"))
+
+    @pytest.mark.parametrize("kind", ["text", "truncated"])
+    def test_open_record_path(self, service, tmp_path, kind):
+        path = not_a_record(tmp_path, kind)
+        before = path.read_bytes()
+        with make_client(service) as client:
+            with pytest.raises(ServerError) as excinfo:
+                client.open_record(str(path), upload=False)
+            assert excinfo.value.code == "persist-error"
+            assert client.ping() == "pong"
+        self.assert_untouched(path, before)
+
+    @pytest.mark.parametrize("kind", ["text", "truncated"])
+    def test_load_verb(self, service, tmp_path, kind):
+        path = not_a_record(tmp_path, kind)
+        before = path.read_bytes()
+        with make_client(service) as client:
+            session = client.open_program(buggy_average(5), seed=0, inputs=AVG_INPUTS)
+            why = session.execute("why average")
+            assert session.execute(f"load {path}").startswith("error: corrupt record:")
+            assert session.execute("why average") == why
+        self.assert_untouched(path, before)

@@ -3,9 +3,11 @@
 ``ppd --help``, ``ppd connect --help`` and a ``ppd serve`` daemon that
 has answered ``ping`` and ``list`` must not have imported the debugger's
 engine (parser, compiler, VM, runtime, emulation, replay pool); the
-daemon imports it when it opens its first session.  Each check reads the
-module list of ``python -X importtime`` in a fresh interpreter.  A fresh
-daemon's first request must still get its typed reply.
+daemon imports it when it opens its first session.  Replay runs in
+process, so neither a served session nor ``ppd replay`` imports the
+process-pool machinery.  Each check reads the module list of ``python -X
+importtime`` in a fresh interpreter.  A fresh daemon's first request must
+still get its typed reply.
 """
 
 import os
@@ -21,7 +23,7 @@ import pytest
 import repro
 from repro import compile_program
 from repro.core import PPDCommandLine
-from repro.runtime import Machine, record_to_json, run_program
+from repro.runtime import Machine, record_to_json, run_program, save_record
 from repro.server import DebugClient, ServerError
 from repro.workloads import bank_race, buggy_average
 
@@ -35,6 +37,14 @@ ENGINE = (
     "repro.core.controller",
     "repro.vm.executor",
     "repro.perf.pool",
+    "multiprocessing",
+)
+
+#: The process-pool replay, which sessions and ``ppd replay`` do not use.
+POOL = (
+    "repro.perf.pool",
+    "repro.perf.shm",
+    "concurrent.futures.process",
     "multiprocessing",
 )
 
@@ -55,11 +65,11 @@ def _imported(stderr: str) -> set:
     }
 
 
-def _engine_modules(imported: set) -> list:
+def _engine_modules(imported: set, engine: tuple = ENGINE) -> list:
     return sorted(
         name
         for name in imported
-        if any(name == engine or name.startswith(engine + ".") for engine in ENGINE)
+        if any(name == root or name.startswith(root + ".") for root in engine)
     )
 
 
@@ -113,6 +123,35 @@ class TestStartPathImports:
         imported = _imported((tmp_path / "stderr").read_text())
         assert "repro.server.sessions" in imported
         assert _engine_modules(imported) == []
+
+
+class TestReplayImportsNoPool:
+    def test_daemon_sessions_import_no_pool(self, tmp_path):
+        with _daemon(tmp_path, "-X", "importtime") as addr:
+            with DebugClient.connect(addr) as client:
+                session = client.open_program(bank_race(2, 2), seed=1)
+                for line in ("races", "why balance", "expandable"):
+                    assert not session.execute(line).startswith("error:"), line
+        imported = _imported((tmp_path / "stderr").read_text())
+        assert "repro.core.controller" in imported
+        assert _engine_modules(imported, POOL) == []
+
+    def test_ppd_replay_imports_no_pool(self, tmp_path):
+        path = tmp_path / "run.ppd.json"
+        save_record(run_program(bank_race(2, 2), seed=1), str(path))
+        argv = ["replay", str(path), "--cache-dir", str(tmp_path / "cache")]
+        result = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "repro", *argv],
+            capture_output=True,
+            text=True,
+            env=_env(),
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "misses=" in result.stdout
+        imported = _imported(result.stderr)
+        assert "repro.core.emulation" in imported
+        assert _engine_modules(imported, POOL) == []
 
 
 class TestFirstRequestOnAFreshDaemon:
