@@ -296,29 +296,32 @@ def _check_lock_cycles(
     for held, acquired in order:
         succs.setdefault(held, set()).add(acquired)
 
+    # Depth-first search with its own stack, since a lock order may hold
+    # every lock: state 1 is on the path, 2 is finished.
     cycles: list[list[str]] = []
     seen_cycles: set[frozenset[str]] = set()
     state: dict[str, int] = {}
-    stack: list[str] = []
-
-    def dfs(token: str) -> None:
-        state[token] = 1
-        stack.append(token)
-        for nxt in sorted(succs.get(token, ())):
-            if state.get(nxt, 0) == 0:
-                dfs(nxt)
-            elif state.get(nxt) == 1:
-                cycle = stack[stack.index(nxt):]
+    for root in sorted(succs):
+        if state.get(root, 0):
+            continue
+        state[root] = 1
+        path = [root]
+        pending = [iter(sorted(succs.get(root, ())))]
+        while pending:
+            nxt = next(pending[-1], None)
+            if nxt is None:
+                state[path.pop()] = 2
+                pending.pop()
+            elif state.get(nxt, 0) == 0:
+                state[nxt] = 1
+                path.append(nxt)
+                pending.append(iter(sorted(succs.get(nxt, ()))))
+            elif state[nxt] == 1:
+                cycle = path[path.index(nxt):]
                 key = frozenset(cycle)
                 if key not in seen_cycles:
                     seen_cycles.add(key)
                     cycles.append(cycle)
-        stack.pop()
-        state[token] = 2
-
-    for token in sorted(succs):
-        if state.get(token, 0) == 0:
-            dfs(token)
 
     diags = []
     for cycle in cycles:

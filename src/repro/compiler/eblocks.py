@@ -12,7 +12,8 @@ computes their USED/DEFINED logging sets:
   USED sets and the DEFINED sets of the leaf subroutines"),
 * *loop blocks*: large ``while``/``for`` loops become their own e-blocks
   "so that the debugging phase can proceed without excessive time spent in
-  re-executing the loops".
+  re-executing the loops" — except a loop that contains a ``return``,
+  whose exit a postlog cannot record.
 
 Benchmark E10 sweeps these policy knobs to reproduce the paper's stated
 execution-phase vs. debugging-phase trade-off.
@@ -212,6 +213,11 @@ def build_eblocks(
                 if not isinstance(stmt, (ast.While, ast.For)):
                     continue
                 if _stmt_count(stmt) < policy.loop_block_min_stmts:
+                    continue
+                if _has_return(stmt):
+                    # A postlog cannot record that the loop returned, so,
+                    # like a chunk barrier, the loop runs inside its
+                    # procedure's interval.
                     continue
                 block_counter += 1
                 result.add(

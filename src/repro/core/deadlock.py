@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..runtime.machine import ExecutionRecord
 from .parallel_graph import ParallelDynamicGraph
@@ -69,34 +68,32 @@ class DeadlockReport:
 
 
 def _find_cycle(edges: list[WaitForEdge]) -> list[int]:
+    """The first circular wait a depth-first search meets; the search
+    keeps its own stack, since a ring may hold every process."""
     graph: dict[int, list[int]] = {}
     for edge in edges:
         graph.setdefault(edge.waiter, []).append(edge.holder)
 
     visited: set[int] = set()
     for start in graph:
-        path: list[int] = []
-        on_path: set[int] = set()
-
-        def dfs(node: int) -> Optional[list[int]]:
-            if node in on_path:
+        if start in visited:
+            continue
+        visited.add(start)
+        path = [start]
+        on_path = {start}
+        pending = [iter(graph[start])]
+        while pending:
+            node = next(pending[-1], None)
+            if node is None:
+                on_path.remove(path.pop())
+                pending.pop()
+            elif node in on_path:
                 return path[path.index(node):]
-            if node in visited:
-                return None
-            visited.add(node)
-            path.append(node)
-            on_path.add(node)
-            for nxt in graph.get(node, ()):
-                cycle = dfs(nxt)
-                if cycle is not None:
-                    return cycle
-            path.pop()
-            on_path.remove(node)
-            return None
-
-        cycle = dfs(start)
-        if cycle:
-            return cycle
+            elif node not in visited:
+                visited.add(node)
+                path.append(node)
+                on_path.add(node)
+                pending.append(iter(graph.get(node, ())))
     return []
 
 

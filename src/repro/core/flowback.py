@@ -31,9 +31,11 @@ class FlowbackStep:
     truncated: bool = False  # max depth reached with parents remaining
 
     def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        stack = [self]
+        while stack:
+            step = stack.pop()
+            yield step
+            stack.extend(reversed(step.children))
 
     def find(self, predicate) -> Optional["FlowbackStep"]:
         for step in self.walk():
@@ -56,6 +58,38 @@ class FlowbackResult:
         return self.root.find(lambda s: predicate(s.node)) is not None
 
 
+def _expand(graph: DynamicGraph, event_uid: int, max_depth: int, links) -> FlowbackResult:
+    """The tree reached from *event_uid* through ``links(uid)`` (``(uid,
+    via)`` pairs), depth-first with its own stack: a query may be as deep
+    as the record."""
+    visited: set[int] = set()
+
+    def visit(uid: int, via: str, depth: int) -> tuple[FlowbackStep, list]:
+        step = FlowbackStep(node=graph.nodes[uid], via=via, depth=depth)
+        if uid in visited:
+            return step, []  # sharing: do not re-expand
+        visited.add(uid)
+        next_links = links(uid)
+        if depth >= max_depth:
+            step.truncated = bool(next_links)
+            return step, []
+        return step, next_links
+
+    root, root_links = visit(event_uid, "root", 0)
+    stack = [(root, iter(root_links))]
+    while stack:
+        step, pending = stack[-1]
+        link = next(pending, None)
+        if link is None:
+            stack.pop()
+            continue
+        child, child_links = visit(link[0], link[1], step.depth + 1)
+        step.children.append(child)
+        if child_links:
+            stack.append((child, iter(child_links)))
+    return FlowbackResult(root=root, visited=visited)
+
+
 def flowback(
     graph: DynamicGraph,
     event_uid: int,
@@ -63,31 +97,18 @@ def flowback(
     include_control: bool = True,
 ) -> FlowbackResult:
     """Backward flowback from one event: why does it have its value?"""
-    visited: set[int] = set()
 
-    def expand(uid: int, via: str, depth: int) -> FlowbackStep:
-        node = graph.nodes[uid]
-        step = FlowbackStep(node=node, via=via, depth=depth)
-        if uid in visited:
-            return step  # sharing: do not re-expand
-        visited.add(uid)
-        parents: list[tuple[int, str]] = []
-        for edge in graph.edges_into(uid, DATA):
-            parents.append((edge.src, f"data:{edge.label}"))
+    def parents(uid: int) -> list[tuple[int, str]]:
+        found = [(edge.src, f"data:{edge.label}") for edge in graph.edges_into(uid, DATA)]
         if include_control:
             for edge in graph.edges_into(uid, CONTROL):
-                parents.append((edge.src, f"control:{edge.label}"))
-        if depth >= max_depth:
-            step.truncated = bool(parents)
-            return step
-        for parent_uid, parent_via in parents:
-            step.children.append(expand(parent_uid, parent_via, depth + 1))
-        return step
+                found.append((edge.src, f"control:{edge.label}"))
+        return found
 
-    root = expand(event_uid, "root", 0)
+    result = _expand(graph, event_uid, max_depth, parents)
     if _obs.enabled:
-        _obs.on_flowback("backward", len(visited))
-    return FlowbackResult(root=root, visited=visited)
+        _obs.on_flowback("backward", len(result.visited))
+    return result
 
 
 def flow_forward(
@@ -96,30 +117,17 @@ def flow_forward(
     max_depth: int = 12,
 ) -> FlowbackResult:
     """Forward flow: what did this event's value influence?"""
-    visited: set[int] = set()
 
-    def expand(uid: int, via: str, depth: int) -> FlowbackStep:
-        node = graph.nodes[uid]
-        step = FlowbackStep(node=node, via=via, depth=depth)
-        if uid in visited:
-            return step
-        visited.add(uid)
-        children: list[tuple[int, str]] = []
-        for edge in graph.edges_from(uid, DATA):
-            children.append((edge.dst, f"data:{edge.label}"))
+    def children(uid: int) -> list[tuple[int, str]]:
+        found = [(edge.dst, f"data:{edge.label}") for edge in graph.edges_from(uid, DATA)]
         for edge in graph.edges_from(uid, CONTROL):
-            children.append((edge.dst, f"control:{edge.label}"))
-        if depth >= max_depth:
-            step.truncated = bool(children)
-            return step
-        for child_uid, child_via in children:
-            step.children.append(expand(child_uid, child_via, depth + 1))
-        return step
+            found.append((edge.dst, f"control:{edge.label}"))
+        return found
 
-    root = expand(event_uid, "root", 0)
+    result = _expand(graph, event_uid, max_depth, children)
     if _obs.enabled:
-        _obs.on_flowback("forward", len(visited))
-    return FlowbackResult(root=root, visited=visited)
+        _obs.on_flowback("forward", len(result.visited))
+    return result
 
 
 def subgraph_frontier(result: FlowbackResult, graph: DynamicGraph) -> list[DynNode]:

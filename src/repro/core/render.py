@@ -19,8 +19,9 @@ from .flowback import FlowbackResult, FlowbackStep
 def render_flowback(result: FlowbackResult, show_values: bool = True) -> str:
     """The flowback tree as indented text (what the user reads)."""
     lines: list[str] = []
-
-    def emit(step: FlowbackStep, prefix: str, is_last: bool) -> None:
+    stack: list[tuple[FlowbackStep, str, bool]] = [(result.root, "", True)]
+    while stack:
+        step, prefix, is_last = stack.pop()
         connector = "" if step.via == "root" else ("`- " if is_last else "|- ")
         via = "" if step.via == "root" else f"[{step.via}] "
         value = ""
@@ -29,10 +30,9 @@ def render_flowback(result: FlowbackResult, show_values: bool = True) -> str:
         suffix = " ..." if step.truncated else ""
         lines.append(f"{prefix}{connector}{via}{step.node.label}{value}{suffix}")
         child_prefix = prefix if step.via == "root" else prefix + ("   " if is_last else "|  ")
-        for index, child in enumerate(step.children):
-            emit(child, child_prefix, index == len(step.children) - 1)
-
-    emit(result.root, "", True)
+        last = len(step.children) - 1
+        for index in range(last, -1, -1):
+            stack.append((step.children[index], child_prefix, index == last))
     return "\n".join(lines)
 
 

@@ -42,6 +42,12 @@ _BINARY = {
 #: the emulation package can replay it); ``rand(n)`` similarly.
 BUILTINS = {"sqrt", "abs", "min", "max", "len", "input", "rand", "floor"}
 
+#: The deepest nesting a program may have, so that no pass recursing on
+#: the tree exhausts the default recursion limit.  A level is a nested
+#: statement, a nested expression operand (parenthesis, argument, index,
+#: unary operand) or a binary operator: a chain nests to the left.
+MAX_NESTING = 100
+
 
 def _int_value(token: Token) -> int:
     """The value of an integer literal.  Python refuses to convert one of
@@ -70,6 +76,10 @@ class Parser:
         self._pos = 0
         self._next_id = 0
         self._source = source
+        #: nesting level of the construct being parsed, and the deepest
+        #: level reached since the innermost open expression began
+        self._depth = 0
+        self._peak = 0
 
     # -- token helpers -----------------------------------------------------
 
@@ -112,6 +122,15 @@ class Parser:
 
     def _pos_of(self, token: Token) -> dict:
         return {"node_id": self._new_id(), "line": token.line, "column": token.column}
+
+    def _nest(self, token: Token) -> None:
+        """Open one nesting level at *token* (the caller closes it)."""
+        depth = self._depth + 1
+        if depth > MAX_NESTING:
+            _too_deep(token)
+        self._depth = depth
+        if depth > self._peak:
+            self._peak = depth
 
     # -- entry point ---------------------------------------------------------
 
@@ -261,7 +280,10 @@ class Parser:
             raise ParseError(
                 f"expected statement, found {token.text!r}", token.line, token.column
             )
-        return handler(self)
+        self._nest(token)
+        stmt = handler(self)
+        self._depth -= 1
+        return stmt
 
     def _break_or_continue(self) -> ast.Stmt:
         token = self._advance()
@@ -429,23 +451,35 @@ class Parser:
     def _expression(self, min_precedence: int = 1) -> ast.Expr:
         """A binary expression whose operators all bind at least as tightly
         as *min_precedence* (precedence climbing over :data:`_BINARY`)."""
+        depth = self._depth
+        outer_peak = self._peak
+        self._peak = depth
         left = self._unary()
+        height = self._peak - depth
         tokens = self._tokens
         while True:
             op_token = tokens[self._pos]
             entry = _BINARY.get(op_token.type)
             if entry is None or entry[0] < min_precedence:
-                return left
+                break
             self._pos += 1
             precedence, op = entry
+            self._peak = depth
             right = self._expression(precedence + 1)
+            height = max(height, self._peak - depth) + 1  # the tree's height
+            if depth + height > MAX_NESTING:
+                _too_deep(op_token)
             left = ast.Binary(**self._pos_of(op_token), op=op, left=left, right=right)
+        self._peak = max(outer_peak, depth + height)
+        return left
 
     def _unary(self) -> ast.Expr:
         token = self._tokens[self._pos]
         if token.type is TokenType.MINUS or token.type is TokenType.NOT:
             self._pos += 1
+            self._nest(token)
             operand = self._unary()
+            self._depth -= 1
             op = "-" if token.type is TokenType.MINUS else "!"
             return ast.Unary(**self._pos_of(token), op=op, operand=operand)
         return self._atom()
@@ -457,19 +491,15 @@ class Parser:
             self._pos += 1
             if self._check(TokenType.LPAREN):
                 return self._finish_call(token)
-            if self._match(TokenType.LBRACKET):
-                index = self._expression()
-                self._expect(TokenType.RBRACKET)
+            if self._check(TokenType.LBRACKET):
+                index = self._nested_operand(TokenType.RBRACKET)
                 return ast.Index(**self._pos_of(token), name=token.text, index=index)
             return ast.Name(**self._pos_of(token), name=token.text)
         if token_type is TokenType.INT:
             self._pos += 1
             return ast.IntLit(**self._pos_of(token), value=_int_value(token))
         if token_type is TokenType.LPAREN:
-            self._pos += 1
-            expr = self._expression()
-            self._expect(TokenType.RPAREN)
-            return expr
+            return self._nested_operand(TokenType.RPAREN)
         if token_type is TokenType.FLOAT:
             self._pos += 1
             return ast.FloatLit(**self._pos_of(token), value=float(token.text))
@@ -492,15 +522,24 @@ class Parser:
             return ast.CallEntry(**self._pos_of(token), entry=entry, args=args)
         raise ParseError(f"expected expression, found {token.text!r}", token.line, token.column)
 
+    def _nested_operand(self, closer: TokenType) -> ast.Expr:
+        """The bracketed expression opening at the current token."""
+        self._nest(self._advance())
+        expr = self._expression()
+        self._expect(closer)
+        self._depth -= 1
+        return expr
+
     def _arguments(self) -> list[ast.Expr]:
-        """``( expression, ... )``"""
-        self._expect(TokenType.LPAREN)
+        """``( expression, ... )``, one nesting level down."""
+        self._nest(self._expect(TokenType.LPAREN))
         args: list[ast.Expr] = []
         if not self._check(TokenType.RPAREN):
             args.append(self._expression())
             while self._match(TokenType.COMMA):
                 args.append(self._expression())
         self._expect(TokenType.RPAREN)
+        self._depth -= 1
         return args
 
     def _finish_call(self, name_token: Token) -> ast.CallExpr:
@@ -532,6 +571,12 @@ class Parser:
         TokenType.KW_BOOL: _var_decl,
         TokenType.NAME: _assign_or_call,
     }
+
+
+def _too_deep(token: Token) -> None:
+    raise ParseError(
+        f"nesting deeper than {MAX_NESTING} levels", token.line, token.column
+    )
 
 
 def parse(source: str) -> ast.Program:

@@ -363,13 +363,6 @@ def _main_disasm(args) -> int:
     except KeyError as error:
         print(f"error: {error.args[0]}")
         return 1
-    except BrokenPipeError:
-        # Listing piped into a pager/head that closed early; not an error.
-        import os
-        import sys
-
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
     return 0
 
 
@@ -423,7 +416,9 @@ def main(argv: list[str] | None = None) -> int:
     (quarantined as :func:`~repro.runtime.persist.load_record` does it),
     or malformed PCL — prints one ``error:`` line to stderr and exits 2
     instead of a traceback; 1 stays "found something" for ``lint`` and
-    ``localize``."""
+    ``localize``.  A reader that closes stdout early (``| head``) is not
+    an error: the command stops and exits 0."""
+    import os
     import sys
 
     from . import faults
@@ -455,6 +450,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "localize":
             return _main_localize(args)
         return _main_connect(args)
+    except BrokenPipeError:
+        # Later writes, and the flush at exit, go nowhere instead of failing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (OSError, PersistError, PCLError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

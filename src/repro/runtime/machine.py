@@ -20,17 +20,9 @@ vector clock; the history derives clocks when an ordering query asks.
 from __future__ import annotations
 
 import random
-import sys
 import time as _time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
-
-# Replay delegates every PCL call through the generator protocol (a few
-# Python frames per PCL call frame); raise the recursion ceiling so PCL
-# recursion up to MAX_CALL_DEPTH replays, and runaway recursion is
-# caught gracefully by that limit instead.
-if sys.getrecursionlimit() < 24_000:
-    sys.setrecursionlimit(24_000)
 
 from ..compiler.compile import CompiledProgram
 from ..compiler.eblocks import EBlock
@@ -293,10 +285,6 @@ class Machine:
                 break
             except PCLRuntimeError as error:
                 self._fail(process, getattr(error, "node_id", 0), str(error), "runtime")
-                break
-            except RecursionError:
-                message = "recursion too deep (PCL call stack exhausted)"
-                self._fail(process, 0, message, "runtime")
                 break
             self.total_steps += 1
             if _obs.enabled:
@@ -936,31 +924,19 @@ class Machine:
         )
         process.interval_stack.pop()
 
-    def maybe_skip_loop(self, executor: VMExec, stmt: ast.Stmt, block: EBlock | None):
+    def maybe_skip_loop(self, executor: VMExec, stmt: ast.Stmt, block: EBlock | None) -> bool:
         """Normal execution never skips loops; the replay engine overrides."""
-        if False:  # pragma: no cover - generator-shaping trick
-            yield
         return False
 
-    def maybe_skip_chunk(self, executor: VMExec, block: EBlock):
+    def maybe_skip_chunk(self, executor: VMExec, block: EBlock) -> bool:
         """Normal execution never skips chunks; the replay engine overrides."""
-        if False:  # pragma: no cover - generator-shaping trick
-            yield
         return False
 
-    def call_user_proc(
-        self,
-        executor: VMExec,
-        call_expr: ast.CallExpr,
-        procdef: ast.ProcDef,
-        args: list[Any],
-        call_uid: int,
-    ):
-        """Execute a user call inline (the replay engine may skip instead)."""
-        result = yield from executor.exec_proc_body(
-            procdef, args, call_expr.node_id, call_uid
-        )
-        return result
+    def maybe_skip_call(self, procdef: ast.ProcDef, call_uid: int) -> Optional[Postlog]:
+        """The postlog that stands in for a skipped user call, or ``None``
+        to run the call.  Normal execution runs every call; the replay
+        engine skips nested e-block procedures."""
+        return None
 
     def before_stmt(self, process: Process, stmt: ast.Stmt) -> None:
         """Pre-statement hook: breakpoints and what-if interventions (§5.7).

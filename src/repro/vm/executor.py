@@ -9,9 +9,12 @@ A tree walker would suspend by threading a ``yield from`` chain through
 one Python generator per active AST node; the VM instead keeps explicit
 :class:`_VMFrame` records (code, instruction pointer, operand stack,
 open block entries) and runs them all from a **single** dispatch
-generator.  A preemption point is a plain ``yield`` in the loop; a PCL
-call pushes a frame instead of recursing, so resuming a deeply nested
-program costs O(1) Python frames instead of O(depth).
+generator.  A preemption point is a plain ``yield`` in the loop; every
+PCL call pushes a frame instead of recursing, so resuming a deeply
+nested program costs O(1) Python frames instead of O(depth).  Replay
+runs on the same trampoline: the machine's ``maybe_skip_call`` hook
+either hands back the postlog that stands in for a skipped e-block
+call, or lets the call push its frame like any other.
 
 Parity contract: every observable effect — the order of scheduler
 yields, ``process.steps`` increments, log appends, trace events and
@@ -30,7 +33,6 @@ from typing import Any, Generator, Optional
 from ..lang import ast
 from ..lang.pretty import expr_to_str
 from ..runtime.errors import AssertionFailure, PCLRuntimeError
-from ..runtime.machine import Machine
 from ..runtime.process import Frame, Process
 from ..runtime.tracing import (
     EV_ASSERT,
@@ -52,27 +54,11 @@ from ..runtime.values import (
 )
 from . import bytecode as bc
 
-#: Maximum PCL call depth.  The trampoline itself needs no Python frame
-#: per PCL call, but replay delegates calls through the generator
-#: protocol (a few Python frames each), and the limit's failure message
-#: is part of the persisted record, so the value must not change.
+#: Maximum PCL call depth.  A PCL call costs a trampoline frame, not a
+#: Python one, so this bounds a runaway recursion's memory; the limit's
+#: failure message is part of the persisted record, so the value must
+#: not change.
 MAX_CALL_DEPTH = 1000
-
-
-class _Return(Exception):
-    """A ``return`` propagating out of a delegated body or replay root."""
-
-    def __init__(self, value: Any, ret_uid: int) -> None:
-        self.value = value
-        self.ret_uid = ret_uid
-
-
-class _Break(Exception):
-    pass
-
-
-class _Continue(Exception):
-    pass
 
 
 #: Block-entry kinds (first element of a block tuple).
@@ -129,10 +115,6 @@ class VMExec:
         self._sync_prelog_sites = machine.sync_prelog_sites
         self._tracer = machine.tracer
         self._code = machine.compiled.vm_code()
-        #: Machines that keep the base nested-call policy let the VM push
-        #: callee frames onto its own trampoline (no Python recursion);
-        #: overriding machines (replay) get the generator protocol.
-        self._inline_calls = type(machine).call_user_proc is Machine.call_user_proc
         self._marks: list[int] = []
         self._arg_reads: list[list[list[tuple[str, int]]]] = []
 
@@ -220,7 +202,7 @@ class VMExec:
             return value, ret_uid
         procdef = callee.procdef
         frames[-1].stack.append(value)
-        if self._tracer is not None and procdef is not None and procdef.is_func:
+        if self._tracer is not None and procdef.is_func:
             dep_uid = ret_uid if ret_uid >= 0 else callee.call_uid
             self._reads.append((f"%0:{procdef.name}", dep_uid))
         return None
@@ -289,57 +271,50 @@ class VMExec:
     def _unwind_return(
         self, frames: list[_VMFrame], value: Any, ret_uid: int
     ) -> Generator:
-        """Unwind to the innermost procedure frame and run its epilogue."""
-        machine = self.machine
-        process = self.process
-        while frames:
-            vframe = frames[-1]
-            blocks = vframe.blocks
-            while blocks:
-                entry = blocks.pop()
-                try:
-                    yield from self._run_block_exit(entry)
-                except BaseException as error:  # noqa: BLE001 - finally semantics
-                    yield from self._escalate(frames, entry, error)
-            frames.pop()
-            if vframe.procdef is not None:
-                try:
-                    machine.on_proc_exit(process, vframe.procdef, vframe.interval_id, value)
-                except BaseException as error:  # noqa: BLE001
-                    if isinstance(error, PCLRuntimeError):
-                        self._attach_innermost(frames, error)
-                    yield from self._unwind_error(frames, error)
-                process.frames.pop()
-                return self._deliver(frames, vframe, value, ret_uid)
-        # A replay-root statement: propagate like the reference walker would.
-        raise _Return(value, ret_uid)
+        """Close the returning procedure frame's blocks and run its epilogue.
+
+        A ``return`` always sits in a procedure frame: no e-block that a
+        replay enters as a root statement contains one.
+        """
+        vframe = frames[-1]
+        blocks = vframe.blocks
+        while blocks:
+            entry = blocks.pop()
+            try:
+                yield from self._run_block_exit(entry)
+            except BaseException as error:  # noqa: BLE001 - finally semantics
+                yield from self._escalate(frames, entry, error)
+        frames.pop()
+        try:
+            self.machine.on_proc_exit(self.process, vframe.procdef, vframe.interval_id, value)
+        except BaseException as error:  # noqa: BLE001
+            if isinstance(error, PCLRuntimeError):
+                self._attach_innermost(frames, error)
+            yield from self._unwind_error(frames, error)
+        self.process.frames.pop()
+        return self._deliver(frames, vframe, value, ret_uid)
 
     def _unwind_loop(self, frames: list[_VMFrame], want_continue: bool) -> Generator:
-        """Unwind to the innermost loop entry; returns that entry."""
-        machine = self.machine
-        process = self.process
-        while frames:
-            blocks = frames[-1].blocks
-            while blocks:
-                entry = blocks[-1]
-                if entry[0] == _LOOP:
-                    if want_continue:
-                        return entry
-                    blocks.pop()
-                    try:
-                        machine.on_loop_exit(process, entry[1], entry[2], entry[3])
-                    except BaseException as error:  # noqa: BLE001
-                        yield from self._escalate(frames, entry, error)
+        """Unwind to the innermost loop entry of the current frame (the
+        compiler rejects ``break``/``continue`` outside a loop); returns
+        that entry."""
+        blocks = frames[-1].blocks
+        while True:
+            entry = blocks[-1]
+            if entry[0] == _LOOP:
+                if want_continue:
                     return entry
                 blocks.pop()
                 try:
-                    yield from self._run_block_exit(entry)
+                    self.machine.on_loop_exit(self.process, entry[1], entry[2], entry[3])
                 except BaseException as error:  # noqa: BLE001
                     yield from self._escalate(frames, entry, error)
-            # No loop in this frame: a break/continue crossing a procedure
-            # boundary skips the epilogue, exactly like the reference walker.
-            frames.pop()
-        raise _Continue() if want_continue else _Break()
+                return entry
+            blocks.pop()
+            try:
+                yield from self._run_block_exit(entry)
+            except BaseException as error:  # noqa: BLE001
+                yield from self._escalate(frames, entry, error)
 
     # ------------------------------------------------------------------
     # The dispatch loop
@@ -359,7 +334,6 @@ class VMExec:
         sites = self._sync_prelog_sites
         shared = self.table.shared
         proc_locals = self.table.locals
-        inline_calls = self._inline_calls
         result = None
 
         while frames:
@@ -687,9 +661,7 @@ class VMExec:
                     elif op == 24:  # LOOP_ENTER
                         stmt = ins[1]
                         block = ins[2]
-                        vframe.ip = ip
-                        skipped = yield from machine.maybe_skip_loop(self, stmt, block)
-                        if skipped:
+                        if machine.maybe_skip_loop(self, stmt, block):
                             ip = ins[3]
                         else:
                             interval_id = machine.on_loop_entry(process, stmt, block)
@@ -703,9 +675,7 @@ class VMExec:
                         ip += 1
                     elif op == 26:  # CHUNK_ENTER
                         block = ins[1]
-                        vframe.ip = ip
-                        skipped = yield from machine.maybe_skip_chunk(self, block)
-                        if skipped:
+                        if machine.maybe_skip_chunk(self, block):
                             ip = ins[2]
                         else:
                             interval_id = machine.on_chunk_entry(process, block)
@@ -1051,20 +1021,17 @@ class VMExec:
                                 arg_values=list(args),
                             )
                             call_uid = event.uid
-                        if inline_calls:
+                        postlog = machine.maybe_skip_call(procdef, call_uid)
+                        if postlog is None:
                             vframe.ip = ip + 1
                             self._push_frame(
                                 frames, procdef, args, expr.node_id, call_uid
                             )
                             break  # switch to the callee frame
-                        vframe.ip = ip
-                        value, value_uid = yield from machine.call_user_proc(
-                            self, expr, procdef, args, call_uid
-                        )
+                        # A skipped e-block call: its postlog stands in.
                         if tracer is not None and procdef.is_func:
-                            dep_uid = value_uid if value_uid >= 0 else call_uid
-                            self._reads.append((f"%0:{expr.name}", dep_uid))
-                        stack.append(value)
+                            self._reads.append((f"%0:{expr.name}", call_uid))
+                        stack.append(postlog.retval)
                         ip += 1
                     elif op == 48:  # PROC_RETURN — implicit procedure end
                         procdef = vframe.procdef
@@ -1097,16 +1064,6 @@ class VMExec:
                         break
                     else:  # pragma: no cover - compiler/executor mismatch
                         raise AssertionError(f"bad opcode {op}")
-            except _Return as signal:
-                # A delegated callee returned through the generator protocol.
-                vframe.ip = ip
-                action = (_RETURN, signal.value, signal.ret_uid)
-            except _Break:
-                vframe.ip = ip
-                action = (_BREAK,)
-            except _Continue:
-                vframe.ip = ip
-                action = (_CONTINUE,)
             except BaseException as error:  # noqa: BLE001 - single unwind point
                 vframe.ip = ip
                 if isinstance(error, PCLRuntimeError):

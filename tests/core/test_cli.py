@@ -252,3 +252,41 @@ class TestPpdBadInput:
         path.write_text("proc main() { int x = " + "9" * 5000 + "; }\n")
         assert main([command, str(path)]) == 2
         self.assert_one_error_line(capsys)
+
+
+class TestClosedStdout:
+    """A reader that closes ``ppd``'s stdout early (``| head -1``) is not an
+    error: the command stops quietly and exits 0."""
+
+    @pytest.mark.parametrize("verb", ["analyze", "replay"])
+    def test_closing_the_pipe_after_one_line(self, tmp_path, verb):
+        import subprocess
+        import sys
+
+        from repro.runtime import save_record
+        from repro.workloads import fib_recursive, ring_allreduce
+        from tests.test_cold_start import _env
+
+        # Each command writes more than a pipe holds, so it is still
+        # writing when the reader goes away.
+        if verb == "analyze":
+            path = tmp_path / "ring384.pcl"
+            path.write_text(ring_allreduce(384))
+            argv = ["analyze", str(path)]
+        else:
+            path = tmp_path / "fib15.ppd.json"
+            save_record(run_program(fib_recursive(15), seed=0), str(path))
+            argv = ["replay", str(path), "--repeat", "3000"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=_env(),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0, err
+        assert first.startswith(b"effects:" if verb == "analyze" else b"round 1:")
+        assert err == b""

@@ -98,6 +98,29 @@ class TestSequentialReplay:
         assert not inner.halted
         assert any(e.kind == "pred" for e in inner.events)
 
+    def test_loop_that_returns_is_not_a_loop_block(self):
+        """A loop postlog cannot record that the loop returned, so a loop
+        containing a ``return`` replays inside its procedure's interval."""
+        source = (
+            "func int find(int n) { int i = 0; while (i < n) { i = i + 1; "
+            "if (i == 3) { return i; } i = i + 0; } return -1; }\n"
+            "proc main() { int r = find(10); print(r); }"
+        )
+        record = run_program(source, seed=0, policy=EBlockPolicy(loop_block_min_stmts=1))
+        assert record.output == [(0, "3")]
+        assert not record.compiled.eblocks.loop_blocks
+        emu = EmulationPackage(record)
+        index = build_interval_index(record.logs[0])
+        assert {info.block_kind for info in index.values()} == {"proc"}
+        find = emu.replay(0, interval_of(record, 0, "find").interval_id)
+        assert find.retval == 3
+        (ret,) = [event for event in find.events if event.kind == "ret"]
+        assert ret.value == 3
+        assert record.compiled.database.statement_text(ret.node_id) == "return i;"
+        for info in index.values():
+            result = emu.replay(0, info.interval_id)
+            assert not result.halted and not result.diagnostics
+
     def test_replay_of_open_interval_stops_at_halt_point(self):
         record = run_program(buggy_average(5), inputs=[10, 20, 30, 40, 50])
         assert record.failure is not None

@@ -11,13 +11,19 @@ Every ``exec_*``/``eval_*`` method is a generator; ``yield`` marks a
 preemption point (statement boundaries and shared-memory accesses), which
 is how the scheduler interleaves processes to model an SMMP.  All
 interaction with the environment — shared memory, synchronization, logging,
-nested-call policy — goes through the owning :class:`Machine`
+which nested e-blocks to skip — goes through the owning :class:`Machine`
 (:mod:`repro.runtime.machine`), so e-block replay works by running the
 same walker against a replay machine (:mod:`repro.core.emulation`).
+
+The walker recurses: each PCL call costs a chain of Python generator
+frames, so importing this module raises the interpreter's recursion limit
+far enough for PCL recursion up to ``MAX_CALL_DEPTH`` (the VM needs no
+such limit; its frames live on its own trampoline).
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Generator
 
 from repro.lang import ast
@@ -43,7 +49,26 @@ from repro.runtime.values import (
     default_value,
     format_value,
 )
-from repro.vm.executor import MAX_CALL_DEPTH, _Break, _Continue, _Return
+from repro.vm.executor import MAX_CALL_DEPTH
+
+if sys.getrecursionlimit() < 24_000:
+    sys.setrecursionlimit(24_000)
+
+
+class _Return(Exception):
+    """A ``return`` propagating up to its procedure body."""
+
+    def __init__(self, value: Any, ret_uid: int) -> None:
+        self.value = value
+        self.ret_uid = ret_uid
+
+
+class _Break(Exception):
+    pass
+
+
+class _Continue(Exception):
+    pass
 
 
 class Interp:
@@ -165,8 +190,7 @@ class Interp:
                 for node_id in node_ids:
                     yield from self.exec_stmt(stmt_by_id[node_id])
                 continue
-            skipped = yield from self.machine.maybe_skip_chunk(self, block)
-            if skipped:
+            if self.machine.maybe_skip_chunk(self, block):
                 continue
             interval_id = self.machine.on_chunk_entry(self.process, block)
             try:
@@ -368,8 +392,7 @@ class Interp:
 
     def _exec_while(self, stmt: ast.While) -> Generator:
         block = self.machine.compiled.plan.loop_block(stmt.node_id)
-        skipped = yield from self.machine.maybe_skip_loop(self, stmt, block)
-        if skipped:
+        if self.machine.maybe_skip_loop(self, stmt, block):
             return
         interval_id = self.machine.on_loop_entry(self.process, stmt, block)
         try:
@@ -388,8 +411,7 @@ class Interp:
 
     def _exec_for(self, stmt: ast.For) -> Generator:
         block = self.machine.compiled.plan.loop_block(stmt.node_id)
-        skipped = yield from self.machine.maybe_skip_loop(self, stmt, block)
-        if skipped:
+        if self.machine.maybe_skip_loop(self, stmt, block):
             return
         interval_id = self.machine.on_loop_entry(self.process, stmt, block)
         try:
@@ -638,9 +660,13 @@ class Interp:
             )
             call_uid = event.uid
 
-        value, value_uid = yield from self.machine.call_user_proc(
-            self, expr, procdef, arg_values, call_uid
-        )
+        postlog = self.machine.maybe_skip_call(procdef, call_uid)
+        if postlog is None:
+            value, value_uid = yield from self.exec_proc_body(
+                procdef, arg_values, expr.node_id, call_uid
+            )
+        else:
+            value, value_uid = postlog.retval, call_uid
         if self.machine.tracer is not None and procdef.is_func:
             # The caller's subsequent reads of this value depend on the
             # call's %0 (returned value).

@@ -1,8 +1,8 @@
 """Randomised program fuzzing with hypothesis.
 
 A generator for small, always-terminating sequential PCL programs (with
-functions, branches, counted loops, shared variables, and inputs) drives
-three whole-system properties:
+functions, branches, counted loops that may return from their function,
+shared variables, and inputs) drives three whole-system properties:
 
 * front-end stability — parse -> pretty -> parse is a fixpoint;
 * instrumentation transparency — plain/logged/traced runs agree;
@@ -35,6 +35,8 @@ class ProgramBuilder:
         #: loop counters are readable but never assignment targets —
         #: clobbering one could make a generated loop diverge
         self.loop_counters: set[str] = set()
+        #: set while a function body is generated: a loop there may return
+        self.in_function = False
 
     def fresh(self, prefix: str) -> str:
         return f"{prefix}{next(self.counter)}"
@@ -65,19 +67,22 @@ class ProgramBuilder:
         op = self.draw(st.sampled_from(["<", "<=", ">", ">=", "==", "!="]))
         return f"{self.expr(vars_in_scope, 1)} {op} {self.expr(vars_in_scope, 1)}"
 
-    def statements(self, vars_in_scope: list[str], depth: int, budget: int) -> list[str]:
+    def statements(
+        self, vars_in_scope: list[str], depth: int, budget: int, in_loop: bool = False
+    ) -> list[str]:
         lines: list[str] = []
         count = self.draw(st.integers(1, 3 if depth else 5))
         for _ in range(count):
             if budget <= 0:
                 break
-            kind = self.draw(
-                st.sampled_from(
-                    ["decl", "assign", "if", "loop", "input"]
-                    if depth < 2
-                    else ["decl", "assign", "input"]
-                )
+            kinds = (
+                ["decl", "assign", "if", "loop", "input"]
+                if depth < 2
+                else ["decl", "assign", "input"]
             )
+            if in_loop and self.in_function:
+                kinds.append("return")
+            kind = self.draw(st.sampled_from(kinds))
             if kind == "decl":
                 name = self.fresh("v")
                 lines.append(f"int {name} = {self.expr(vars_in_scope)};")
@@ -92,13 +97,20 @@ class ProgramBuilder:
                 name = self.fresh("v")
                 lines.append(f"int {name} = input();")
                 vars_in_scope.append(name)
+            elif kind == "return":
+                cond = self.condition(vars_in_scope)
+                lines.append(f"if ({cond}) {{ return {self.expr(vars_in_scope)}; }}")
             elif kind == "if":
                 cond = self.condition(vars_in_scope)
-                then_body = self.statements(list(vars_in_scope), depth + 1, budget - 1)
+                then_body = self.statements(
+                    list(vars_in_scope), depth + 1, budget - 1, in_loop
+                )
                 lines.append(f"if ({cond}) {{")
                 lines.extend("    " + s for s in then_body)
                 if self.draw(st.booleans()):
-                    else_body = self.statements(list(vars_in_scope), depth + 1, budget - 1)
+                    else_body = self.statements(
+                        list(vars_in_scope), depth + 1, budget - 1, in_loop
+                    )
                     lines.append("} else {")
                     lines.extend("    " + s for s in else_body)
                 lines.append("}")
@@ -106,7 +118,9 @@ class ProgramBuilder:
                 counter = self.fresh("i")
                 self.loop_counters.add(counter)
                 bound = self.draw(st.integers(1, 4))
-                body = self.statements(list(vars_in_scope) + [counter], depth + 1, budget - 1)
+                body = self.statements(
+                    list(vars_in_scope) + [counter], depth + 1, budget - 1, in_loop=True
+                )
                 lines.append(
                     f"for ({counter} = 0; {counter} < {bound}; "
                     f"{counter} = {counter} + 1) {{"
@@ -120,7 +134,9 @@ class ProgramBuilder:
     def function(self) -> None:
         name = self.fresh("f")
         param = self.fresh("p")
+        self.in_function = True
         body = self.statements([param], depth=1, budget=3)
+        self.in_function = False
         result = self.expr([param], 1)
         self.funcs.append(
             f"func int {name}(int {param}) {{\n    "
