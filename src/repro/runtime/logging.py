@@ -71,6 +71,8 @@ def copy_value(value: Any) -> Any:
     """A log-safe copy of one runtime value: deep through arrays and
     containers, identity for scalars.  Values must be copied the moment
     they are logged — the program keeps running and may mutate them."""
+    if type(value) is int:  # the commonest logged value, tested first
+        return value
     if isinstance(value, PCLArray):
         return value.copy()
     if isinstance(value, list):
@@ -85,13 +87,14 @@ def snapshot_values(values: dict[str, Any]) -> dict[str, Any]:
     return {name: copy_value(value) for name, value in values.items()}
 
 
-@dataclass
+@dataclass(slots=True)
 class LogEntry:
     """Base class for all log entries.
 
     ``timestamp`` is a machine-global monotonic counter, giving a total
     order consistent with each interleaved execution (used by state
-    restoration, §5.7).
+    restoration, §5.7).  Entries are slotted: the execution phase builds
+    them positionally, in field order, and nothing adds attributes.
     """
 
     timestamp: int
@@ -113,7 +116,7 @@ class LogEntry:
         return _JSON.encode(self.to_dict())
 
 
-@dataclass
+@dataclass(slots=True)
 class Prelog(LogEntry):
     """Start-of-e-block snapshot: values of the USED set (§5.1)."""
 
@@ -126,7 +129,7 @@ class Prelog(LogEntry):
     steps: int = 0  # process-local statement count at prelog time
 
 
-@dataclass
+@dataclass(slots=True)
 class Postlog(LogEntry):
     """End-of-e-block snapshot: values of the DEFINED set plus the return
     value (§5.1); also the raw material of state restoration (§5.7)."""
@@ -138,7 +141,7 @@ class Postlog(LogEntry):
     steps: int = 0  # process-local statement count at postlog time
 
 
-@dataclass
+@dataclass(slots=True)
 class SyncPrelog(LogEntry):
     """Extra prelog at a synchronization-unit start (§5.5): the values of
     the shared variables the unit may read."""
@@ -148,7 +151,7 @@ class SyncPrelog(LogEntry):
     values: dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class InputLog(LogEntry):
     """A nondeterministic input consumed by the process: ``input()``,
     ``rand()``, or the value delivered by ``recv``.  Logged so the emulation
@@ -159,7 +162,7 @@ class InputLog(LogEntry):
     value: Any = None
 
 
-@dataclass
+@dataclass(slots=True)
 class SyncLog(LogEntry):
     """A synchronization node of the parallel dynamic graph (§6.1), and the
     log entry of its process for it: one object per synchronization event.
@@ -178,7 +181,7 @@ class SyncLog(LogEntry):
     sync_index: int = 0  # position within the process's sync sequence
 
 
-@dataclass
+@dataclass(slots=True)
 class SpawnLog(LogEntry):
     """Process creation (gives the child's log file its identity)."""
 
@@ -280,12 +283,11 @@ class LogFile:
         self.pid = pid
         self.entries: list[LogEntry] = []
 
-    def append(self, entry: LogEntry) -> int:
-        """Add *entry*, returning its index in this file."""
+    def append(self, entry: LogEntry) -> None:
+        """Add *entry* (the execution phase's one way to log)."""
         self.entries.append(entry)
         if _obs.enabled:
             _obs.on_log_entry(self.pid, entry.kind, len(entry.to_json()))
-        return len(self.entries) - 1
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -169,6 +169,8 @@ class Machine:
             raise ValueError(f"unknown mode {mode!r}")
         self.compiled = compiled
         self.mode = mode
+        #: whether this run writes the paper's logs; every logging hook reads it
+        self._logged = mode == "logged"
         self.seed = seed
         self.scheduler = Scheduler(seed=seed, quantum=quantum)
         self.tracer: Optional[Tracer] = Tracer() if trace else None
@@ -205,6 +207,11 @@ class Machine:
         self.breakpoints = breakpoints or set()
         self.breakpoint_hit: Optional[BreakpointHit] = None
         self._trace_of_sync: dict[int, int] = {}
+        #: what each procedure's entry and exit and each sync-unit site log,
+        #: resolved once from the plan (a loop or chunk boundary's e-block
+        #: is an operand of its bytecode)
+        self._proc_logs = _proc_boundaries(compiled) if self._logged else {}
+        self._post_stmt_prelogs = compiled.plan.post_stmt_prelogs
         self._init_globals()
         self._shared_initial = snapshot_values(self.shared)
 
@@ -368,10 +375,6 @@ class Machine:
     # Synchronization events / history
     # ------------------------------------------------------------------
 
-    def _tick_time(self) -> int:
-        self.timestamp += 1
-        return self.timestamp
-
     def _sync_event(self, process: Process, op: str, obj: str, node_id: int) -> SyncLog:
         """Create a synchronization node, closing/opening internal edges.
 
@@ -380,14 +383,9 @@ class Machine:
         """
         process.sync_index += 1
         self._uid_counter += 1
+        self.timestamp += 1
         node = SyncLog(
-            timestamp=self._tick_time(),
-            pid=process.pid,
-            uid=self._uid_counter,
-            op=op,
-            obj=obj,
-            node_id=node_id,
-            sync_index=process.sync_index,
+            self.timestamp, process.pid, self._uid_counter, op, obj, node_id, process.sync_index
         )
         self.history.add_node(node)
         if _obs.enabled:
@@ -406,7 +404,7 @@ class Machine:
             self.history.segments.append(new_segment)
             process.current_segment = new_segment
 
-        if self.mode == "logged":
+        if self._logged:
             process.log.append(node)
         if self.tracer is not None:
             process.pending_sync_uids.append(node.uid)
@@ -426,7 +424,7 @@ class Machine:
     def _record_access(self, process: Process, name: str, node_id: int, write: bool) -> None:
         if _obs.enabled:
             _obs.on_shared_access(process.pid, name, write)
-        if self.mode == "plain":
+        if not self._logged:
             return
         segment = process.current_segment
         if segment is None:
@@ -615,15 +613,10 @@ class Machine:
             message.blocked_sender = None
         if woken_sender is not None and woken_sender.state is ProcState.BLOCKED:
             woken_sender.wake(node.uid)
-        if self.mode == "logged":
+        if self._logged:
+            self.timestamp += 1
             process.log.append(
-                InputLog(
-                    timestamp=self._tick_time(),
-                    pid=process.pid,
-                    source="recv",
-                    node_id=node_id,
-                    value=copy_value(message.value),
-                )
+                InputLog(self.timestamp, process.pid, "recv", node_id, copy_value(message.value))
             )
         yield
         return message.value
@@ -656,14 +649,15 @@ class Machine:
         for src in sources:
             if self.history.nodes[src].pid != process.pid:
                 self.history.add_edge(src, ret.uid, "rendezvous")
-        if self.mode == "logged":
+        if self._logged:
+            self.timestamp += 1
             process.log.append(
                 InputLog(
-                    timestamp=self._tick_time(),
-                    pid=process.pid,
-                    source="rendezvous",
-                    node_id=node_id,
-                    value=copy_value(exchange.reply_value),
+                    self.timestamp,
+                    process.pid,
+                    "rendezvous",
+                    node_id,
+                    copy_value(exchange.reply_value),
                 )
             )
         yield
@@ -684,14 +678,11 @@ class Machine:
         node = self._sync_event(process, "accept", entry_name, node_id)
         self.history.add_edge(exchange.call_uid, node.uid, "rendezvous")
         process.rendezvous_stack.append(exchange)
-        if self.mode == "logged":
+        if self._logged:
+            self.timestamp += 1
             process.log.append(
                 InputLog(
-                    timestamp=self._tick_time(),
-                    pid=process.pid,
-                    source="accept",
-                    node_id=node_id,
-                    value=copy_value(list(exchange.args)),
+                    self.timestamp, process.pid, "accept", node_id, copy_value(list(exchange.args))
                 )
             )
         yield
@@ -729,15 +720,16 @@ class Machine:
         begin = self._sync_event(child, "begin", stmt.name, 0)
         self.history.add_edge(node.uid, begin.uid, "spawn")
         self._spawn_args[child.pid] = list(args)
-        if self.mode == "logged":
+        if self._logged:
+            self.timestamp += 1
             parent.log.append(
                 SpawnLog(
-                    timestamp=self._tick_time(),
-                    pid=parent.pid,
-                    child_pid=child.pid,
-                    proc_name=stmt.name,
-                    args=[copy_value(a) for a in args],
-                    node_id=stmt.node_id,
+                    self.timestamp,
+                    parent.pid,
+                    child.pid,
+                    stmt.name,
+                    [copy_value(a) for a in args],
+                    stmt.node_id,
                 )
             )
         procdef = self.compiled.program.proc(stmt.name)
@@ -771,16 +763,9 @@ class Machine:
             if bound <= 0:
                 raise PCLRuntimeError(f"rand({bound}): bound must be positive")
             value = self.input_rng.randrange(bound)
-        if self.mode == "logged":
-            process.log.append(
-                InputLog(
-                    timestamp=self._tick_time(),
-                    pid=process.pid,
-                    source=kind,
-                    node_id=node_id,
-                    value=value,
-                )
-            )
+        if self._logged:
+            self.timestamp += 1
+            process.log.append(InputLog(self.timestamp, process.pid, kind, node_id, value))
         return value
 
     def print_line(self, process: Process, text: str) -> None:
@@ -790,139 +775,118 @@ class Machine:
     # E-block logging (§5.1)
     # ------------------------------------------------------------------
 
-    def _next_interval(self) -> int:
-        self._interval_counter += 1
-        return self._interval_counter
-
     def on_proc_entry(self, process: Process, procdef: ast.ProcDef, args: list[Any]) -> int:
-        if self.mode != "logged":
+        if not self._logged:
             return -1
-        block = self.compiled.plan.proc_block(procdef.name)
-        if block is None:
+        block_node_id, names, _ = self._proc_logs[procdef.name]
+        if block_node_id is None:
             # Merged procedure: no e-block, but its entry still starts a
             # synchronization unit (§5.5).
-            shared_names = self.compiled.plan.entry_unit_prelogs.get(procdef.name)
-            if shared_names:
+            if names:
+                self.timestamp += 1
                 process.log.append(
                     SyncPrelog(
-                        timestamp=self._tick_time(),
-                        pid=process.pid,
-                        site_node_id=procdef.node_id,
-                        proc_name=procdef.name,
-                        values=self._shared_snapshot(shared_names),
+                        self.timestamp,
+                        process.pid,
+                        procdef.node_id,
+                        procdef.name,
+                        self._shared_snapshot(names),
                     )
                 )
             return -1
-        interval = self._next_interval()
+        self._interval_counter += 1
+        interval = self._interval_counter
+        self.timestamp += 1
         process.log.append(
             Prelog(
-                timestamp=self._tick_time(),
-                pid=process.pid,
-                interval_id=interval,
-                block_node_id=block.node_id,
-                block_kind="proc",
-                proc_name=procdef.name,
-                values=self._shared_snapshot(block.shared_ref),
-                args=[copy_value(a) for a in args],
-                steps=process.steps,
+                self.timestamp,
+                process.pid,
+                interval,
+                block_node_id,
+                "proc",
+                procdef.name,
+                self._shared_snapshot(names) if names else {},
+                list(map(copy_value, args)),
+                process.steps,
             )
         )
-        process.interval_stack.append(interval)
         return interval
 
     def on_proc_exit(
         self, process: Process, procdef: ast.ProcDef, interval_id: int, retval: Any
     ) -> None:
-        if interval_id < 0 or self.mode != "logged":
+        if interval_id < 0:
             return
-        block = self.compiled.plan.proc_block(procdef.name)
+        names = self._proc_logs[procdef.name][2]
+        self.timestamp += 1
         process.log.append(
             Postlog(
-                timestamp=self._tick_time(),
-                pid=process.pid,
-                interval_id=interval_id,
-                values=self._shared_snapshot(block.shared_mod),
-                retval=retval,
-                has_retval=procdef.is_func,
-                steps=process.steps,
+                self.timestamp,
+                process.pid,
+                interval_id,
+                self._shared_snapshot(names) if names else {},
+                retval,
+                procdef.is_func,
+                process.steps,
             )
         )
-        process.interval_stack.pop()
 
     def on_loop_entry(self, process: Process, stmt: ast.Stmt, block: EBlock | None) -> int:
-        if block is None or self.mode != "logged":
+        if block is None or not self._logged:
             return -1
-        interval = self._next_interval()
-        frame = process.frame
-        process.log.append(
-            Prelog(
-                timestamp=self._tick_time(),
-                pid=process.pid,
-                interval_id=interval,
-                block_node_id=block.node_id,
-                block_kind="loop",
-                proc_name=frame.proc_name,
-                values=self._block_snapshot(frame, block.prelog_locals, block.shared_ref),
-                steps=process.steps,
-            )
-        )
-        process.interval_stack.append(interval)
-        return interval
+        return self._open_region(process, block)
 
     def on_loop_exit(
         self, process: Process, stmt: ast.Stmt, block: EBlock | None, interval_id: int
     ) -> None:
-        if block is None or interval_id < 0 or self.mode != "logged":
-            return
-        process.log.append(
-            Postlog(
-                timestamp=self._tick_time(),
-                pid=process.pid,
-                interval_id=interval_id,
-                values=self._block_snapshot(
-                    process.frame, block.postlog_locals, block.shared_mod
-                ),
-                steps=process.steps,
-            )
-        )
-        process.interval_stack.pop()
+        if interval_id >= 0:
+            self._close_region(process, block, interval_id)
 
     def on_chunk_entry(self, process: Process, block: EBlock) -> int:
         """Prelog for a §5.4 chunk e-block (same shape as a loop block)."""
-        if self.mode != "logged":
+        if not self._logged:
             return -1
-        interval = self._next_interval()
-        frame = process.frame
-        process.log.append(
-            Prelog(
-                timestamp=self._tick_time(),
-                pid=process.pid,
-                interval_id=interval,
-                block_node_id=block.node_id,
-                block_kind="chunk",
-                proc_name=frame.proc_name,
-                values=self._block_snapshot(frame, block.prelog_locals, block.shared_ref),
-                steps=process.steps,
-            )
-        )
-        process.interval_stack.append(interval)
-        return interval
+        return self._open_region(process, block)
 
     def on_chunk_exit(self, process: Process, block: EBlock, interval_id: int) -> None:
-        if interval_id < 0 or self.mode != "logged":
-            return
+        if interval_id >= 0:
+            self._close_region(process, block, interval_id)
+
+    def _open_region(self, process: Process, block: EBlock) -> int:
+        """The prelog of a loop or chunk e-block; returns its interval."""
+        self._interval_counter += 1
+        interval = self._interval_counter
+        frame = process.frames[-1]
+        self.timestamp += 1
         process.log.append(
-            Postlog(
-                timestamp=self._tick_time(),
-                pid=process.pid,
-                interval_id=interval_id,
-                values=self._block_snapshot(
-                    process.frame, block.postlog_locals, block.shared_mod
-                ),
-                steps=process.steps,
+            Prelog(
+                self.timestamp,
+                process.pid,
+                interval,
+                block.node_id,
+                block.kind,
+                frame.proc_name,
+                self._block_snapshot(frame, block.prelog_locals, block.shared_ref),
+                [],
+                process.steps,
             )
         )
-        process.interval_stack.pop()
+        return interval
+
+    def _close_region(self, process: Process, block: EBlock, interval_id: int) -> None:
+        """The postlog of a loop or chunk e-block."""
+        self.timestamp += 1
+        process.log.append(
+            Postlog(
+                self.timestamp,
+                process.pid,
+                interval_id,
+                self._block_snapshot(process.frames[-1], block.postlog_locals, block.shared_mod),
+                None,
+                False,
+                process.steps,
+            )
+        )
 
     def maybe_skip_loop(self, executor: VMExec, stmt: ast.Stmt, block: EBlock | None) -> bool:
         """Normal execution never skips loops; the replay engine overrides."""
@@ -977,24 +941,23 @@ class Machine:
     @property
     def sync_prelog_sites(self):
         """Statement node_ids that need an after_stmt call (empty = none)."""
-        if self.mode != "logged":
-            return ()
-        return self.compiled.plan.post_stmt_prelogs
+        return self._post_stmt_prelogs if self._logged else ()
 
     def after_stmt(self, process: Process, stmt: ast.Stmt) -> None:
         """Sync-unit prelog after a unit-starting statement (§5.5)."""
-        if self.mode != "logged":
+        if not self._logged:
             return
-        shared_names = self.compiled.plan.post_stmt_prelogs.get(stmt.node_id)
+        shared_names = self._post_stmt_prelogs.get(stmt.node_id)
         if not shared_names:
             return
+        self.timestamp += 1
         process.log.append(
             SyncPrelog(
-                timestamp=self._tick_time(),
-                pid=process.pid,
-                site_node_id=stmt.node_id,
-                proc_name=process.frame.proc_name,
-                values=self._shared_snapshot(shared_names),
+                self.timestamp,
+                process.pid,
+                stmt.node_id,
+                process.frames[-1].proc_name,
+                self._shared_snapshot(shared_names),
             )
         )
 
@@ -1007,9 +970,11 @@ class Machine:
         of *frame* it has, then of the named shared variables (a shared
         value replaces a local of the same name in place)."""
         local_vars = frame.vars
-        values = {
-            name: copy_value(local_vars[name]) for name in local_names if name in local_vars
-        }
+        values = (
+            {name: copy_value(local_vars[name]) for name in local_names if name in local_vars}
+            if local_names
+            else {}
+        )
         shared = self.shared
         for name in shared_names:
             values[name] = copy_value(shared[name])
@@ -1035,6 +1000,21 @@ class Machine:
             error.node_id = stmt.node_id  # type: ignore[attr-defined]
         if getattr(error, "pid", -1) < 0:
             error.pid = process.pid  # type: ignore[attr-defined]
+
+
+def _proc_boundaries(compiled: CompiledProgram) -> dict[str, tuple]:
+    """What each procedure's entry and exit log (§5.1, §5.5), read off the
+    plan once: name -> (e-block node id, prelog names, postlog names) for
+    an e-block procedure, (None, entry-unit names, ()) for a merged one."""
+    plan = compiled.plan
+    table: dict[str, tuple] = {}
+    for proc in compiled.program.procs:
+        block = plan.proc_block(proc.name)
+        if block is None:
+            table[proc.name] = (None, plan.entry_unit_prelogs.get(proc.name, ()), ())
+        else:
+            table[proc.name] = (block.node_id, block.shared_ref, block.shared_mod)
+    return table
 
 
 def _eval_const(expr: ast.Expr) -> Any:

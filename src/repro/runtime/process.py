@@ -21,7 +21,7 @@ class ProcState(enum.Enum):
     FAILED = "failed"
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     """One activation record."""
 
@@ -62,7 +62,6 @@ class Process:
         self.sync_index = 0  # per-process sync-event counter
         self.steps = 0  # preemption points executed
         self.current_segment = None  # the open Segment (internal edge)
-        self.interval_stack: list[int] = []  # open log intervals, innermost last
         #: sync-node uids awaiting binding to a trace event (traced mode)
         self.pending_sync_uids: list[int] = []
         #: active rendezvous exchanges this process is serving, innermost last

@@ -23,6 +23,12 @@ A parallel ``stmt_at`` table maps every instruction index back to the
 innermost statement being executed there, giving the executor the same
 error-attachment behaviour as a walker's nested ``exec_stmt`` frames,
 and the disassembler (:mod:`repro.vm.disasm`) its source anchors.
+
+Opcode numbers are the order in which the executor's ``if``/``elif``
+ladder tests them, most often dispatched first; a user call's five ops
+(``CALL_BEGIN``, ``ARG_MARK``, ``ARG_CAPTURE``, ``CALL_USER``,
+``RETURN_VALUE``) follow the expression core.  No number is persisted:
+the disassembler and the verifier print mnemonics (:data:`OPNAMES`).
 """
 
 from __future__ import annotations
@@ -34,8 +40,11 @@ from ..lang import ast
 from ..lang.parser import BUILTINS
 
 # ---------------------------------------------------------------------------
-# Opcodes.  Integers, dispatched by an if/elif ladder ordered by frequency
-# in the executor; OPNAMES keeps the disassembly readable.
+# Opcodes.  Integers, numbered in the order the executor's if/elif ladder
+# tests them, which is roughly how often the benchmark programs dispatch
+# them: the statement and expression core first, then the five ops of a
+# user call and its return, then the rest.  OPNAMES is read off these
+# constants, so the disassembly and the verifier name ops, not numbers.
 # ---------------------------------------------------------------------------
 
 PRE = 0  # (stmt)                 statement boundary: yield, count a step
@@ -47,100 +56,53 @@ JUMP = 5  # (target)
 JUMP_IF_FALSE = 6  # (target)     pop; jump when falsy
 PRED = 7  # (stmt)                pop cond; trace EV_PRED; push bool
 BEGIN_READS = 8  # ()             open the traced-reads buffer
-POST = 9  # (stmt)                sync-unit prelog probe (plan site)
-LOAD_ELEM = 10  # (name, node_id) pop index; push element
-STORE_ELEM = 11  # (name, stmt)   pop index, value; write element
-UNOP = 12  # (op)
-SC_AND = 13  # (target)           pop; if falsy push False and jump
-SC_OR = 14  # (target)            pop; if truthy push True and jump
-TO_BOOL = 15  # ()                coerce top of stack to bool
-DISCARD = 16  # ()                expression statement epilogue
-DECL_ARRAY = 17  # (stmt)         declare a local array
-DECL_INIT = 18  # (stmt)          pop value; declare initialised local
-DECL_DEFAULT = 19  # (stmt)       declare zero-valued local
-RETURN_VALUE = 20  # (stmt)       pop value; unwind to the proc frame
-RETURN_NONE = 21  # (stmt)        unwind to the proc frame, value None
-BREAK = 22  # ()                  unwind to the innermost loop's exit
-CONTINUE = 23  # ()               unwind to the innermost loop's step
-LOOP_ENTER = 24  # (stmt, block, exit_after, cont_target)
-LOOP_EXIT = 25  # ()
-CHUNK_ENTER = 26  # (block, skip_target)
-CHUNK_EXIT = 27  # ()
-ACCEPT_ENTER = 28  # (stmt)       rendezvous accept; binds entry params
-ACCEPT_EXIT = 29  # (stmt)        end_accept (also run when unwinding)
-SEM_P = 30  # (stmt)
-SEM_V = 31  # (stmt)
-LOCK_ACQUIRE = 32  # (stmt)
-LOCK_RELEASE = 33  # (stmt)
-SEND = 34  # (stmt)               pop value
-SPAWN = 35  # (stmt, argc)        pop argc args
-JOIN = 36  # (stmt)
-REPLY = 37  # (stmt, has_value)   pop value when has_value
-PRINT = 38  # (stmt, argc)        pop argc args
-ASSERT = 39  # (stmt)             pop cond
-RECV = 40  # (expr)               push received value
-CALL_ENTRY = 41  # (expr, argc)   pop args; push rendezvous result
-INPUT = 42  # (name, argc, node_id)  input()/rand(); push value
-CALL_PURE = 43  # (name, argc)    pure builtin; push value
-CALL_BEGIN = 44  # (expr, procdef) open a per-call argument-reads frame
-ARG_MARK = 45  # ()               mark the reads buffer before an arg
-ARG_CAPTURE = 46  # ()            capture one argument's reads
-CALL_USER = 47  # (expr, procdef) pop args; invoke; push result
-PROC_RETURN = 48  # (procdef)     implicit end of a procedure body
+CALL_BEGIN = 9  # (expr, procdef) open a per-call argument-reads frame
+ARG_MARK = 10  # ()               mark the reads buffer before an arg
+ARG_CAPTURE = 11  # ()            capture one argument's reads
+CALL_USER = 12  # (expr, procdef) pop args; invoke; push result
+RETURN_VALUE = 13  # (stmt)       pop value; unwind to the proc frame
+DECL_INIT = 14  # (stmt)          pop value; declare initialised local
+POST = 15  # (stmt)               sync-unit prelog probe (plan site)
+SEM_P = 16  # (stmt)
+SEM_V = 17  # (stmt)
+RECV = 18  # (expr)               push received value
+SEND = 19  # (stmt)               pop value
+LOAD_ELEM = 20  # (name, node_id) pop index; push element
+STORE_ELEM = 21  # (name, stmt)   pop index, value; write element
+LOOP_ENTER = 22  # (stmt, block, exit_after, cont_target)
+LOOP_EXIT = 23  # ()
+PROC_RETURN = 24  # (procdef)     implicit end of a procedure body
+SPAWN = 25  # (stmt, argc)        pop argc args
+UNOP = 26  # (op)
+SC_AND = 27  # (target)           pop; if falsy push False and jump
+SC_OR = 28  # (target)            pop; if truthy push True and jump
+TO_BOOL = 29  # ()                coerce top of stack to bool
+DISCARD = 30  # ()                expression statement epilogue
+DECL_ARRAY = 31  # (stmt)         declare a local array
+DECL_DEFAULT = 32  # (stmt)       declare zero-valued local
+RETURN_NONE = 33  # (stmt)        unwind to the proc frame, value None
+BREAK = 34  # ()                  unwind to the innermost loop's exit
+CONTINUE = 35  # ()               unwind to the innermost loop's step
+CHUNK_ENTER = 36  # (block, skip_target)
+CHUNK_EXIT = 37  # ()
+ACCEPT_ENTER = 38  # (stmt)       rendezvous accept; binds entry params
+ACCEPT_EXIT = 39  # (stmt)        end_accept (also run when unwinding)
+LOCK_ACQUIRE = 40  # (stmt)
+LOCK_RELEASE = 41  # (stmt)
+JOIN = 42  # (stmt)
+REPLY = 43  # (stmt, has_value)   pop value when has_value
+PRINT = 44  # (stmt, argc)        pop argc args
+ASSERT = 45  # (stmt)             pop cond
+CALL_ENTRY = 46  # (expr, argc)   pop args; push rendezvous result
+INPUT = 47  # (name, argc, node_id)  input()/rand(); push value
+CALL_PURE = 48  # (name, argc)    pure builtin; push value
 ROOT_RETURN = 49  # ()            end of a replay-root statement code
 
-OPNAMES = [
-    "PRE",
-    "CONST",
-    "LOAD",
-    "BINOP",
-    "STORE",
-    "JUMP",
-    "JUMP_IF_FALSE",
-    "PRED",
-    "BEGIN_READS",
-    "POST",
-    "LOAD_ELEM",
-    "STORE_ELEM",
-    "UNOP",
-    "SC_AND",
-    "SC_OR",
-    "TO_BOOL",
-    "DISCARD",
-    "DECL_ARRAY",
-    "DECL_INIT",
-    "DECL_DEFAULT",
-    "RETURN_VALUE",
-    "RETURN_NONE",
-    "BREAK",
-    "CONTINUE",
-    "LOOP_ENTER",
-    "LOOP_EXIT",
-    "CHUNK_ENTER",
-    "CHUNK_EXIT",
-    "ACCEPT_ENTER",
-    "ACCEPT_EXIT",
-    "SEM_P",
-    "SEM_V",
-    "LOCK_ACQUIRE",
-    "LOCK_RELEASE",
-    "SEND",
-    "SPAWN",
-    "JOIN",
-    "REPLY",
-    "PRINT",
-    "ASSERT",
-    "RECV",
-    "CALL_ENTRY",
-    "INPUT",
-    "CALL_PURE",
-    "CALL_BEGIN",
-    "ARG_MARK",
-    "ARG_CAPTURE",
-    "CALL_USER",
-    "PROC_RETURN",
-    "ROOT_RETURN",
-]
+#: Each opcode's mnemonic, indexed by opcode.
+OPNAMES = sorted(
+    (name for name, value in list(globals().items()) if name.isupper() and type(value) is int),
+    key=globals().__getitem__,
+)
 
 
 class Code:

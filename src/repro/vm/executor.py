@@ -4,6 +4,9 @@
 logged run (the paper's object code) and e-block replay (the emulation
 package) both drive it through the same ``run_process`` /
 ``exec_proc_body`` / ``exec_stmt`` generator surface and yield protocol.
+Each of the three returns the dispatch generator itself (``_run``), so a
+scheduler step resumes one generator; a procedure root's frame is pushed
+on that generator's first resume.
 
 A tree walker would suspend by threading a ``yield from`` chain through
 one Python generator per active AST node; the VM instead keeps explicit
@@ -14,16 +17,24 @@ PCL call pushes a frame instead of recursing, so resuming a deeply
 nested program costs O(1) Python frames instead of O(depth).  Replay
 runs on the same trampoline: the machine's ``maybe_skip_call`` hook
 either hands back the postlog that stands in for a skipped e-block
-call, or lets the call push its frame like any other.
+call, or lets the call push its frame like any other.  Every return
+(``RETURN_VALUE``, ``RETURN_NONE``, ``PROC_RETURN``) ends in one
+epilogue inside the loop, which makes a generator only to close a block
+the return left open.  The ``if``/``elif`` ladder tests opcodes in
+numeric order, which :mod:`repro.vm.bytecode` makes the order of how
+often they run: a call's five ops come right after the expression core.
 
 Parity contract: every observable effect — the order of scheduler
 yields, ``process.steps`` increments, log appends, trace events and
 their ``reads`` lists, error messages and attached sites — matches the
 reference tree walker the test suite keeps as its differential oracle.
-The block-entry list per frame replaces the walker's ``try/finally``
-nesting: ``break``/``continue``/``return`` and escaping exceptions
-unwind it innermost-first, running the same ``on_loop_exit`` /
-``on_chunk_exit`` / ``end_accept`` hooks its ``finally`` clauses would.
+The block-entry list per frame replaces the walker's ``try`` nesting:
+``break``/``continue``/``return`` and escaping exceptions unwind it
+innermost-first, running the same ``on_loop_exit`` / ``on_chunk_exit``
+/ ``end_accept`` hooks the walker runs on every way out of a block.
+Closing a suspended process (``GeneratorExit``, as when the garbage
+collector takes a deadlocked run's generators) runs none of them: a
+record already handed out must not change.
 """
 
 from __future__ import annotations
@@ -68,10 +79,11 @@ _ACCEPT = 2
 # Block entry layout: (kind, stmt, block, interval_id, stack_depth,
 #                      continue_target, exit_target)
 
-#: Unwind actions produced by the dispatch loop.
-_RETURN = 0
-_BREAK = 1
-_CONTINUE = 2
+#: What ended a run of the inner dispatch loop.
+_SWITCH = 0  # a frame was pushed, or a replay root finished: re-localise
+_RETURN = 1
+_BREAK = 2
+_CONTINUE = 3
 
 
 class _VMFrame:
@@ -124,7 +136,7 @@ class VMExec:
 
     def run_process(self, procdef: ast.ProcDef, args: list[Any]) -> Generator:
         """The top-level generator of this process."""
-        yield from self.exec_proc_body(procdef, args, call_node_id=0, call_uid=-1)
+        return self._run([], procdef, args, 0, -1)
 
     def exec_proc_body(
         self,
@@ -134,15 +146,12 @@ class VMExec:
         call_uid: int,
     ) -> Generator:
         """Execute a procedure body, returning ``(retval, ret_uid)``."""
-        frames: list[_VMFrame] = []
-        self._push_frame(frames, procdef, args, call_node_id, call_uid)
-        result = yield from self._run(frames)
-        return result
+        return self._run([], procdef, args, call_node_id, call_uid)
 
     def exec_stmt(self, stmt: ast.Stmt) -> Generator:
         """Execute one statement against the current frame (replay roots)."""
         frame = _VMFrame(self._code.stmt(stmt), self.process.frames[-1], None, -1, -1)
-        yield from self._run([frame])
+        return self._run([frame])
 
     # ------------------------------------------------------------------
     # Frame management
@@ -158,20 +167,24 @@ class VMExec:
     ) -> None:
         machine = self.machine
         process = self.process
-        if len(args) != len(procdef.params):
+        params = procdef.params
+        if len(args) != len(params):
             raise PCLRuntimeError(
-                f"{procdef.name}: expected {len(procdef.params)} args, got {len(args)}"
+                f"{procdef.name}: expected {len(params)} args, got {len(args)}"
             )
         if len(process.frames) >= MAX_CALL_DEPTH:
             raise PCLRuntimeError(
                 f"call depth exceeded {MAX_CALL_DEPTH} (runaway recursion "
                 f"in {procdef.name!r}?)"
             )
-        frame = Frame(proc_name=procdef.name, call_node_id=call_node_id)
         self._frame_uid_counter += 1
-        frame.uid = self._frame_uid_counter * 1000003 + process.pid
-        for param, value in zip(procdef.params, args):
-            frame.vars[param.name] = value
+        frame = Frame(
+            procdef.name,
+            {param.name: value for param, value in zip(params, args)},
+            {},
+            call_node_id,
+            self._frame_uid_counter * 1000003 + process.pid,
+        )
         process.frames.append(frame)
         interval_id = machine.on_proc_entry(process, procdef, args)
         if self._tracer is not None:
@@ -184,31 +197,14 @@ class VMExec:
             )
             frame.enter_uid = event.uid
             machine.bind_pending_syncs(process, event.uid)
-            for param in procdef.params:
+            for param in params:
                 frame.def_events[param.name] = event.uid
         frames.append(
             _VMFrame(self._code.proc(procdef.name), frame, procdef, call_uid, interval_id)
         )
 
-    def _deliver(
-        self,
-        frames: list[_VMFrame],
-        callee: _VMFrame,
-        value: Any,
-        ret_uid: int,
-    ) -> Optional[tuple[Any, int]]:
-        """Hand a finished callee's value back; bottom frame ends the run."""
-        if not frames:
-            return value, ret_uid
-        procdef = callee.procdef
-        frames[-1].stack.append(value)
-        if self._tracer is not None and procdef.is_func:
-            dep_uid = ret_uid if ret_uid >= 0 else callee.call_uid
-            self._reads.append((f"%0:{procdef.name}", dep_uid))
-        return None
-
     # ------------------------------------------------------------------
-    # Unwinding (the reference walker's try/finally nesting, made explicit)
+    # Unwinding (the reference walker's try nesting, made explicit)
     # ------------------------------------------------------------------
 
     def _attach_innermost(self, frames: list[_VMFrame], error: BaseException) -> None:
@@ -244,11 +240,11 @@ class VMExec:
         """Unwind everything, running exit hooks, then re-raise.
 
         Matches exception propagation through the reference walker's nested
-        generators: loop/chunk/accept ``finally`` bodies run innermost
-        first; procedure epilogues (``on_proc_exit``, the frame pop) are
-        *not* ``finally``-protected there and are skipped here too.  An
-        exit hook that raises replaces the in-flight exception, exactly
-        like a raising ``finally``.
+        generators: loop/chunk/accept exit hooks run innermost first;
+        procedure epilogues (``on_proc_exit``, the frame pop) are *not*
+        run on an exception there and are skipped here too.  An exit hook
+        that raises replaces the in-flight exception, exactly like a
+        raising ``finally``.
         """
         while frames:
             vframe = frames.pop()
@@ -257,6 +253,8 @@ class VMExec:
                 entry = blocks.pop()
                 try:
                     yield from self._run_block_exit(entry)
+                except GeneratorExit:
+                    raise  # closing a suspended process logs nothing
                 except BaseException as new_error:  # noqa: BLE001 - finally semantics
                     if isinstance(new_error, PCLRuntimeError):
                         if entry[1] is not None:
@@ -267,32 +265,6 @@ class VMExec:
                             self._attach_innermost(frames, new_error)
                     error = new_error
         raise error
-
-    def _unwind_return(
-        self, frames: list[_VMFrame], value: Any, ret_uid: int
-    ) -> Generator:
-        """Close the returning procedure frame's blocks and run its epilogue.
-
-        A ``return`` always sits in a procedure frame: no e-block that a
-        replay enters as a root statement contains one.
-        """
-        vframe = frames[-1]
-        blocks = vframe.blocks
-        while blocks:
-            entry = blocks.pop()
-            try:
-                yield from self._run_block_exit(entry)
-            except BaseException as error:  # noqa: BLE001 - finally semantics
-                yield from self._escalate(frames, entry, error)
-        frames.pop()
-        try:
-            self.machine.on_proc_exit(self.process, vframe.procdef, vframe.interval_id, value)
-        except BaseException as error:  # noqa: BLE001
-            if isinstance(error, PCLRuntimeError):
-                self._attach_innermost(frames, error)
-            yield from self._unwind_error(frames, error)
-        self.process.frames.pop()
-        return self._deliver(frames, vframe, value, ret_uid)
 
     def _unwind_loop(self, frames: list[_VMFrame], want_continue: bool) -> Generator:
         """Unwind to the innermost loop entry of the current frame (the
@@ -313,6 +285,8 @@ class VMExec:
             blocks.pop()
             try:
                 yield from self._run_block_exit(entry)
+            except GeneratorExit:
+                raise
             except BaseException as error:  # noqa: BLE001
                 yield from self._escalate(frames, entry, error)
 
@@ -320,12 +294,24 @@ class VMExec:
     # The dispatch loop
     # ------------------------------------------------------------------
 
-    def _run(self, frames: list[_VMFrame]) -> Generator:
+    def _run(
+        self,
+        frames: list[_VMFrame],
+        procdef: Optional[ast.ProcDef] = None,
+        args: Optional[list[Any]] = None,
+        call_node_id: int = 0,
+        call_uid: int = -1,
+    ) -> Generator:
         """Trampoline over *frames* until the bottom frame finishes.
 
-        Returns ``(retval, ret_uid)`` for procedure roots, ``None`` for
+        A procedure root (*procdef*) is pushed on the first resume, so a
+        process writes its first prelog when the scheduler first runs it,
+        and an arity or depth error there unwinds nothing.  Returns
+        ``(retval, ret_uid)`` for procedure roots, ``None`` for
         replay-root statements.
         """
+        if procdef is not None:
+            self._push_frame(frames, procdef, args, call_node_id, call_uid)
         machine = self.machine
         process = self.process
         tracer = self._tracer
@@ -334,7 +320,8 @@ class VMExec:
         sites = self._sync_prelog_sites
         shared = self.table.shared
         proc_locals = self.table.locals
-        result = None
+        marks = self._marks
+        arg_reads = self._arg_reads
 
         while frames:
             vframe = frames[-1]
@@ -343,7 +330,7 @@ class VMExec:
             rframe = vframe.rframe
             fvars = rframe.vars
             ip = vframe.ip
-            action: Optional[tuple] = None
+            action = _SWITCH
             try:
                 while True:
                     ins = instrs[ip]
@@ -472,12 +459,169 @@ class VMExec:
                     elif op == 8:  # BEGIN_READS
                         self._reads = []
                         ip += 1
-                    elif op == 9:  # POST — sync-unit prelog site (§5.5)
+                    elif op == 9:  # CALL_BEGIN
+                        if ins[2] is None:
+                            # Unknown callee: raise where the reference walker
+                            # would, before evaluating any argument.
+                            self.program.proc(ins[1].name)
+                        if tracer is not None:
+                            arg_reads.append([])
+                        ip += 1
+                    elif op == 10:  # ARG_MARK
+                        if tracer is not None:
+                            marks.append(len(self._reads))
+                        ip += 1
+                    elif op == 11:  # ARG_CAPTURE
+                        if tracer is not None:
+                            mark = marks.pop()
+                            buf = self._reads
+                            arg_reads[-1].append(buf[mark:])
+                            del buf[mark:]
+                        ip += 1
+                    elif op == 12:  # CALL_USER
+                        expr = ins[1]
+                        procdef = ins[2]
+                        argc = len(expr.args)
+                        if argc:
+                            args = stack[-argc:]
+                            del stack[-argc:]
+                        else:
+                            args = []
+                        call_uid = -1
+                        if tracer is not None:
+                            event = emit_trace(
+                                process,
+                                kind=EV_CALL,
+                                node_id=expr.node_id,
+                                var=expr.name,
+                                arg_reads=arg_reads.pop(),
+                                arg_values=list(args),
+                            )
+                            call_uid = event.uid
+                        postlog = machine.maybe_skip_call(procdef, call_uid)
+                        if postlog is None:
+                            vframe.ip = ip + 1
+                            self._push_frame(
+                                frames, procdef, args, expr.node_id, call_uid
+                            )
+                            break  # switch to the callee frame
+                        # A skipped e-block call: its postlog stands in.
+                        if tracer is not None and procdef.is_func:
+                            self._reads.append((f"%0:{expr.name}", call_uid))
+                        stack.append(postlog.retval)
+                        ip += 1
+                    elif op == 13:  # RETURN_VALUE
+                        stmt = ins[1]
+                        retval = stack.pop()
+                        reads = self._reads
+                        self._reads = []
+                        ret_uid = -1
+                        if tracer is not None:
+                            event = emit_trace(
+                                process,
+                                kind=EV_RET,
+                                node_id=stmt.node_id,
+                                stmt_label=stmt.stmt_label,
+                                value=retval,
+                                reads=reads,
+                            )
+                            ret_uid = event.uid
+                        vframe.ip = ip
+                        action = _RETURN
+                        break
+                    elif op == 14:  # DECL_INIT
+                        stmt = ins[1]
+                        value = stack.pop()
+                        reads = self._reads
+                        self._reads = []
+                        fvars[stmt.name] = value
+                        if tracer is not None:
+                            event = emit_trace(
+                                process,
+                                kind=EV_STMT,
+                                node_id=stmt.node_id,
+                                stmt_label=stmt.stmt_label,
+                                var=stmt.name,
+                                value=value,
+                                reads=reads,
+                            )
+                            rframe.def_events[stmt.name] = event.uid
+                        ip += 1
+                    elif op == 15:  # POST — sync-unit prelog site (§5.5)
                         stmt = ins[1]
                         if stmt.node_id in sites:
                             machine.after_stmt(process, stmt)
                         ip += 1
-                    elif op == 10:  # LOAD_ELEM
+                    elif op == 16:  # SEM_P
+                        stmt = ins[1]
+                        vframe.ip = ip
+                        yield from machine.sem_p(process, stmt)
+                        if tracer is not None:
+                            event = emit_trace(
+                                process,
+                                kind="sync",
+                                node_id=stmt.node_id,
+                                stmt_label=stmt.stmt_label,
+                                var=stmt.sem,
+                                label="P",
+                            )
+                            machine.bind_pending_syncs(process, event.uid)
+                        ip += 1
+                    elif op == 17:  # SEM_V
+                        stmt = ins[1]
+                        vframe.ip = ip
+                        yield from machine.sem_v(process, stmt)
+                        if tracer is not None:
+                            event = emit_trace(
+                                process,
+                                kind="sync",
+                                node_id=stmt.node_id,
+                                stmt_label=stmt.stmt_label,
+                                var=stmt.sem,
+                                label="V",
+                            )
+                            machine.bind_pending_syncs(process, event.uid)
+                        ip += 1
+                    elif op == 18:  # RECV
+                        expr = ins[1]
+                        vframe.ip = ip
+                        value = yield from machine.recv(
+                            process, expr.node_id, expr.channel
+                        )
+                        if tracer is not None:
+                            event = emit_trace(
+                                process,
+                                kind=EV_INPUT,
+                                node_id=expr.node_id,
+                                var=f"recv:{expr.channel}",
+                                value=value,
+                                label="recv",
+                            )
+                            machine.bind_pending_syncs(process, event.uid)
+                            self._reads.append((f"<recv:{expr.channel}>", event.uid))
+                        stack.append(value)
+                        ip += 1
+                    elif op == 19:  # SEND
+                        stmt = ins[1]
+                        value = stack.pop()
+                        reads = self._reads
+                        self._reads = []
+                        vframe.ip = ip
+                        yield from machine.send(process, stmt, value)
+                        if tracer is not None:
+                            event = emit_trace(
+                                process,
+                                kind=EV_STMT,
+                                node_id=stmt.node_id,
+                                stmt_label=stmt.stmt_label,
+                                var=f"send:{stmt.channel}",
+                                value=value,
+                                reads=reads,
+                                label="send",
+                            )
+                            machine.bind_pending_syncs(process, event.uid)
+                        ip += 1
+                    elif op == 20:  # LOAD_ELEM
                         name = ins[1]
                         index = stack.pop()
                         if name in fvars:
@@ -506,7 +650,7 @@ class VMExec:
                         else:
                             raise PCLRuntimeError(f"read of undefined array {name!r}")
                         ip += 1
-                    elif op == 11:  # STORE_ELEM
+                    elif op == 21:  # STORE_ELEM
                         name = ins[1]
                         stmt = ins[2]
                         index = stack.pop()
@@ -543,29 +687,89 @@ class VMExec:
                             else:
                                 machine.note_shared_def(written, name, event.uid)
                         ip += 1
-                    elif op == 12:  # UNOP
+                    elif op == 22:  # LOOP_ENTER
+                        stmt = ins[1]
+                        block = ins[2]
+                        if machine.maybe_skip_loop(self, stmt, block):
+                            ip = ins[3]
+                        else:
+                            interval_id = machine.on_loop_entry(process, stmt, block)
+                            vframe.blocks.append(
+                                (_LOOP, stmt, block, interval_id, len(stack), ins[4], ins[3])
+                            )
+                            ip += 1
+                    elif op == 23:  # LOOP_EXIT
+                        entry = vframe.blocks.pop()
+                        machine.on_loop_exit(process, entry[1], entry[2], entry[3])
+                        ip += 1
+                    elif op == 24:  # PROC_RETURN — implicit procedure end
+                        procdef = vframe.procdef
+                        if procdef.is_func:
+                            raise PCLRuntimeError(
+                                f"function {procdef.name!r} did not return a value"
+                            )
+                        retval = None
+                        ret_uid = -1
+                        if tracer is not None:
+                            # Implicit end: emit the closing EV_RET bracket.
+                            event = emit_trace(
+                                process,
+                                kind=EV_RET,
+                                node_id=procdef.node_id,
+                                var=procdef.name,
+                                call_uid=vframe.call_uid,
+                            )
+                            ret_uid = event.uid
+                        vframe.ip = ip
+                        action = _RETURN
+                        break
+                    elif op == 25:  # SPAWN
+                        stmt = ins[1]
+                        argc = ins[2]
+                        if argc:
+                            args = stack[-argc:]
+                            del stack[-argc:]
+                        else:
+                            args = []
+                        reads = self._reads
+                        self._reads = []
+                        vframe.ip = ip
+                        yield from machine.spawn(process, stmt, args)
+                        if tracer is not None:
+                            event = emit_trace(
+                                process,
+                                kind=EV_STMT,
+                                node_id=stmt.node_id,
+                                stmt_label=stmt.stmt_label,
+                                var=f"spawn:{stmt.name}",
+                                reads=reads,
+                                label="spawn",
+                            )
+                            machine.bind_pending_syncs(process, event.uid)
+                        ip += 1
+                    elif op == 26:  # UNOP
                         stack[-1] = apply_unary(ins[1], stack[-1])
                         ip += 1
-                    elif op == 13:  # SC_AND
+                    elif op == 27:  # SC_AND
                         if stack.pop():
                             ip += 1
                         else:
                             stack.append(False)
                             ip = ins[1]
-                    elif op == 14:  # SC_OR
+                    elif op == 28:  # SC_OR
                         if stack.pop():
                             stack.append(True)
                             ip = ins[1]
                         else:
                             ip += 1
-                    elif op == 15:  # TO_BOOL
+                    elif op == 29:  # TO_BOOL
                         stack[-1] = True if stack[-1] else False
                         ip += 1
-                    elif op == 16:  # DISCARD — expression-statement epilogue
+                    elif op == 30:  # DISCARD — expression-statement epilogue
                         stack.pop()
                         self._reads = []
                         ip += 1
-                    elif op == 17:  # DECL_ARRAY
+                    elif op == 31:  # DECL_ARRAY
                         stmt = ins[1]
                         value = PCLArray(stmt.name, stmt.var_type, stmt.size)
                         fvars[stmt.name] = value
@@ -581,25 +785,7 @@ class VMExec:
                             )
                             rframe.def_events[stmt.name] = event.uid
                         ip += 1
-                    elif op == 18:  # DECL_INIT
-                        stmt = ins[1]
-                        value = stack.pop()
-                        reads = self._reads
-                        self._reads = []
-                        fvars[stmt.name] = value
-                        if tracer is not None:
-                            event = emit_trace(
-                                process,
-                                kind=EV_STMT,
-                                node_id=stmt.node_id,
-                                stmt_label=stmt.stmt_label,
-                                var=stmt.name,
-                                value=value,
-                                reads=reads,
-                            )
-                            rframe.def_events[stmt.name] = event.uid
-                        ip += 1
-                    elif op == 19:  # DECL_DEFAULT
+                    elif op == 32:  # DECL_DEFAULT
                         stmt = ins[1]
                         value = default_value(stmt.var_type)
                         fvars[stmt.name] = value
@@ -615,27 +801,9 @@ class VMExec:
                             )
                             rframe.def_events[stmt.name] = event.uid
                         ip += 1
-                    elif op == 20:  # RETURN_VALUE
+                    elif op == 33:  # RETURN_NONE
                         stmt = ins[1]
-                        value = stack.pop()
-                        reads = self._reads
-                        self._reads = []
-                        ret_uid = -1
-                        if tracer is not None:
-                            event = emit_trace(
-                                process,
-                                kind=EV_RET,
-                                node_id=stmt.node_id,
-                                stmt_label=stmt.stmt_label,
-                                value=value,
-                                reads=reads,
-                            )
-                            ret_uid = event.uid
-                        vframe.ip = ip
-                        action = (_RETURN, value, ret_uid)
-                        break
-                    elif op == 21:  # RETURN_NONE
-                        stmt = ins[1]
+                        retval = None
                         ret_uid = -1
                         if tracer is not None:
                             event = emit_trace(
@@ -648,32 +816,17 @@ class VMExec:
                             )
                             ret_uid = event.uid
                         vframe.ip = ip
-                        action = (_RETURN, None, ret_uid)
+                        action = _RETURN
                         break
-                    elif op == 22:  # BREAK
+                    elif op == 34:  # BREAK
                         vframe.ip = ip
-                        action = (_BREAK,)
+                        action = _BREAK
                         break
-                    elif op == 23:  # CONTINUE
+                    elif op == 35:  # CONTINUE
                         vframe.ip = ip
-                        action = (_CONTINUE,)
+                        action = _CONTINUE
                         break
-                    elif op == 24:  # LOOP_ENTER
-                        stmt = ins[1]
-                        block = ins[2]
-                        if machine.maybe_skip_loop(self, stmt, block):
-                            ip = ins[3]
-                        else:
-                            interval_id = machine.on_loop_entry(process, stmt, block)
-                            vframe.blocks.append(
-                                (_LOOP, stmt, block, interval_id, len(stack), ins[4], ins[3])
-                            )
-                            ip += 1
-                    elif op == 25:  # LOOP_EXIT
-                        entry = vframe.blocks.pop()
-                        machine.on_loop_exit(process, entry[1], entry[2], entry[3])
-                        ip += 1
-                    elif op == 26:  # CHUNK_ENTER
+                    elif op == 36:  # CHUNK_ENTER
                         block = ins[1]
                         if machine.maybe_skip_chunk(self, block):
                             ip = ins[2]
@@ -683,11 +836,11 @@ class VMExec:
                                 (_CHUNK, None, block, interval_id, len(stack), -1, ins[2])
                             )
                             ip += 1
-                    elif op == 27:  # CHUNK_EXIT
+                    elif op == 37:  # CHUNK_EXIT
                         entry = vframe.blocks.pop()
                         machine.on_chunk_exit(process, entry[2], entry[3])
                         ip += 1
-                    elif op == 28:  # ACCEPT_ENTER
+                    elif op == 38:  # ACCEPT_ENTER
                         stmt = ins[1]
                         vframe.ip = ip
                         args = yield from machine.accept_entry(
@@ -719,42 +872,12 @@ class VMExec:
                             (_ACCEPT, stmt, None, -1, len(stack), -1, -1)
                         )
                         ip += 1
-                    elif op == 29:  # ACCEPT_EXIT
+                    elif op == 39:  # ACCEPT_EXIT
                         vframe.blocks.pop()
                         vframe.ip = ip
                         yield from machine.end_accept(process, ins[1].node_id)
                         ip += 1
-                    elif op == 30:  # SEM_P
-                        stmt = ins[1]
-                        vframe.ip = ip
-                        yield from machine.sem_p(process, stmt)
-                        if tracer is not None:
-                            event = emit_trace(
-                                process,
-                                kind="sync",
-                                node_id=stmt.node_id,
-                                stmt_label=stmt.stmt_label,
-                                var=stmt.sem,
-                                label="P",
-                            )
-                            machine.bind_pending_syncs(process, event.uid)
-                        ip += 1
-                    elif op == 31:  # SEM_V
-                        stmt = ins[1]
-                        vframe.ip = ip
-                        yield from machine.sem_v(process, stmt)
-                        if tracer is not None:
-                            event = emit_trace(
-                                process,
-                                kind="sync",
-                                node_id=stmt.node_id,
-                                stmt_label=stmt.stmt_label,
-                                var=stmt.sem,
-                                label="V",
-                            )
-                            machine.bind_pending_syncs(process, event.uid)
-                        ip += 1
-                    elif op == 32:  # LOCK_ACQUIRE
+                    elif op == 40:  # LOCK_ACQUIRE
                         stmt = ins[1]
                         vframe.ip = ip
                         yield from machine.lock_acquire(process, stmt)
@@ -769,7 +892,7 @@ class VMExec:
                             )
                             machine.bind_pending_syncs(process, event.uid)
                         ip += 1
-                    elif op == 33:  # LOCK_RELEASE
+                    elif op == 41:  # LOCK_RELEASE
                         stmt = ins[1]
                         vframe.ip = ip
                         yield from machine.lock_release(process, stmt)
@@ -784,51 +907,7 @@ class VMExec:
                             )
                             machine.bind_pending_syncs(process, event.uid)
                         ip += 1
-                    elif op == 34:  # SEND
-                        stmt = ins[1]
-                        value = stack.pop()
-                        reads = self._reads
-                        self._reads = []
-                        vframe.ip = ip
-                        yield from machine.send(process, stmt, value)
-                        if tracer is not None:
-                            event = emit_trace(
-                                process,
-                                kind=EV_STMT,
-                                node_id=stmt.node_id,
-                                stmt_label=stmt.stmt_label,
-                                var=f"send:{stmt.channel}",
-                                value=value,
-                                reads=reads,
-                                label="send",
-                            )
-                            machine.bind_pending_syncs(process, event.uid)
-                        ip += 1
-                    elif op == 35:  # SPAWN
-                        stmt = ins[1]
-                        argc = ins[2]
-                        if argc:
-                            args = stack[-argc:]
-                            del stack[-argc:]
-                        else:
-                            args = []
-                        reads = self._reads
-                        self._reads = []
-                        vframe.ip = ip
-                        yield from machine.spawn(process, stmt, args)
-                        if tracer is not None:
-                            event = emit_trace(
-                                process,
-                                kind=EV_STMT,
-                                node_id=stmt.node_id,
-                                stmt_label=stmt.stmt_label,
-                                var=f"spawn:{stmt.name}",
-                                reads=reads,
-                                label="spawn",
-                            )
-                            machine.bind_pending_syncs(process, event.uid)
-                        ip += 1
-                    elif op == 36:  # JOIN
+                    elif op == 42:  # JOIN
                         stmt = ins[1]
                         vframe.ip = ip
                         yield from machine.join(process, stmt)
@@ -843,7 +922,7 @@ class VMExec:
                             )
                             machine.bind_pending_syncs(process, event.uid)
                         ip += 1
-                    elif op == 37:  # REPLY
+                    elif op == 43:  # REPLY
                         stmt = ins[1]
                         value = stack.pop() if ins[2] else 0
                         reads = self._reads
@@ -863,7 +942,7 @@ class VMExec:
                             )
                             machine.bind_pending_syncs(process, event.uid)
                         ip += 1
-                    elif op == 38:  # PRINT
+                    elif op == 44:  # PRINT
                         stmt = ins[1]
                         argc = ins[2]
                         if argc:
@@ -888,7 +967,7 @@ class VMExec:
                                 reads=reads,
                             )
                         ip += 1
-                    elif op == 39:  # ASSERT
+                    elif op == 45:  # ASSERT
                         stmt = ins[1]
                         value = stack.pop()
                         reads = self._reads
@@ -910,26 +989,7 @@ class VMExec:
                                 pid=process.pid,
                             )
                         ip += 1
-                    elif op == 40:  # RECV
-                        expr = ins[1]
-                        vframe.ip = ip
-                        value = yield from machine.recv(
-                            process, expr.node_id, expr.channel
-                        )
-                        if tracer is not None:
-                            event = emit_trace(
-                                process,
-                                kind=EV_INPUT,
-                                node_id=expr.node_id,
-                                var=f"recv:{expr.channel}",
-                                value=value,
-                                label="recv",
-                            )
-                            machine.bind_pending_syncs(process, event.uid)
-                            self._reads.append((f"<recv:{expr.channel}>", event.uid))
-                        stack.append(value)
-                        ip += 1
-                    elif op == 41:  # CALL_ENTRY
+                    elif op == 46:  # CALL_ENTRY
                         expr = ins[1]
                         argc = ins[2]
                         if argc:
@@ -954,7 +1014,7 @@ class VMExec:
                             self._reads.append((f"<call:{expr.entry}>", event.uid))
                         stack.append(value)
                         ip += 1
-                    elif op == 42:  # INPUT — input()/rand()
+                    elif op == 47:  # INPUT — input()/rand()
                         name = ins[1]
                         argc = ins[2]
                         if argc:
@@ -975,7 +1035,7 @@ class VMExec:
                             self._reads.append((f"<{name}>", event.uid))
                         stack.append(value)
                         ip += 1
-                    elif op == 43:  # CALL_PURE
+                    elif op == 48:  # CALL_PURE
                         argc = ins[2]
                         if argc:
                             args = stack[-argc:]
@@ -984,101 +1044,54 @@ class VMExec:
                             args = []
                         stack.append(call_pure_builtin(ins[1], args))
                         ip += 1
-                    elif op == 44:  # CALL_BEGIN
-                        if ins[2] is None:
-                            # Unknown callee: raise where the reference walker
-                            # would, before evaluating any argument.
-                            self.program.proc(ins[1].name)
-                        self._arg_reads.append([])
-                        ip += 1
-                    elif op == 45:  # ARG_MARK
-                        self._marks.append(len(self._reads))
-                        ip += 1
-                    elif op == 46:  # ARG_CAPTURE
-                        mark = self._marks.pop()
-                        buf = self._reads
-                        self._arg_reads[-1].append(buf[mark:])
-                        del buf[mark:]
-                        ip += 1
-                    elif op == 47:  # CALL_USER
-                        expr = ins[1]
-                        procdef = ins[2]
-                        arg_reads = self._arg_reads.pop()
-                        argc = len(expr.args)
-                        if argc:
-                            args = stack[-argc:]
-                            del stack[-argc:]
-                        else:
-                            args = []
-                        call_uid = -1
-                        if tracer is not None:
-                            event = emit_trace(
-                                process,
-                                kind=EV_CALL,
-                                node_id=expr.node_id,
-                                var=expr.name,
-                                arg_reads=arg_reads,
-                                arg_values=list(args),
-                            )
-                            call_uid = event.uid
-                        postlog = machine.maybe_skip_call(procdef, call_uid)
-                        if postlog is None:
-                            vframe.ip = ip + 1
-                            self._push_frame(
-                                frames, procdef, args, expr.node_id, call_uid
-                            )
-                            break  # switch to the callee frame
-                        # A skipped e-block call: its postlog stands in.
-                        if tracer is not None and procdef.is_func:
-                            self._reads.append((f"%0:{expr.name}", call_uid))
-                        stack.append(postlog.retval)
-                        ip += 1
-                    elif op == 48:  # PROC_RETURN — implicit procedure end
-                        procdef = vframe.procdef
-                        if procdef.is_func:
-                            raise PCLRuntimeError(
-                                f"function {procdef.name!r} did not return a value"
-                            )
-                        ret_uid = -1
-                        if tracer is not None:
-                            # Implicit end: emit the closing EV_RET bracket.
-                            event = emit_trace(
-                                process,
-                                kind=EV_RET,
-                                node_id=procdef.node_id,
-                                var=procdef.name,
-                                call_uid=vframe.call_uid,
-                            )
-                            ret_uid = event.uid
-                        machine.on_proc_exit(
-                            process, procdef, vframe.interval_id, None
-                        )
-                        process.frames.pop()
-                        frames.pop()
-                        delivered = self._deliver(frames, vframe, None, ret_uid)
-                        if delivered is not None:
-                            result = delivered
-                        break
                     elif op == 49:  # ROOT_RETURN — replay-root statement done
                         frames.pop()
                         break
                     else:  # pragma: no cover - compiler/executor mismatch
                         raise AssertionError(f"bad opcode {op}")
+            except GeneratorExit:
+                raise  # closing a suspended process logs nothing
             except BaseException as error:  # noqa: BLE001 - single unwind point
                 vframe.ip = ip
                 if isinstance(error, PCLRuntimeError):
                     self._attach_innermost(frames, error)
                 yield from self._unwind_error(frames, error)
 
-            if action is None:
-                continue  # frame switch: re-localise and keep going
-            if action[0] == _RETURN:
-                delivered = yield from self._unwind_return(frames, action[1], action[2])
-                if delivered is not None:
-                    result = delivered
+            if action == _SWITCH:
+                continue
+            if action == _RETURN:
+                # The epilogue of every return, explicit or implicit.  It
+                # sits in a procedure frame (no replay root contains a
+                # return), and the only blocks still open contain the
+                # return: accepts, and loops that are no e-block.  Only
+                # then does a return make a generator.
+                blocks = vframe.blocks
+                while blocks:
+                    entry = blocks.pop()
+                    try:
+                        yield from self._run_block_exit(entry)
+                    except GeneratorExit:
+                        raise
+                    except BaseException as error:  # noqa: BLE001 - finally semantics
+                        yield from self._escalate(frames, entry, error)
+                frames.pop()
+                procdef = vframe.procdef
+                try:
+                    machine.on_proc_exit(process, procdef, vframe.interval_id, retval)
+                except BaseException as error:  # noqa: BLE001
+                    if isinstance(error, PCLRuntimeError):
+                        self._attach_innermost(frames, error)
+                    yield from self._unwind_error(frames, error)
+                process.frames.pop()
+                if not frames:
+                    return retval, ret_uid
+                frames[-1].stack.append(retval)
+                if tracer is not None and procdef.is_func:
+                    dep_uid = ret_uid if ret_uid >= 0 else vframe.call_uid
+                    self._reads.append((f"%0:{procdef.name}", dep_uid))
             else:
-                entry = yield from self._unwind_loop(frames, action[0] == _CONTINUE)
+                entry = yield from self._unwind_loop(frames, action == _CONTINUE)
                 landing = frames[-1]
                 del landing.stack[entry[4]:]
-                landing.ip = entry[5] if action[0] == _CONTINUE else entry[6]
-        return result
+                landing.ip = entry[5] if action == _CONTINUE else entry[6]
+        return None

@@ -196,8 +196,12 @@ class Interp:
             try:
                 for node_id in node_ids:
                     yield from self.exec_stmt(stmt_by_id[node_id])
-            finally:
+            except GeneratorExit:
+                raise  # closing a suspended process logs nothing
+            except BaseException:
                 self.machine.on_chunk_exit(self.process, block, interval_id)
+                raise
+            self.machine.on_chunk_exit(self.process, block, interval_id)
 
     # ------------------------------------------------------------------
     # Statements
@@ -406,8 +410,12 @@ class Interp:
                     break
                 except _Continue:
                     continue
-        finally:
+        except GeneratorExit:
+            raise  # closing a suspended process logs nothing
+        except BaseException:
             self.machine.on_loop_exit(self.process, stmt, block, interval_id)
+            raise
+        self.machine.on_loop_exit(self.process, stmt, block, interval_id)
 
     def _exec_for(self, stmt: ast.For) -> Generator:
         block = self.machine.compiled.plan.loop_block(stmt.node_id)
@@ -427,8 +435,12 @@ class Interp:
                 except _Continue:
                     pass
                 yield from self.exec_stmt(stmt.step)
-        finally:
+        except GeneratorExit:
+            raise  # closing a suspended process logs nothing
+        except BaseException:
             self.machine.on_loop_exit(self.process, stmt, block, interval_id)
+            raise
+        self.machine.on_loop_exit(self.process, stmt, block, interval_id)
 
     def _exec_return(self, stmt: ast.Return) -> Generator:
         value: Any = None
@@ -479,8 +491,12 @@ class Interp:
                 frame.def_events[param.name] = accept_uid
         try:
             yield from self.exec_stmt(stmt.body)
-        finally:
+        except GeneratorExit:
+            raise  # closing a suspended process logs nothing
+        except BaseException:
             yield from self.machine.end_accept(self.process, stmt.node_id)
+            raise
+        yield from self.machine.end_accept(self.process, stmt.node_id)
 
     def _exec_reply(self, stmt: ast.Reply) -> Generator:
         self._begin_reads()

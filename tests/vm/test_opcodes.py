@@ -6,11 +6,14 @@ byte."""
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.compiler.compile import compile_program
 from repro.vm import bytecode as bc
-from repro.vm import disassemble_program
+from repro.vm import disassemble_program, executor
 
 from tests.vm.util import assert_engines_agree
 
@@ -302,6 +305,17 @@ def test_error_paths_match_interp(name, source):
     reference, vm = assert_engines_agree(source)
     assert reference.failure is not None, name
     assert reference.failure.message == vm.failure.message
+
+
+def test_opnames_name_the_constants():
+    assert [getattr(bc, name) for name in bc.OPNAMES] == list(range(len(bc.OPNAMES)))
+
+
+def test_dispatch_ladder_tests_opcodes_in_numeric_order():
+    """The executor's if/elif ladder has one arm per opcode, in numeric
+    order, each commented with the opcode's name."""
+    arms = re.findall(r"(?:if|elif) op == (\d+):  # (\w+)", Path(executor.__file__).read_text())
+    assert [(int(number), name) for number, name in arms] == list(enumerate(bc.OPNAMES))
 
 
 def test_every_opcode_is_covered_somewhere():
