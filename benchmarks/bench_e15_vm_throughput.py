@@ -23,11 +23,18 @@ Three claims:
 * **E15c (sync ceiling)** — on a sync-heavy workload the VM still wins,
   but by less; the row is reported so the Amdahl gap stays visible.
 
+Each workload runs ``PAIRS`` alternating oracle/VM pairs after one
+untimed pair.  A row reports each engine's median steps/second and the
+median of the per-pair speedups with its interquartile range; the floors
+gate that median.  The runs take milliseconds, so on a shared machine a
+ratio of two best-of-N minima swings from run to run.
+
 Standalone runs write ``BENCH_vm.json`` (``BENCH_VM_PATH`` overrides).
 """
 
 import json
 import os
+import statistics
 import sys
 import time
 
@@ -62,16 +69,50 @@ def _run(source, engine):
         return machine.run()
 
 
-def _best_steps_per_second(source, engine, repeats):
-    best = float("inf")
-    steps = 0
-    for _ in range(repeats):
-        start = time.perf_counter()
-        record = _run(source, engine)
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-        steps = record.total_steps
-    return steps, steps / best if best else float("inf")
+#: alternating oracle/VM pairs per workload
+PAIRS = scale(11, 5)
+
+
+def _steps_per_second(source, engine):
+    start = time.perf_counter()
+    record = _run(source, engine)
+    elapsed = time.perf_counter() - start
+    return record.total_steps, record.total_steps / elapsed
+
+
+def _paired_throughput(source):
+    """Time ``PAIRS`` alternating oracle/VM runs, after one untimed pair
+    that lowers the program to bytecode; returns the step count, each
+    engine's median steps/second, and the per-pair speedups' quartiles."""
+    _run(source, "interp")
+    _run(source, "vm")
+    interp_rates, vm_rates, speedups = [], [], []
+    for _ in range(PAIRS):
+        steps, interp_sps = _steps_per_second(source, "interp")
+        _, vm_sps = _steps_per_second(source, "vm")
+        interp_rates.append(interp_sps)
+        vm_rates.append(vm_sps)
+        speedups.append(vm_sps / interp_sps)
+    quartiles = statistics.quantiles(speedups, n=4, method="inclusive")
+    return steps, statistics.median(interp_rates), statistics.median(vm_rates), quartiles
+
+
+def _row(name, source, rows, timings):
+    """Measure one workload into the table and the JSON timings; returns
+    its median speedup."""
+    steps, interp_sps, vm_sps, (q1, speedup, q3) = _paired_throughput(source)
+    spread = f"{q1:.2f}–{q3:.2f}x"
+    rows.append((name, steps, f"{interp_sps:,.0f}", f"{vm_sps:,.0f}", f"{speedup:.2f}x", spread))
+    timings[name] = {
+        "steps": steps,
+        "interp_steps_per_s": round(interp_sps, 1),
+        "vm_steps_per_s": round(vm_sps, 1),
+        "speedup": round(speedup, 3),
+    }
+    return speedup
+
+
+_HEADER = ("workload", "steps", "oracle steps/s", "vm steps/s", "speedup", "IQR")
 
 
 def test_e15a_step_parity():
@@ -91,56 +132,26 @@ def test_e15a_step_parity():
 
 
 def test_e15b_compute_dense_throughput():
-    """Scalar-dense workloads: VM >= 2x oracle steps/second."""
+    """Scalar-dense workloads: VM >= 2x oracle steps/second (median)."""
     table = {
         "compute_heavy": compute_heavy(4, scale(120, 30)),
         "fib_recursive": fib_recursive(scale(17, 13)),
         "matrix_sum": matrix_sum(scale(10, 5)),
     }
-    repeats = scale(3, 2)
     floor = scale(2.0, 1.2)
-    rows = [("workload", "steps", "oracle steps/s", "vm steps/s", "speedup")]
-    timings = {}
-    worst = float("inf")
-    for name, source in table.items():
-        steps, interp_sps = _best_steps_per_second(source, "interp", repeats)
-        _, vm_sps = _best_steps_per_second(source, "vm", repeats)
-        speedup = vm_sps / interp_sps if interp_sps else float("inf")
-        worst = min(worst, speedup)
-        rows.append(
-            (name, steps, f"{interp_sps:,.0f}", f"{vm_sps:,.0f}", f"{speedup:.2f}x")
-        )
-        timings[name] = {
-            "steps": steps,
-            "interp_steps_per_s": round(interp_sps, 1),
-            "vm_steps_per_s": round(vm_sps, 1),
-            "speedup": round(speedup, 3),
-        }
-    report("E15 compute-dense throughput (exec.steps/s)", rows)
-    _STATE.setdefault("timings", {}).update(timings)
+    rows = [_HEADER]
+    timings = _STATE.setdefault("timings", {})
+    worst = min(_row(name, source, rows, timings) for name, source in table.items())
+    report(f"E15 compute-dense throughput (exec.steps/s, {PAIRS} pairs)", rows)
     assert worst >= floor, f"VM only {worst:.2f}x the oracle (floor {floor}x)"
 
 
 def test_e15c_sync_heavy_ceiling():
     """Sync-dominated workload: the win shrinks but must not invert."""
-    source = bank_race(4, scale(200, 50))
-    repeats = scale(3, 2)
-    steps, interp_sps = _best_steps_per_second(source, "interp", repeats)
-    _, vm_sps = _best_steps_per_second(source, "vm", repeats)
-    speedup = vm_sps / interp_sps if interp_sps else float("inf")
-    report(
-        "E15 sync-heavy ceiling (bank_race)",
-        [
-            ("steps", "oracle steps/s", "vm steps/s", "speedup"),
-            (steps, f"{interp_sps:,.0f}", f"{vm_sps:,.0f}", f"{speedup:.2f}x"),
-        ],
-    )
-    _STATE.setdefault("timings", {})["bank_race"] = {
-        "steps": steps,
-        "interp_steps_per_s": round(interp_sps, 1),
-        "vm_steps_per_s": round(vm_sps, 1),
-        "speedup": round(speedup, 3),
-    }
+    rows = [_HEADER]
+    timings = _STATE.setdefault("timings", {})
+    speedup = _row("bank_race", bank_race(4, scale(200, 50)), rows, timings)
+    report(f"E15 sync-heavy ceiling (bank_race, {PAIRS} pairs)", rows)
     assert speedup >= scale(1.1, 0.8), f"VM slower than the oracle: {speedup:.2f}x"
 
 

@@ -5,8 +5,9 @@ Usage::
 
     python benchmarks/check_vm_parity.py [--seed N] [--trace/--no-trace]
 
-Every workload in :mod:`repro.workloads` and every ``examples/*.pcl``
-program is executed twice — once on the oracle, once on the VM that
+Every workload in :mod:`repro.workloads`, every ``examples/*.pcl``
+program and every program with dead code in ``tests/vm/dead_code.py``
+is executed twice — once on the oracle, once on the VM that
 every :class:`~repro.Machine` runs — under identical seeds, modes, and
 inputs.  For each pair the gate diffs three surfaces:
 
@@ -42,6 +43,7 @@ from repro.obs.report import deterministic_counters  # noqa: E402
 from repro.runtime.persist import record_to_json  # noqa: E402
 from repro import workloads  # noqa: E402
 from tests.oracle import oracle  # noqa: E402
+from tests.vm.dead_code import DEAD_CODE_PROGRAMS  # noqa: E402
 
 #: workload name -> (source, inputs); mirrors tests/analysis/test_lint_smoke.py
 WORKLOADS: dict[str, tuple[str, list | None]] = {
@@ -148,6 +150,9 @@ def main(argv: list[str]) -> int:
         return 2
     programs = dict(WORKLOADS)
     programs.update(example_programs())
+    programs.update(
+        (f"dead_code:{name}", (source, None)) for name, source in DEAD_CODE_PROGRAMS.items()
+    )
     configs = [("logged", not args.no_trace), ("plain", False)]
     runs = failures = 0
     for name, (source, inputs) in programs.items():

@@ -15,6 +15,14 @@ preemptive scheduler.  Three modes:
 The machine always maintains the synchronization history (sync nodes and
 sync edges): that is VM semantics, not instrumentation.  It keeps no
 vector clock; the history derives clocks when an ordering query asks.
+
+The seeded scheduler lives in :meth:`Machine.run`'s loop.  It models SMMP
+nondeterminism: at every preemption point (statement boundary or
+shared-memory access) the loop picks which READY process runs next,
+driven by a seeded PRNG.  Different seeds produce different interleavings
+— the reproducibility problem the paper's incremental tracing is built to
+survive — while the same seed reproduces the same interleaving exactly,
+which keeps 'plain' and 'logged' runs of benchmark E1 comparable.
 """
 
 from __future__ import annotations
@@ -43,7 +51,6 @@ from .logging import (
     snapshot_values,
 )
 from .process import Frame, ProcState, Process
-from .scheduler import Scheduler
 from .sync import Lock, Semaphore, SyncToken
 from .tracing import Segment, SyncHistory, TraceEvent, Tracer
 from .values import PCLArray, default_value
@@ -172,7 +179,8 @@ class Machine:
         #: whether this run writes the paper's logs; every logging hook reads it
         self._logged = mode == "logged"
         self.seed = seed
-        self.scheduler = Scheduler(seed=seed, quantum=quantum)
+        #: consecutive steps a picked process keeps the CPU while READY
+        self.quantum = max(1, quantum)
         self.tracer: Optional[Tracer] = Tracer() if trace else None
         self.inputs = list(inputs or [])
         self.input_cursor = 0
@@ -194,6 +202,11 @@ class Machine:
         self.deadlock: Optional[DeadlockInfo] = None
         self.timestamp = 0
         self.total_steps = 0
+        #: switches away from a process that was still READY (quantum
+        #: expiry) — the SMMP preemption count E1/obs report
+        self.preemptions = 0
+        #: every change of the running process, voluntary or not
+        self.context_switches = 0
         self._uid_counter = 0
         self._interval_counter = 0
         self._seg_counter = 0
@@ -256,15 +269,80 @@ class Machine:
         return VMExec(self, process)
 
     def run(self) -> ExecutionRecord:
-        """Execute the program to completion, failure, or deadlock."""
+        """Execute the program to completion, failure, or deadlock.
+
+        The loop is the scheduler.  It runs the previous pick for up to
+        ``quantum`` consecutive steps while it stays READY (a cheap model
+        of time slices), then picks uniformly at random from the run
+        queue, which holds exactly the READY processes in pid order, so
+        the same seed names the same process at every pick.  The draw is
+        ``Random.randrange(len(ready))``'s rejection sampling on CPython
+        3.10-3.13, inlined, and a lone READY process is run without one.
+        """
         main_def = self.compiled.program.proc("main")
         main = self._create_process("main", None)
         self._sync_event(main, "begin", "main", 0)
         main.generator = self._new_executor(main).run_process(main_def, [])
 
         ready = self.run_queue
-        while True:
-            if not ready:
+        getrandbits = random.Random(self.seed).getrandbits
+        quantum = self.quantum
+        max_steps = self.max_steps
+        READY = ProcState.READY
+        current: Optional[Process] = None
+        remaining = 0
+        steps = self.total_steps
+        preemptions = self.preemptions
+        switches = self.context_switches
+        try:
+            while ready:
+                if remaining and current.state is READY:
+                    remaining -= 1
+                    process = current
+                else:
+                    count = len(ready)
+                    if count > 1:
+                        bits = count.bit_length()
+                        index = getrandbits(bits)
+                        while index >= count:
+                            index = getrandbits(bits)
+                        process = ready[index]
+                    else:
+                        process = ready[0]
+                    if process is not current:
+                        switches += 1
+                        if current is not None and current.state is READY:
+                            preemptions += 1
+                        current = process
+                    remaining = quantum - 1
+                try:
+                    next(process.generator)
+                except StopIteration:
+                    self._on_process_exit(process)
+                except AssertionFailure as failure:
+                    self._fail(process, failure.node_id, str(failure), "assert")
+                    break
+                except _BreakpointSignal as signal:
+                    # The process stays READY conceptually, but the whole
+                    # machine halts: "halting co-operating processes in a
+                    # timely fashion" (§5.7).
+                    self.breakpoint_hit = signal.hit
+                    break
+                except PCLRuntimeError as error:
+                    self._fail(process, getattr(error, "node_id", 0), str(error), "runtime")
+                    break
+                steps += 1
+                if _obs.enabled:
+                    _obs.on_step(process.pid)
+                if _flt.active:
+                    slow = _flt.fire("sched.slow")
+                    if slow is not None:
+                        # A slow scheduler step delays wall time only: the
+                        # seeded schedule (and thus the record) is unchanged.
+                        _time.sleep(slow.delay_s)
+                if steps > max_steps:
+                    raise PCLRuntimeError(f"execution exceeded {max_steps} steps (infinite loop?)")
+            else:  # the queue ran dry: every process is done or blocked
                 blocked = [
                     p for p in self.processes.values() if p.state is ProcState.BLOCKED
                 ]
@@ -275,37 +353,10 @@ class Machine:
                         ],
                         timestamp=self.timestamp,
                     )
-                break
-            process = self.scheduler.pick(ready)
-            try:
-                next(process.generator)
-            except StopIteration:
-                self._on_process_exit(process)
-            except AssertionFailure as failure:
-                self._fail(process, failure.node_id, str(failure), "assert")
-                break
-            except _BreakpointSignal as signal:
-                # The process stays READY conceptually, but the whole
-                # machine halts: "halting co-operating processes in a
-                # timely fashion" (§5.7).
-                self.breakpoint_hit = signal.hit
-                break
-            except PCLRuntimeError as error:
-                self._fail(process, getattr(error, "node_id", 0), str(error), "runtime")
-                break
-            self.total_steps += 1
-            if _obs.enabled:
-                _obs.on_step(process.pid)
-            if _flt.active:
-                slow = _flt.fire("sched.slow")
-                if slow is not None:
-                    # A slow scheduler step delays wall time only: the
-                    # seeded schedule (and thus the record) is unchanged.
-                    _time.sleep(slow.delay_s)
-            if self.total_steps > self.max_steps:
-                raise PCLRuntimeError(
-                    f"execution exceeded {self.max_steps} steps (infinite loop?)"
-                )
+        finally:
+            self.total_steps = steps
+            self.preemptions = preemptions
+            self.context_switches = switches
         return self._make_record()
 
     def _make_record(self) -> ExecutionRecord:
@@ -339,8 +390,8 @@ class Machine:
             sync_state=sync_state,
             trace_of_sync=dict(self._trace_of_sync),
             shared_initial=snapshot_values(self._shared_initial),
-            preemptions=self.scheduler.preemptions,
-            context_switches=self.scheduler.context_switches,
+            preemptions=self.preemptions,
+            context_switches=self.context_switches,
         )
         if _obs.enabled:
             _obs.on_run_complete(record)
@@ -421,34 +472,44 @@ class Machine:
     # Shared memory
     # ------------------------------------------------------------------
 
-    def _record_access(self, process: Process, name: str, node_id: int, write: bool) -> None:
-        if _obs.enabled:
-            _obs.on_shared_access(process.pid, name, write)
-        if not self._logged:
-            return
-        segment = process.current_segment
-        if segment is None:
-            return
-        segment.event_count += 1
-        if write:
-            segment.writes.add(name)
-            if len(segment.write_sites) < _MAX_SITES:
-                segment.write_sites.append((node_id, name))
-        else:
-            segment.reads.add(name)
-            if len(segment.read_sites) < _MAX_SITES:
-                segment.read_sites.append((node_id, name))
+    # Each hook counts its access for obs and, in a logged run, adds it to
+    # the open segment's READ/WRITE set and site list (Def 6.2) inline:
+    # one call per access.
 
     def read_shared(self, process: Process, name: str, node_id: int) -> Any:
-        self._record_access(process, name, node_id, write=False)
+        if _obs.enabled:
+            _obs.on_shared_access(process.pid, name, False)
+        if self._logged:
+            segment = process.current_segment
+            if segment is not None:
+                segment.event_count += 1
+                segment.reads.add(name)
+                if len(segment.read_sites) < _MAX_SITES:
+                    segment.read_sites.append((node_id, name))
         return self.shared[name]
 
     def write_shared(self, process: Process, name: str, value: Any, node_id: int) -> None:
-        self._record_access(process, name, node_id, write=True)
+        if _obs.enabled:
+            _obs.on_shared_access(process.pid, name, True)
+        if self._logged:
+            segment = process.current_segment
+            if segment is not None:
+                segment.event_count += 1
+                segment.writes.add(name)
+                if len(segment.write_sites) < _MAX_SITES:
+                    segment.write_sites.append((node_id, name))
         self.shared[name] = value
 
     def read_shared_elem(self, process: Process, name: str, index: Any, node_id: int) -> Any:
-        self._record_access(process, name, node_id, write=False)
+        if _obs.enabled:
+            _obs.on_shared_access(process.pid, name, False)
+        if self._logged:
+            segment = process.current_segment
+            if segment is not None:
+                segment.event_count += 1
+                segment.reads.add(name)
+                if len(segment.read_sites) < _MAX_SITES:
+                    segment.read_sites.append((node_id, name))
         array = self.shared[name]
         if not isinstance(array, PCLArray):
             raise PCLRuntimeError(f"{name!r} is not an array")
@@ -457,7 +518,15 @@ class Machine:
     def write_shared_elem(
         self, process: Process, name: str, index: Any, value: Any, node_id: int
     ) -> None:
-        self._record_access(process, name, node_id, write=True)
+        if _obs.enabled:
+            _obs.on_shared_access(process.pid, name, True)
+        if self._logged:
+            segment = process.current_segment
+            if segment is not None:
+                segment.event_count += 1
+                segment.writes.add(name)
+                if len(segment.write_sites) < _MAX_SITES:
+                    segment.write_sites.append((node_id, name))
         array = self.shared[name]
         if not isinstance(array, PCLArray):
             raise PCLRuntimeError(f"{name!r} is not an array")

@@ -160,23 +160,30 @@ class _Compiler:
 
     # -- statements --------------------------------------------------------
 
-    def stmt(self, node: ast.Stmt) -> None:
+    def stmt(self, node: ast.Stmt) -> bool:
+        """Lower *node*; returns whether it can complete normally."""
         if isinstance(node, ast.Block):
-            for child in node.body:
-                self.stmt(child)
-            return
+            return self.stmts(node.body)
         self._stmt_stack.append(node)
         self.emit(PRE, node)
-        self._dispatch(node)
+        completes = self._dispatch(node)
         # Sync-unit prelog (§5.5) — only at sites the plan names, and never
         # after a statement that cannot complete normally.
-        if node.node_id in self.plan.post_stmt_prelogs and not isinstance(
-            node, (ast.Return, ast.Break, ast.Continue)
-        ):
+        if completes and node.node_id in self.plan.post_stmt_prelogs:
             self.emit(POST, node)
         self._stmt_stack.pop()
+        return completes
 
-    def _dispatch(self, node: ast.Stmt) -> None:
+    def stmts(self, nodes) -> bool:
+        """Lower a statement sequence up to the first that cannot complete
+        normally: what follows it is dead, and lowering it would leave its
+        e-block boundaries unreachable (:mod:`repro.vm.verify`, invariant 3)."""
+        for node in nodes:
+            if not self.stmt(node):
+                return False
+        return True
+
+    def _dispatch(self, node: ast.Stmt) -> bool:
         if isinstance(node, ast.Assign):
             self.emit(BEGIN_READS)
             self.expr(node.value)
@@ -197,14 +204,16 @@ class _Compiler:
         elif isinstance(node, ast.If):
             self._pred(node, node.cond)
             false_jump = self.emit(JUMP_IF_FALSE, None)
-            self.stmt(node.then)
+            completes = self.stmt(node.then)
             if node.orelse is not None:
                 end_jump = self.emit(JUMP, None)
                 self.patch(false_jump, JUMP_IF_FALSE, self.here())
-                self.stmt(node.orelse)
+                completes = self.stmt(node.orelse) or completes
                 self.patch(end_jump, JUMP, self.here())
             else:
                 self.patch(false_jump, JUMP_IF_FALSE, self.here())
+                completes = True
+            return completes
         elif isinstance(node, ast.While):
             block = self.plan.loop_block(node.node_id)
             enter = self.emit(LOOP_ENTER, node, block, None, None)
@@ -241,10 +250,13 @@ class _Compiler:
                 self.emit(RETURN_VALUE, node)
             else:
                 self.emit(RETURN_NONE, node)
+            return False
         elif isinstance(node, ast.Break):
             self.emit(BREAK)
+            return False
         elif isinstance(node, ast.Continue):
             self.emit(CONTINUE)
+            return False
         elif isinstance(node, ast.SemP):
             self.emit(SEM_P, node)
         elif isinstance(node, ast.SemV):
@@ -266,7 +278,10 @@ class _Compiler:
             self.emit(JOIN, node)
         elif isinstance(node, ast.Accept):
             self.emit(ACCEPT_ENTER, node)
-            self.stmt(node.body)
+            if not self.stmt(node.body):
+                # The return, break or continue that leaves the body
+                # closes the accept as it unwinds.
+                return False
             self.emit(ACCEPT_EXIT, node)
         elif isinstance(node, ast.Reply):
             self.emit(BEGIN_READS)
@@ -284,6 +299,7 @@ class _Compiler:
             self.emit(ASSERT, node)
         else:  # pragma: no cover - the parser cannot produce other kinds
             raise TypeError(f"unhandled statement {type(node).__name__}")
+        return True
 
     def _pred(self, stmt: ast.Stmt, cond: ast.Expr) -> None:
         self.emit(BEGIN_READS)
@@ -361,15 +377,16 @@ def compile_proc(compiled, procdef: ast.ProcDef) -> Code:
     else:
         stmt_by_id = compiled.database.stmt_by_id
         for block, node_ids in chunk_plan:
+            group = [stmt_by_id[node_id] for node_id in node_ids]
             if block is None:
                 # Barrier group: statements that may transfer control out
-                # of the procedure always execute inline.
-                for node_id in node_ids:
-                    lowering.stmt(stmt_by_id[node_id])
+                # of the procedure always execute inline, and the groups
+                # after one that cannot complete normally are dead.
+                if not lowering.stmts(group):
+                    break
                 continue
             enter = lowering.emit(CHUNK_ENTER, block, None)
-            for node_id in node_ids:
-                lowering.stmt(stmt_by_id[node_id])
+            lowering.stmts(group)
             lowering.emit(CHUNK_EXIT)
             lowering.patch(enter, CHUNK_ENTER, block, lowering.here())
     lowering.emit(PROC_RETURN, procdef)

@@ -1,15 +1,16 @@
 """The machine's run queue is exactly its READY processes, in pid order.
 
-``Machine.run`` hands the queue to ``Scheduler.pick`` without rebuilding
-it, so every state transition must keep it in step: spawn appends, block
-and exit and failure remove, wake inserts by pid.  These tests wrap
-``pick`` and compare, at every call, the list it receives with the
-rebuild it replaced.
+``Machine.run`` picks from the queue without rebuilding it, so every
+state transition must keep it in step: spawn appends, block and exit and
+failure remove, wake inserts by pid.  These tests run a machine whose
+executors wrap each process's generator and compare, before every step,
+the queue with the rebuild it replaced.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -74,24 +75,47 @@ def _ready(machine: Machine) -> list[Process]:
     return [p for p in machine.processes.values() if p.state is ProcState.READY]
 
 
+class _CheckedMachine(Machine):
+    """Checks the run-queue invariant before every step it runs."""
+
+    def __init__(self, compiled, **options) -> None:
+        super().__init__(compiled, **options)
+        self.queue = self.run_queue
+        self.checks = 0
+
+    def _new_executor(self, process: Process):
+        executor = super()._new_executor(process)
+
+        def run_process(procdef, args):
+            return self.checked_steps(process, executor.run_process(procdef, args))
+
+        return SimpleNamespace(run_process=run_process)
+
+    def checked_steps(self, process: Process, steps):
+        """Resume *steps* once per scheduler step, checking first."""
+        try:
+            while True:
+                self.checks += 1
+                expected = _ready(self)
+                queue = self.run_queue
+                assert queue is self.queue
+                assert process.run_queue is queue
+                assert len(queue) == len(expected)
+                assert all(got is want for got, want in zip(queue, expected))
+                assert any(entry is process for entry in queue)
+                next(steps)
+                yield
+        except StopIteration:
+            return
+        finally:
+            steps.close()
+
+
 def _checked_run(compiled, **options):
-    """Run with ``scheduler.pick`` asserting the run-queue invariant."""
-    machine = Machine(compiled, **options)
-    pick = machine.scheduler.pick
-    picks = 0
-
-    def checked_pick(ready):
-        nonlocal picks
-        picks += 1
-        expected = _ready(machine)
-        assert ready is machine.run_queue
-        assert len(ready) == len(expected)
-        assert all(got is want for got, want in zip(ready, expected))
-        return pick(ready)
-
-    machine.scheduler.pick = checked_pick
+    """Run with every step checking the run-queue invariant."""
+    machine = _CheckedMachine(compiled, **options)
     record = machine.run()
-    assert picks > 0
+    assert machine.checks > 0
     # Whatever stopped the run, the queue still matches the states.
     assert machine.run_queue == _ready(machine)
     return record

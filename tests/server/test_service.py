@@ -17,6 +17,8 @@ from repro.runtime import save_record
 from repro.server import DebugClient, DebugService, ServerError
 from repro.workloads import bank_race, buggy_average, nested_calls
 
+from tests.vm.dead_code import DEAD_CODE_PROGRAMS
+
 AVG_INPUTS = [10, 20, 30, 40, 50]
 
 
@@ -250,6 +252,17 @@ class TestStructuredErrors:
                 client.open_program(source)
             assert excinfo.value.code == "open-failed"
             assert excinfo.value.message.startswith("1:23: parse error: integer literal")
+
+    @pytest.mark.parametrize("name", sorted(DEAD_CODE_PROGRAMS))
+    def test_program_with_dead_code_opens_normally(self, service, name):
+        """Statements no path reaches are not lowered, so the run behind
+        ``open`` succeeds and answers like a local session."""
+        source = DEAD_CODE_PROGRAMS[name]
+        local = local_cli(source, seed=1)
+        with make_client(service) as client:
+            session = client.open_program(source, seed=1)
+            for command in ("where", "output", "races", "stats"):
+                assert session.execute(command) == local.execute(command), command
 
     def test_raw_garbage_gets_error_reply_not_disconnect(self, service):
         import socket
