@@ -557,7 +557,13 @@ def _check_dead_stores(
 def _check_unreachable(
     program: ast.Program, cfgs: dict[str, CFG]
 ) -> list[Diagnostic]:
-    """Statements with no path from procedure entry (e.g. after return)."""
+    """Statements with no path from procedure entry (e.g. after return).
+
+    Each dead region (unreachable statements joined by CFG edges, in
+    either direction) is reported once, at its first statement in source
+    order.  A dead loop has no statement free of dead predecessors: its
+    head is entered from its own body.
+    """
     diags = []
     for proc in program.procs:
         cfg = cfgs[proc.name]
@@ -569,21 +575,29 @@ def _check_unreachable(
                 continue
             reachable.add(node)
             frontier.extend(cfg.successors(node))
-        unreachable = [
+        unreachable = {
             node_id
             for node_id, node in cfg.nodes.items()
-            if node.kind in (STMT, PRED) and node_id not in reachable
-        ]
-        # Report only region heads, not every statement in a dead tail.
-        heads = [
-            node_id
-            for node_id in unreachable
-            if not any(p in unreachable for p in cfg.predecessors(node_id))
-        ]
+            if node.kind in (STMT, PRED) and node_id not in reachable and node.stmt is not None
+        }
+        heads = []
+        seen: set[int] = set()
+        for start in unreachable:
+            if start in seen:
+                continue
+            seen.add(start)
+            region, frontier = [start], [start]
+            while frontier:
+                node = frontier.pop()
+                for other in (*cfg.successors(node), *cfg.predecessors(node)):
+                    if other in unreachable and other not in seen:
+                        seen.add(other)
+                        region.append(other)
+                        frontier.append(other)
+            first = min(region, key=lambda n: (cfg.nodes[n].stmt.line, cfg.nodes[n].stmt.column))
+            heads.append(first)
         for node_id in sorted(heads):
             stmt = cfg.nodes[node_id].stmt
-            if stmt is None:
-                continue
             diags.append(
                 Diagnostic(
                     code="unreachable",

@@ -7,16 +7,32 @@ program.  :func:`save_record`/:func:`load_record` serialise everything a
 policy, the per-process logs, the synchronization history, and the stop
 reason — as one JSON document.
 
-Format version 2 persists no vector clock.  The history's nodes carry
-what a sync event is; a log's sync entry names its node by uid and
-repeats nothing of it.  A load builds the nodes first, checks that every
-sync entry names a node of its own process and that every sync edge runs
-from a lower uid to a higher one (the order clock derivation relies on),
-and derives no clock.  A version-1 document (clocks on every node and on
-every sync entry) still loads: each sync entry is matched to its node by
-process and sync index and must agree with it, and each persisted clock
-must equal the clock derived from the edges; the loaded record is the
-version-2 record, named by its version-2 digest.
+Format version 3 saves each fact once and derives the rest on load.
+``logs[pid]`` is a list of rows: a sync entry is its node's uid, a bare
+int; every other entry is ``[kind, t, field, ...]`` in its
+:data:`~repro.runtime.logging.ENTRY_SHAPES` attribute order, without the
+pid its log's key gives.  ``history.nodes`` is four columns (``t``,
+``op``, ``obj``, ``node_id``): a node's uid is its position + 1 (a run
+numbers them densely from 1), and its pid and sync index come from the
+one log that names it.  ``history.edges`` is three columns (``src``,
+``dst``, ``label``).  ``history.segments`` is the ``steps`` and
+``events`` columns plus ``accesses``, one ``[index, reads, writes,
+read_sites, write_sites]`` row per segment that saw a shared access; a
+segment's id, pid and bounding uids are derived by replaying node order
+as the machine does (each non-``end`` node opens the next segment, and
+its process's next node closes it).  No vector clock is saved:
+:meth:`SyncHistory.clocks` derives them.  A load checks that every sync
+uid is named by exactly one log, in increasing order within it, that
+each column has its length, that each row is of a known kind and width,
+that each log's prelogs and postlogs pair as intervals (an open tail
+allowed), and that every sync edge runs from a known node to a later one.
+
+Versions 1 and 2 (one object per node, edge, segment and entry) still
+load, through their own reader, as the record a fresh run saves, and
+re-save as version 3.  Version 2 names a node by uid from its sync
+entry; version 1 repeats the node (and its vector clock) in the entry,
+so each entry is matched to its node by process and sync index and must
+agree with it, and each persisted clock must equal the derived one.
 
 The envelope's content digest is a SHA-256 over its canonical form: the
 sorted-key compact dump of everything but ``digest``.  A save makes that
@@ -36,7 +52,7 @@ import hashlib
 import json
 import os
 from operator import attrgetter, itemgetter
-from typing import Any
+from typing import Any, Iterable
 
 from ..faults import state as _flt
 from ..obs import hooks as _obs
@@ -58,6 +74,8 @@ from .logging import (
     EntryShape,
     LogEntry,
     LogFile,
+    Postlog,
+    Prelog,
     SyncLog,
     decode_value,
     encode_value,
@@ -69,9 +87,9 @@ from .machine import (
     FailureInfo,
     SyncStateInfo,
 )
-from .tracing import Segment, SyncHistory
+from .tracing import Segment, SyncEdgeRec, SyncHistory
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 #: What decoding or compiling a malformed envelope raises; each becomes a
@@ -124,31 +142,41 @@ def _decoded_map(values: dict[str, Any]) -> dict[str, Any]:
 class _EntryCodec:
     """Persistence of one entry kind but ``SyncLog``, read off its shape.
 
-    An entry persists as ``kind`` plus one key per field of its shape,
-    named by the attribute (``t`` for ``timestamp``).  The shape's
-    attributes are its class's leading fields, in order, so a decode
-    passes them positionally.
+    Version 3 saves an entry as the row ``[kind, t, field, ...]``: its
+    shape's attributes in order, less ``pid``, which the log's key gives.
+    Versions 1 and 2 saved it as ``kind`` plus one key per attribute
+    (``t`` for ``timestamp``).  The shape's attributes are its class's
+    leading fields, in order, so a decode passes them positionally.
     """
 
-    __slots__ = ("kind", "keys", "row", "take", "coded", "cls")
+    __slots__ = ("kind", "keys", "take", "fields", "width", "coded", "cls")
 
     def __init__(self, shape: EntryShape) -> None:
         self.cls = shape.cls
         self.kind = shape.kind
         self.keys = ("t", *shape.attrs[1:])
-        self.row = shape.row
         self.take = itemgetter(*self.keys)
-        #: (row index, decoder) of each field that holds runtime values
+        self.fields = attrgetter("timestamp", *shape.attrs[2:])
+        #: a version-3 row's length: ``kind`` stands where ``pid`` would
+        self.width = len(shape.attrs)
+        #: (attribute index, decoder) of each field that holds runtime
+        #: values; a version-3 row holds that field at the same index
         self.coded = tuple(
             (index, _decoded_map if attr in VALUE_MAPS else _decoded)
             for index, attr in enumerate(shape.attrs)
             if attr in VALUE_MAPS or attr in VALUE_ATTRS
         )
 
-    def encode(self, entry: LogEntry) -> dict[str, Any]:
-        body = dict(zip(self.keys, self.row(entry)))
-        body["kind"] = self.kind
-        return body
+    def row(self, entry: LogEntry) -> list[Any]:
+        return [self.kind, *self.fields(entry)]
+
+    def decode_row(self, row: list[Any], pid: int) -> LogEntry:
+        args = list(row)
+        args[0] = row[1]
+        args[1] = pid
+        for index, decoded in self.coded:
+            args[index] = decoded(args[index])
+        return self.cls(*args)
 
     def decode(self, body: dict[str, Any]) -> LogEntry:
         row = list(self.take(body))
@@ -173,15 +201,8 @@ _CODECS: dict[type[LogEntry], _EntryCodec] = {
 _CODECS_BY_KIND: dict[str, _EntryCodec] = {codec.kind: codec for codec in _CODECS.values()}
 
 
-def _entry_to_json(entry: LogEntry) -> dict[str, Any]:
-    """A ``SyncLog`` entry is its history node and persists as
-    ``{"kind": "SyncLog", "uid": ...}``; every other entry field by field."""
-    if type(entry) is SyncLog:
-        return {"kind": "SyncLog", "uid": entry.uid}
-    return _CODECS[type(entry)].encode(entry)
-
-
 def _entry_from_json(body: dict[str, Any]) -> LogEntry:
+    """One version-1/2 entry object (but a sync entry)."""
     codec = _CODECS_BY_KIND[body["kind"]]
     try:
         return codec.decode(body)
@@ -189,43 +210,231 @@ def _entry_from_json(body: dict[str, Any]) -> LogEntry:
         return codec.decode_partial(body)
 
 
-#: A history node persists its fields by attribute name, ``t`` for
-#: ``timestamp``; a decode passes them positionally.
-_NODE_KEYS = ("t", *(f.name for f in dataclasses.fields(SyncLog)[1:]))
-_node_row = attrgetter("timestamp", *_NODE_KEYS[1:])
-_node_fields = itemgetter(*_NODE_KEYS)
+def _log_rows(log: LogFile) -> list[Any]:
+    """A log as version 3 saves it: a sync entry as its node's uid, every
+    other entry as its row."""
+    codecs = _CODECS
+    return [
+        entry.uid if type(entry) is SyncLog else codecs[type(entry)].row(entry)
+        for entry in log.entries
+    ]
 
 
-def _history_to_json(history: SyncHistory) -> dict[str, Any]:
+def _history_columns(history: SyncHistory) -> dict[str, Any]:
+    """The history as version 3 saves it: what a load cannot derive.  A
+    node's uid is its position + 1 (a run numbers them so, and a load
+    checks it)."""
+    nodes = history.nodes.values()
+    segments = history.segments
     return {
-        "nodes": [dict(zip(_NODE_KEYS, _node_row(node))) for node in history.nodes.values()],
-        "edges": [
-            {"src": e.src_uid, "dst": e.dst_uid, "label": e.label}
-            for e in history.edges
-        ],
-        "segments": [
-            {
-                "seg_id": s.seg_id,
-                "pid": s.pid,
-                "start": s.start_uid,
-                "end": s.end_uid,
-                "reads": sorted(s.reads),
-                "writes": sorted(s.writes),
-                "read_sites": [list(site) for site in s.read_sites],
-                "write_sites": [list(site) for site in s.write_sites],
-                "events": s.event_count,
-                "steps": s.step_count,
-            }
-            for s in history.segments
-        ],
+        "nodes": {
+            "t": [node.timestamp for node in nodes],
+            "op": [node.op for node in nodes],
+            "obj": [node.obj for node in nodes],
+            "node_id": [node.node_id for node in nodes],
+        },
+        "edges": {
+            "src": [edge.src_uid for edge in history.edges],
+            "dst": [edge.dst_uid for edge in history.edges],
+            "label": [edge.label for edge in history.edges],
+        },
+        "segments": {
+            "steps": [segment.step_count for segment in segments],
+            "events": [segment.event_count for segment in segments],
+            "accesses": [
+                [
+                    index,
+                    sorted(segment.reads),
+                    sorted(segment.writes),
+                    segment.read_sites,
+                    segment.write_sites,
+                ]
+                for index, segment in enumerate(segments)
+                if segment.reads or segment.writes or segment.read_sites or segment.write_sites
+            ],
+        },
     }
+
+
+def _history_and_logs(
+    body: dict[str, Any], path: str | None
+) -> tuple[SyncHistory, dict[int, LogFile]]:
+    """A version-3 body's history and logs: each sync uid becomes the
+    node its columns describe, with the pid and sync index of the log
+    that names it; then node order gives the segments' bounds."""
+    history_body = _field(body, "history", path)
+    columns = history_body["nodes"]
+    times, ops, objs, node_ids = columns["t"], columns["op"], columns["obj"], columns["node_id"]
+    count = len(times)
+    for name, column in (("op", ops), ("obj", objs), ("node_id", node_ids)):
+        if len(column) != count:
+            raise _corrupt("node columns differ in length", path, f"history.nodes.{name}")
+    slots: list[SyncLog | None] = [None] * count
+    codecs = _CODECS_BY_KIND
+    logs: dict[int, LogFile] = {}
+    for pid_text, rows in _field(body, "logs", path).items():
+        pid = int(pid_text)
+        log = LogFile(pid)
+        # Fill the entry list itself: ``LogFile.append`` is the execution
+        # phase's logging (and its obs counters), and a load logs nothing.
+        entries = log.entries
+        last_uid = sync_index = 0
+        open_intervals: list[int] = []
+        for index, row in enumerate(rows):
+            if type(row) is int:
+                if not last_uid < row <= count or slots[row - 1] is not None:
+                    raise _corrupt(
+                        "sync uid out of range, out of order, or named twice",
+                        path,
+                        f"logs.{pid}[{index}]",
+                    )
+                sync_index += 1
+                at = row - 1
+                node = SyncLog(times[at], pid, row, ops[at], objs[at], node_ids[at], sync_index)
+                slots[at] = node
+                entries.append(node)
+                last_uid = row
+                continue
+            try:
+                codec = codecs[row[0]]
+            except (KeyError, IndexError, TypeError):
+                codec = None
+            if codec is None or type(row) is not list or len(row) != codec.width:
+                raise _corrupt(
+                    "entry row of an unknown kind or width", path, f"logs.{pid}[{index}]"
+                )
+            entry = codec.decode_row(row, pid)
+            if codec.cls is Prelog:
+                open_intervals.append(entry.interval_id)
+            elif codec.cls is Postlog:
+                _close_interval(open_intervals, entry.interval_id, path, f"logs.{pid}[{index}]")
+            entries.append(entry)
+        logs[pid] = log
+    if None in slots:
+        raise _corrupt(
+            "history node that no log names", path, f"history.nodes[{slots.index(None)}]"
+        )
+
+    history = SyncHistory()
+    history.nodes = dict(zip(range(1, count + 1), slots))
+    per_process = history.per_process
+    segments_body = history_body["segments"]
+    steps, events = segments_body["steps"], segments_body["events"]
+    opened = count - ops.count("end")
+    for name, column in (("steps", steps), ("events", events)):
+        if len(column) != opened:
+            raise _corrupt(
+                "one value per segment (non-end node) expected", path, f"history.segments.{name}"
+            )
+    for node in slots:
+        per_process.setdefault(node.pid, []).append(node.uid)
+    # seg_id, pid, start, end, reads, writes, read_sites, write_sites, events, steps
+    segments = history.segments = [
+        Segment(index + 1, pid, start, end, set(), set(), [], [], events[index], steps[index])
+        for index, (pid, start, end) in enumerate(_segment_bounds(slots))
+    ]
+    last_index = -1
+    for position, row in enumerate(segments_body["accesses"]):
+        where = f"history.segments.accesses[{position}]"
+        if type(row) is not list or len(row) != 5:
+            raise _corrupt("access row of the wrong width", path, where)
+        seg_index, reads, writes, read_sites, write_sites = row
+        if type(seg_index) is not int or not last_index < seg_index < opened:
+            raise _corrupt("access row names no later segment", path, where)
+        last_index = seg_index
+        segment = segments[seg_index]
+        segment.reads = set(reads)
+        segment.writes = set(writes)
+        segment.read_sites = [tuple(site) for site in read_sites]
+        segment.write_sites = [tuple(site) for site in write_sites]
+
+    edges_body = history_body["edges"]
+    sources, targets, labels = edges_body["src"], edges_body["dst"], edges_body["label"]
+    for name, column in (("dst", targets), ("label", labels)):
+        if len(column) != len(sources):
+            raise _corrupt("edge columns differ in length", path, f"history.edges.{name}")
+    for index, (src, dst) in enumerate(zip(sources, targets)):
+        if type(dst) is not int or not 0 < dst <= count:
+            raise _corrupt("sync edge to an unknown node", path, f"history.edges.dst[{index}]")
+        if type(src) is not int or not 0 < src < dst:
+            raise _corrupt(
+                "sync edge from an unknown or later node", path, f"history.edges.src[{index}]"
+            )
+    history.edges = list(map(SyncEdgeRec, sources, targets, labels))
+    return history, logs
+
+
+def _segment_bounds(nodes: Iterable[SyncLog]) -> list[list]:
+    """``[pid, start uid, end uid or None]`` of each segment, in order, from
+    the history's nodes in uid order, as ``Machine._sync_event`` opens and
+    closes them: each non-``end`` node opens the next segment of its
+    process, and the process's next node closes it."""
+    bounds: list[list] = []
+    open_bounds: dict[int, list] = {}
+    for node in nodes:
+        bound = open_bounds.pop(node.pid, None)
+        if bound is not None:
+            bound[2] = node.uid
+        if node.op != "end":
+            bound = [node.pid, node.uid, None]
+            bounds.append(bound)
+            open_bounds[node.pid] = bound
+    return bounds
+
+
+def _check_derivable(history: SyncHistory, logs: dict[int, LogFile], path: str | None) -> None:
+    """A version-1/2 record must hold what version 3 derives, so that it
+    re-saves without loss: node uids run 1..n; each log names its own
+    process's nodes in uid and sync-index order, all of them between the
+    logs; and each segment is the one node order opens."""
+    nodes = history.nodes
+    if list(nodes) != list(range(1, len(nodes) + 1)):
+        raise _corrupt("history node uids do not run 1..n", path, "history.nodes")
+    named = 0
+    for pid, log in logs.items():
+        last_uid = sync_index = 0
+        for index, entry in enumerate(log.entries):
+            if type(entry) is SyncLog:
+                sync_index += 1
+                if entry.sync_index != sync_index or entry.uid <= last_uid:
+                    raise _corrupt(
+                        "sync entry out of its log's order", path, f"logs.{pid}[{index}]"
+                    )
+                last_uid = entry.uid
+        named += sync_index
+    if named != len(nodes):
+        raise _corrupt("history node that no log names", path, "history.nodes")
+    saved = [[s.seg_id, s.pid, s.start_uid, s.end_uid] for s in history.segments]
+    derived = [[index + 1, *bound] for index, bound in enumerate(_segment_bounds(nodes.values()))]
+    if saved != derived:
+        index = next(
+            (i for i, (a, b) in enumerate(zip(saved, derived)) if a != b),
+            min(len(saved), len(derived)),
+        )
+        raise _corrupt("segment disagrees with node order", path, f"history.segments[{index}]")
+
+
+def _close_interval(
+    open_intervals: list[int], interval_id: int, path: str | None, where: str
+) -> None:
+    """A postlog closes the innermost open interval, which must be its own
+    (the rule :func:`~repro.runtime.logging.build_interval_index` reads)."""
+    if not open_intervals or open_intervals.pop() != interval_id:
+        raise _corrupt("postlog closes no open interval of its id", path, where)
+
+
+#: A version-1/2 history node saved its fields by attribute name, ``t``
+#: for ``timestamp``; a decode passes them positionally.
+_NODE_KEYS = ("t", *(f.name for f in dataclasses.fields(SyncLog)[1:]))
+_node_fields = itemgetter(*_NODE_KEYS)
 
 
 def _history_from_json(
     body: dict[str, Any], v1_clocks: list | None, path: str | None
 ) -> SyncHistory:
-    """The history, nodes first; edges checked to run from a known node
-    to a later one.  A version-1 body's node clocks go to *v1_clocks*."""
+    """A version-1/2 history, nodes first; edges checked to run from a
+    known node to a later one.  A version-1 body's node clocks go to
+    *v1_clocks*."""
     history = SyncHistory()
     for index, node in enumerate(body["nodes"]):
         history.add_node(SyncLog(*_node_fields(node)))
@@ -267,9 +476,10 @@ def _history_from_json(
 def _logs_from_json(
     body: dict[str, Any], history: SyncHistory, v1_clocks: list | None, path: str | None
 ) -> dict[int, LogFile]:
-    """Each process's log; a sync entry becomes the history node it names
-    (version 2: by uid; version 1, whose entry clocks go to *v1_clocks*:
-    by process and sync index)."""
+    """Each process's version-1/2 log; a sync entry becomes the history
+    node it names (version 2: by uid; version 1, whose entry clocks go to
+    *v1_clocks*: by process and sync index), and prelogs and postlogs
+    must pair as intervals."""
     nodes = history.nodes
     by_index = (
         None
@@ -283,9 +493,15 @@ def _logs_from_json(
         # Fill the entry list itself: ``LogFile.append`` is the execution
         # phase's logging (and its obs counters), and a load logs nothing.
         decoded = log.entries
+        open_intervals: list[int] = []
         for index, entry in enumerate(entries):
             if entry["kind"] != "SyncLog":
-                decoded.append(_entry_from_json(entry))
+                entry = _entry_from_json(entry)
+                if type(entry) is Prelog:
+                    open_intervals.append(entry.interval_id)
+                elif type(entry) is Postlog:
+                    _close_interval(open_intervals, entry.interval_id, path, f"logs.{pid}[{index}]")
+                decoded.append(entry)
                 continue
             if by_index is not None:
                 where = f"logs.{pid}[{index}]"
@@ -374,11 +590,8 @@ def _record_body(record: ExecutionRecord) -> dict[str, Any]:
         "policy": dataclasses.asdict(record.compiled.policy),
         "seed": record.seed,
         "output": [[pid, text] for pid, text in record.output],
-        "logs": {
-            str(pid): [_entry_to_json(e) for e in log.entries]
-            for pid, log in record.logs.items()
-        },
-        "history": _history_to_json(record.history),
+        "logs": {str(pid): _log_rows(log) for pid, log in record.logs.items()},
+        "history": _history_columns(record.history),
         "failure": dataclasses.asdict(record.failure) if record.failure else None,
         "deadlock": dataclasses.asdict(record.deadlock) if record.deadlock else None,
         "breakpoint": dataclasses.asdict(record.breakpoint_hit)
@@ -476,7 +689,7 @@ def _record_from_document(data: bytes, text: str, path: str | None) -> Execution
         )
     v1_clocks: list | None = [] if version == 1 else None
     try:
-        source, policy, fields = _decode_body(body, v1_clocks, path)
+        source, policy, fields = _decode_body(body, version, v1_clocks, path)
     except PersistError:
         raise
     except _MALFORMED as error:
@@ -512,21 +725,26 @@ def _record_from_document(data: bytes, text: str, path: str | None) -> Execution
         raise _malformed(error, path) from error
     record = ExecutionRecord(compiled=compiled, mode="logged", **fields)
     if claimed is not None and version == FORMAT_VERSION:
-        # A version-1 record is named by its version-2 digest, when asked.
+        # An older version's record is named by the digest of its re-save
+        # in this version, when asked.
         record._ppd_digest = claimed  # type: ignore[attr-defined]
     return record
 
 
 def _decode_body(
-    body: dict[str, Any], v1_clocks: list | None, path: str | None
+    body: dict[str, Any], version: int, v1_clocks: list | None, path: str | None
 ) -> tuple[str, EBlockPolicy, dict[str, Any]]:
     """The envelope's source, its policy, and every other
     :class:`ExecutionRecord` field, decoded but not compiled.  For a
     version-1 body, *v1_clocks* collects its persisted clocks."""
     policy = EBlockPolicy(**_field(body, "policy", path))
     source = _field(body, "source", path)
-    history = _history_from_json(_field(body, "history", path), v1_clocks, path)
-    logs = _logs_from_json(body, history, v1_clocks, path)
+    if version == FORMAT_VERSION:
+        history, logs = _history_and_logs(body, path)
+    else:
+        history = _history_from_json(_field(body, "history", path), v1_clocks, path)
+        logs = _logs_from_json(body, history, v1_clocks, path)
+        _check_derivable(history, logs, path)
 
     sync_state_body = _field(body, "sync_state", path)
     sync_state = SyncStateInfo(

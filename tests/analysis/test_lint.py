@@ -12,6 +12,7 @@ import pytest
 from repro import Machine, compile_program
 from repro.analysis.lint import CODES, ERROR, WARNING, lint_compiled
 from repro.core.cli import PPDCommandLine, main
+from tests.vm.dead_code import DEAD_CODE_PROGRAMS
 
 #: One program per code, each constructed to trigger *that* diagnostic.
 FIXTURES = {
@@ -77,6 +78,50 @@ class TestEveryCodeFires:
             assert diag.proc
             assert diag.line > 0
             assert diag.severity in (ERROR, WARNING)
+
+
+class TestDeadRegions:
+    """Each dead region is reported once, at its first statement in
+    source order, a dead loop (whose head its own body enters) included."""
+
+    @pytest.mark.parametrize(
+        "source,line,text",
+        [
+            (
+                "proc main() { int i = 0; return; while (i < 3) { i = i + 1; } }",
+                1,
+                "while",
+            ),
+            (DEAD_CODE_PROGRAMS["return_then_loop"], 10, "while"),
+            (DEAD_CODE_PROGRAMS["break_then_loop"], 8, "while"),
+            ("proc main() { int i = 0; return; i = 1; print(i); }", 1, "i = 1"),
+        ],
+        ids=["loop", "return_then_loop", "break_then_loop", "tail"],
+    )
+    def test_one_warning_per_region(self, source, line, text):
+        compiled = compile_program(source)
+        found = [d for d in lint_compiled(compiled).diagnostics if d.code == "unreachable"]
+        assert [d.line for d in found] == [line]
+        statement = compiled.database.statement_text(found[0].node_id)
+        assert statement.startswith(text)
+
+    def test_two_regions_two_warnings(self):
+        source = """
+proc main() {
+    int i = 0;
+    while (i < 3) {
+        i = i + 1;
+        break;
+        print(i);
+    }
+    return;
+    while (i < 9) { i = i + 2; }
+}
+"""
+        found = [
+            d for d in lint_compiled(compile_program(source)).diagnostics if d.code == "unreachable"
+        ]
+        assert [d.line for d in found] == [7, 10]
 
 
 class TestRendering:

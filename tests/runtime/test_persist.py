@@ -21,6 +21,7 @@ from repro.runtime import (
     run_program,
     save_record,
 )
+from repro.runtime.logging import ENTRY_SHAPES
 from repro.runtime.persist import (
     RecordCorruptError,
     RecordDigestError,
@@ -30,10 +31,14 @@ from repro.runtime.persist import (
 from repro.workloads import (
     bank_race,
     buggy_average,
+    dining_philosophers,
+    fib_recursive,
     fig53_program,
     fig61_program,
     nested_calls,
+    ring_allreduce,
 )
+from tests.oracle.persist_v2 import record_to_json_v2
 
 
 def round_trip(record):
@@ -144,12 +149,13 @@ class TestHashSeedIndependence:
         assert self._saved_hashes("2") == first
 
     def test_values_in_another_order_still_load(self):
-        """A file whose values are in some other order (as an older
-        writer's hash order left them) loads and passes its digest check."""
+        """A version-2 file whose values are in some other order (as an
+        older writer's hash order left them) loads and passes its digest
+        check."""
         import json
 
         record = run_program((EXAMPLES / "locked_counters.pcl").read_text(), seed=0)
-        body = json.loads(record_to_json(record))
+        body = json.loads(record_to_json_v2(record))
         reordered = 0
         for entries in body["logs"].values():
             for entry in entries:
@@ -371,6 +377,8 @@ class TestPersistError:
 
 FIXTURES = Path(__file__).with_name("fixtures")
 
+ENTRY_SHAPES_BY_KIND = {shape.kind: shape for shape in ENTRY_SHAPES.values()}
+
 #: Format-1 files saved by the last format-1 build (commit f719f52) with
 #: ``save_record(Machine(compile_program(source), seed=1).run(), path)``.
 V1_FIXTURES = {
@@ -382,6 +390,10 @@ V1_FIXTURES = {
         lambda: (EXAMPLES / "calc_service.pcl").read_text(), 1
     ),
 }
+
+#: Format-2 files of the same programs and seed, saved the same way by the
+#: last format-2 build (commit b1e0783).
+V2_FIXTURES = {name.replace(".v1.", ".v2."): case for name, case in V1_FIXTURES.items()}
 
 
 def resigned(body: dict) -> str:
@@ -402,15 +414,34 @@ def load_bad(tmp_path, text: str, error=RecordCorruptError):
     return excinfo.value
 
 
+def fresh_run(program, seed):
+    return Machine(compile_program(program()), seed=seed, mode="logged").run()
+
+
+def first_index(entries, kind):
+    return next(index for index, entry in enumerate(entries) if entry["kind"] == kind)
+
+
 class TestFormatVersion2:
-    """Version 2 persists no clock; a sync entry names its node by uid."""
+    """Version 2 persists no clock; a sync entry names its node by uid.
+    Its files load through the version-2 reader and re-save as version 3."""
 
     @pytest.fixture()
     def body(self):
-        return json.loads(record_to_json(run_program(fig61_program(), seed=1)))
+        return json.loads((FIXTURES / "fig61.seed1.v2.ppd.json").read_text())
+
+    @pytest.mark.parametrize("name", sorted(V2_FIXTURES))
+    def test_fixture_loads_as_a_fresh_run(self, name):
+        text = (FIXTURES / name).read_text()
+        assert json.loads(text)["version"] == 2
+        loaded = record_from_json(text)
+        fresh = fresh_run(*V2_FIXTURES[name])
+        assert record_to_json(loaded) == record_to_json(fresh)
+        assert record_to_json_v2(fresh) == text
+        assert record_content_digest(loaded) == record_content_digest(fresh)
 
     def test_nodes_carry_no_clock_and_entries_only_a_uid(self, body):
-        assert body["version"] == persist.FORMAT_VERSION == 2
+        assert body["version"] == 2
         assert all("clock" not in node for node in body["history"]["nodes"])
         sync_entries = [
             entry for entries in body["logs"].values() for entry in entries
@@ -461,31 +492,251 @@ class TestFormatVersion2:
         error = load_bad(tmp_path, resigned(body))
         assert error.field == "history.edges[3].src"
 
-    def test_version_3_is_unsupported(self, body, tmp_path):
-        body["version"] = 3
+    def test_segment_that_disagrees_with_node_order_is_corrupt(self, body, tmp_path):
+        """Version 3 derives a segment's bounds, so a version-2 segment
+        that disagrees with them would change on a re-save."""
+        segment = body["history"]["segments"][3]
+        segment["end"] = None if segment["end"] is not None else segment["start"] + 1
+        error = load_bad(tmp_path, resigned(body))
+        assert error.field == "history.segments[3]"
+        del body["history"]["segments"][3]
+        error = load_bad(tmp_path, resigned(body))
+        assert error.field == "history.segments[3]"
+
+    def test_sync_index_out_of_order_is_corrupt(self, body, tmp_path):
+        index, entry = self._sync_entry(body, "1")
+        node = body["history"]["nodes"][entry["uid"] - 1]
+        assert node["uid"] == entry["uid"] and node["sync_index"] == 1
+        node["sync_index"] = 2
+        error = load_bad(tmp_path, resigned(body))
+        assert error.field == f"logs.1[{index}]"
+
+    def test_node_no_log_names_is_corrupt(self, body, tmp_path):
+        entries = body["logs"]["1"]
+        last = max(i for i, e in enumerate(entries) if e["kind"] == "SyncLog")
+        del entries[last]
+        error = load_bad(tmp_path, resigned(body))
+        assert error.field == "history.nodes"
+
+    def test_postlog_of_another_interval_is_corrupt(self, body, tmp_path):
+        entries = body["logs"]["0"]
+        index = first_index(entries, "Postlog")
+        entries[index]["interval_id"] += 100
+        error = load_bad(tmp_path, resigned(body))
+        assert error.field == f"logs.0[{index}]"
+
+
+class TestFormatVersion3:
+    """Version 3 saves each fact once: a sync entry is a bare uid, nodes,
+    edges and segments are columns, and a load derives the rest."""
+
+    @pytest.fixture()
+    def body(self):
+        return json.loads(record_to_json(run_program(fig61_program(), seed=1)))
+
+    def test_layout(self, body):
+        assert body["version"] == persist.FORMAT_VERSION == 3
+        history = body["history"]
+        assert set(history["nodes"]) == {"t", "op", "obj", "node_id"}
+        assert set(history["edges"]) == {"src", "dst", "label"}
+        assert set(history["segments"]) == {"steps", "events", "accesses"}
+        uids = sorted(row for rows in body["logs"].values() for row in rows if type(row) is int)
+        assert uids == list(range(1, len(history["nodes"]["t"]) + 1))
+        for rows in body["logs"].values():
+            for row in rows:
+                if type(row) is list:
+                    shape = ENTRY_SHAPES_BY_KIND[row[0]]
+                    assert len(row) == len(shape.attrs)  # kind and t, no pid
+
+    @pytest.mark.parametrize(
+        "source,seed",
+        [
+            (fig61_program(), 1),
+            (ring_allreduce(8, deviant=3), 0),
+            (dining_philosophers(3), 2),  # deadlocks: open segments
+            (buggy_average(5), 0),  # fails: open intervals
+            (fib_recursive(6), 0),
+        ],
+        ids=["fig61", "ring_allreduce", "dining_philosophers", "buggy_average", "fib"],
+    )
+    def test_load_rebuilds_what_the_run_built(self, source, seed):
+        record = run_program(source, seed=seed, inputs=[10, 20, 30, 40, 50])
+        text = record_to_json(record)
+        loaded = record_from_json(text)
+        assert record_to_json(loaded) == text
+        history = loaded.history
+        assert history.nodes == record.history.nodes
+        assert list(history.nodes) == list(record.history.nodes)
+        assert history.per_process == record.history.per_process
+        assert history.edges == record.history.edges
+        assert history.segments == record.history.segments
+        for pid, log in record.logs.items():
+            assert loaded.logs[pid].entries == log.entries
+            for entry in loaded.logs[pid]:
+                if entry.kind == "SyncLog":
+                    assert history.nodes[entry.uid] is entry
+
+    def test_unequal_node_columns_are_corrupt(self, body, tmp_path):
+        body["history"]["nodes"]["obj"].pop()
+        error = load_bad(tmp_path, resigned(body))
+        assert error.field == "history.nodes.obj"
+
+    @staticmethod
+    def _sync_rows(body, pid: str):
+        return [index for index, row in enumerate(body["logs"][pid]) if type(row) is int]
+
+    def test_uid_out_of_range_is_corrupt(self, body, tmp_path):
+        index = self._sync_rows(body, "1")[-1]
+        body["logs"]["1"][index] = 10_000
+        error = load_bad(tmp_path, resigned(body))
+        assert error.field == f"logs.1[{index}]"
+
+    def test_uid_named_by_two_logs_is_corrupt(self, body, tmp_path):
+        index = self._sync_rows(body, "1")[0]
+        body["logs"]["1"][index] = body["logs"]["0"][self._sync_rows(body, "0")[0]]
+        error = load_bad(tmp_path, resigned(body))
+        assert error.field == f"logs.1[{index}]"
+
+    def test_uids_out_of_order_are_corrupt(self, body, tmp_path):
+        rows = body["logs"]["1"]
+        first, second = self._sync_rows(body, "1")[:2]
+        rows[first], rows[second] = rows[second], rows[first]
+        error = load_bad(tmp_path, resigned(body))
+        assert error.field == f"logs.1[{second}]"
+
+    def test_node_no_log_names_is_corrupt(self, body, tmp_path):
+        index = self._sync_rows(body, "1")[-1]
+        uid = body["logs"]["1"].pop(index)
+        error = load_bad(tmp_path, resigned(body))
+        assert error.field == f"history.nodes[{uid - 1}]"
+
+    @pytest.mark.parametrize("name", ["steps", "events"])
+    def test_one_value_per_segment(self, body, tmp_path, name):
+        body["history"]["segments"][name].append(0)
+        error = load_bad(tmp_path, resigned(body))
+        assert error.field == f"history.segments.{name}"
+
+    def test_access_rows_must_name_later_segments(self, body, tmp_path):
+        accesses = body["history"]["segments"]["accesses"]
+        assert len(accesses) > 1
+        accesses[0], accesses[1] = accesses[1], accesses[0]
+        error = load_bad(tmp_path, resigned(body))
+        assert error.field == "history.segments.accesses[1]"
+        accesses[0], accesses[1] = accesses[1], accesses[0]
+        accesses[-1][0] = len(body["history"]["segments"]["steps"])
+        error = load_bad(tmp_path, resigned(body))
+        assert error.field == f"history.segments.accesses[{len(accesses) - 1}]"
+
+    def test_access_row_of_the_wrong_width_is_corrupt(self, body, tmp_path):
+        body["history"]["segments"]["accesses"][0].pop()
+        error = load_bad(tmp_path, resigned(body))
+        assert error.field == "history.segments.accesses[0]"
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda row: ["NoSuchEntry", *row[1:]],
+            lambda row: row[:-1],
+            lambda row: [*row, 0],
+            lambda row: {"kind": row[0], "t": row[1]},
+        ],
+        ids=["unknown-kind", "short", "long", "object"],
+    )
+    def test_entry_row_of_an_unknown_kind_or_width_is_corrupt(self, body, tmp_path, change):
+        rows = body["logs"]["0"]
+        index = next(index for index, row in enumerate(rows) if type(row) is list)
+        rows[index] = change(rows[index])
+        error = load_bad(tmp_path, resigned(body))
+        assert error.field == f"logs.0[{index}]"
+
+    def test_unequal_edge_columns_are_corrupt(self, body, tmp_path):
+        body["history"]["edges"]["label"].append("sem")
+        error = load_bad(tmp_path, resigned(body))
+        assert error.field == "history.edges.label"
+
+    def test_backward_edge_is_corrupt(self, body, tmp_path):
+        edges = body["history"]["edges"]
+        edges["src"][2], edges["dst"][2] = edges["dst"][2], edges["src"][2]
+        error = load_bad(tmp_path, resigned(body))
+        assert error.field == "history.edges.src[2]"
+
+    def test_dangling_edge_is_corrupt(self, body, tmp_path):
+        edges = body["history"]["edges"]
+        edges["dst"][3] = 10_000
+        error = load_bad(tmp_path, resigned(body))
+        assert error.field == "history.edges.dst[3]"
+        edges["dst"][3] = edges["src"][3] + 1
+        edges["src"][3] = -5
+        error = load_bad(tmp_path, resigned(body))
+        assert error.field == "history.edges.src[3]"
+
+    def test_postlog_of_another_interval_is_corrupt(self, body, tmp_path):
+        rows = body["logs"]["0"]
+        index = next(
+            index for index, row in enumerate(rows) if type(row) is list and row[0] == "Postlog"
+        )
+        rows[index][2] += 100  # interval_id
+        error = load_bad(tmp_path, resigned(body))
+        assert error.field == f"logs.0[{index}]"
+
+    def test_version_4_is_unsupported(self, body, tmp_path):
+        body["version"] = 4
         error = load_bad(tmp_path, resigned(body), RecordVersionError)
         assert error.field == "version"
 
 
+class TestIntervalsNest:
+    """A record whose prelogs and postlogs do not pair fails at load,
+    typed, in either reader; an open tail (a run that stopped inside its
+    intervals) loads."""
+
+    @staticmethod
+    def _nested_postlog(body):
+        """The first postlog of main's log whose interval is not the
+        outermost one, and the outer interval's id."""
+        rows = body["logs"]["0"]
+        opened = []
+        for index, row in enumerate(rows):
+            if type(row) is list and row[0] == "Prelog":
+                opened.append(row[2])
+            elif type(row) is list and row[0] == "Postlog":
+                if len(opened) > 1:
+                    return index, opened[-2]
+                opened.pop()
+        raise AssertionError("no nested postlog")
+
+    def test_postlog_of_an_outer_interval_fails_typed(self, tmp_path):
+        body = json.loads(record_to_json(run_program(fib_recursive(5), seed=0)))
+        index, outer = self._nested_postlog(body)
+        body["logs"]["0"][index][2] = outer
+        error = load_bad(tmp_path, resigned(body))
+        assert error.field == f"logs.0[{index}]"
+
+    def test_open_tail_loads(self):
+        record = run_program(buggy_average(5), seed=0, inputs=[10, 20, 30, 40, 50])
+        assert record.failure is not None
+        text = record_to_json(record)
+        assert record_to_json(record_from_json(text)) == text
+        assert record_to_json(record_from_json(record_to_json_v2(record))) == text
+
+
 class TestFormatVersion1:
-    """A version-1 file loads through the v1 reader, as the version-2
-    record a fresh run of its program and seed would save."""
+    """A version-1 file loads through the v1 reader, as the record a
+    fresh run of its program and seed would save."""
 
     @pytest.mark.parametrize("name", sorted(V1_FIXTURES))
     def test_fixture_loads_as_a_fresh_run(self, name):
-        program, seed = V1_FIXTURES[name]
         text = (FIXTURES / name).read_text()
         assert json.loads(text)["version"] == 1
         loaded = record_from_json(text)
-        fresh = Machine(compile_program(program()), seed=seed, mode="logged").run()
-        assert record_to_json(loaded) == record_to_json(fresh)
+        assert record_to_json(loaded) == record_to_json(fresh_run(*V1_FIXTURES[name]))
 
-    def test_named_by_its_version_2_digest(self):
+    def test_named_by_the_current_digest(self):
         program, seed = V1_FIXTURES["fig61.seed1.v1.ppd.json"]
         text = (FIXTURES / "fig61.seed1.v1.ppd.json").read_text()
         loaded = record_from_json(text)
         assert not hasattr(loaded, "_ppd_digest")
-        fresh = Machine(compile_program(program()), seed=seed, mode="logged").run()
+        fresh = fresh_run(program, seed)
         assert record_content_digest(loaded) == record_content_digest(fresh)
         assert record_content_digest(loaded) != json.loads(text)["digest"]
 

@@ -2,9 +2,11 @@
 
 Every value in ``schedule_golden.json`` was produced by the scheduler as it
 stood when the table was written.  A logged run is pinned by its record
-digest (:func:`repro.perf.cache.record_digest`, taken over sorted keys, so
-``PYTHONHASHSEED`` cannot move it); a plain run by its output and its step,
-context-switch and preemption totals.  A change that reorders picks, even
+digest in record format 2 (:func:`tests.oracle.persist_v2.record_digest_v2`,
+the name :func:`repro.perf.cache.record_digest` gave a record before format
+3; taken over sorted keys, so ``PYTHONHASHSEED`` cannot move it); a plain run
+by its output and its step, context-switch and preemption totals.  A change
+of the saved layout alone moves no pin.  A change that reorders picks, even
 one that keeps every run correct, changes some of these values.  Neither
 the VM-vs-oracle parity suite (both executors share ``Machine.run``) nor
 the counter gates (20% tolerance) would notice.
@@ -29,7 +31,6 @@ from typing import Optional
 import pytest
 
 from repro import Machine, compile_program
-from repro.perf.cache import record_digest
 from repro.workloads import (
     bank_race,
     dining_philosophers,
@@ -39,6 +40,7 @@ from repro.workloads import (
     ring_allreduce,
     rpc_server,
 )
+from tests.oracle.persist_v2 import record_digest_v2
 
 GOLDEN_PATH = Path(__file__).with_name("schedule_golden.json")
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
@@ -101,7 +103,7 @@ def _fingerprint(name, seed, quantum, break_at=None) -> dict:
     logged = _run(name, seed, quantum, "logged", break_at)
     plain = _run(name, seed, quantum, "plain", break_at)
     return {
-        "digest": record_digest(logged),
+        "digest": record_digest_v2(logged),
         "plain": [
             [list(line) for line in plain.output],
             plain.total_steps,

@@ -225,6 +225,28 @@ class TestStructuredErrors:
             assert excinfo.value.code == "persist-error"
             assert "digest" in excinfo.value.message
 
+    def test_record_whose_intervals_do_not_nest(self, service):
+        """A postlog changed to close another interval, digest re-signed:
+        the load's interval check answers, not a session-start error."""
+        import hashlib
+        import json
+
+        from repro.runtime import record_to_json
+
+        record = Machine(compile_program(nested_calls()), seed=0, mode="logged").run()
+        body = json.loads(record_to_json(record))
+        rows = body["logs"]["0"]
+        index = max(i for i, row in enumerate(rows) if type(row) is list and row[0] == "Postlog")
+        rows[index][2] += 1  # interval_id
+        del body["digest"]
+        canonical = json.dumps(body, separators=(",", ":"), sort_keys=True)
+        body["digest"] = hashlib.sha256(canonical.encode()).hexdigest()
+        with make_client(service) as client:
+            with pytest.raises(ServerError) as excinfo:
+                client.open_record(json_text=json.dumps(body))
+            assert excinfo.value.code == "persist-error"
+            assert f"logs.0[{index}]" in excinfo.value.message
+
     def test_open_failed_on_bad_program(self, service):
         with make_client(service) as client:
             with pytest.raises(ServerError) as excinfo:
