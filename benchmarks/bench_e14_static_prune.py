@@ -32,7 +32,6 @@ from conftest import SEED, paired_times, report, run_standalone, scale
 from repro import Machine, compile_program
 from repro.analysis.racecands import candidates_from_compiled
 from repro.core import find_races_indexed, find_races_naive
-from repro.core.parallel_graph import ParallelDynamicGraph
 
 WORKERS = 6
 ROUNDS = 3  # fixed: the counters section must not depend on --quick
@@ -62,20 +61,14 @@ def _fixture(workers: int, guarded: bool = True):
     return fixtures[key]
 
 
-def _fresh_graph(history) -> ParallelDynamicGraph:
-    # A fresh graph per scan: the OrderIndex is memoized on the graph, so a
-    # warm index would (correctly) report 0 order checks for the rescan.
-    return ParallelDynamicGraph.from_history(history)
-
-
 def test_e14_guarded_ring_prunes_everything():
     """Fixed-size guarded ring: identical (empty) races, pairs_pruned > 0,
     and strictly fewer order checks with candidates for both scans."""
     compiled, history, candidates = _fixture(WORKERS)
-    naive_plain = find_races_naive(_fresh_graph(history))
-    naive_pruned = find_races_naive(_fresh_graph(history), candidates=candidates)
-    indexed_plain = find_races_indexed(_fresh_graph(history))
-    indexed_pruned = find_races_indexed(_fresh_graph(history), candidates=candidates)
+    naive_plain = find_races_naive(history)
+    naive_pruned = find_races_naive(history, candidates=candidates)
+    indexed_plain = find_races_indexed(history)
+    indexed_pruned = find_races_indexed(history, candidates=candidates)
 
     assert naive_plain.races == naive_pruned.races == []
     assert indexed_plain.races == indexed_pruned.races == []
@@ -106,8 +99,8 @@ def test_e14_scaling_table():
     rows = [("workers", "pairs", "pruned", "checks plain", "checks pruned")]
     for workers in SIZES:
         _compiled, history, candidates = _fixture(workers)
-        plain = find_races_indexed(_fresh_graph(history))
-        pruned = find_races_indexed(_fresh_graph(history), candidates=candidates)
+        plain = find_races_indexed(history)
+        pruned = find_races_indexed(history, candidates=candidates)
         assert plain.races == pruned.races
         assert pruned.pairs_pruned > 0, f"nothing pruned at {workers} workers"
         rows.append((
@@ -124,8 +117,8 @@ def test_e14_scaling_table():
     timings = _STATE.setdefault("timings", {"workers": SIZES[-1]})
     for name, scan in (("naive", find_races_naive), ("indexed", find_races_indexed)):
         plain_s, pruned_s = paired_times(
-            lambda scan=scan: scan(_fresh_graph(history)),
-            lambda scan=scan: scan(_fresh_graph(history), candidates=candidates),
+            lambda scan=scan: scan(history),
+            lambda scan=scan: scan(history, candidates=candidates),
         )
         speedup = plain_s / pruned_s if pruned_s else float("inf")
         timings.update({
@@ -141,12 +134,12 @@ def test_e14_unguarded_ring_races_survive():
     """The soundness half: on the guard-stripped ring the races are real,
     and the pruned scans report every one of them."""
     _compiled, history, candidates = _fixture(WORKERS, guarded=False)
-    plain = find_races_indexed(_fresh_graph(history))
-    pruned = find_races_indexed(_fresh_graph(history), candidates=candidates)
+    plain = find_races_indexed(history)
+    pruned = find_races_indexed(history, candidates=candidates)
     assert plain.races, "guard-stripped ring should race"
     assert plain.races == pruned.races
-    naive_plain = find_races_naive(_fresh_graph(history))
-    naive_pruned = find_races_naive(_fresh_graph(history), candidates=candidates)
+    naive_plain = find_races_naive(history)
+    naive_pruned = find_races_naive(history, candidates=candidates)
     assert naive_plain.races == naive_pruned.races
     _STATE.setdefault("counters", {}).update({
         "unguarded.races": len(plain.races),

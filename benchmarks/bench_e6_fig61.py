@@ -20,20 +20,21 @@ def _record(seed=None):
 def _regenerate():
     record = _record()
     graph = ParallelDynamicGraph.from_history(record.history)
+    nodes = record.history.nodes
     p1 = next(pid for pid, n in record.process_names.items() if n == "p1")
-    ops = [graph.node(uid).op for uid in record.history.per_process[p1]]
+    ops = [node.op for node in graph.nodes_of(p1)]
     send_to_unblock = next(
         e
         for e in graph.edges_of(p1)
         if e.end_uid is not None
-        and graph.node(e.start_uid).op == "send"
-        and graph.node(e.end_uid).op == "unblock"
+        and nodes[e.start_uid].op == "send"
+        and nodes[e.end_uid].op == "unblock"
     )
-    labels = {e.label for e in graph.sync_edges}
+    labels = {e.label for e in record.history.edges}
     rows = [
         ("figure element", "reproduced"),
         ("P1 has send/unblock nodes", ops[1:3] == ["send", "unblock"]),
-        ("zero-event internal edge (e4)", send_to_unblock.is_empty),
+        ("zero-event internal edge (e4)", send_to_unblock.event_count == 0),
         ("msg edge (n3->n4)", "msg" in labels),
         ("unblock edge (n4->n5)", "unblock" in labels),
         ("spawn edges", "spawn" in labels),
@@ -49,24 +50,24 @@ def test_e6_fig61(benchmark):
 def test_e6_graph_construction(benchmark):
     record = Machine(compiled(pipeline(*scale((4, 20), (3, 8)))), seed=SEED, mode="logged").run()
     graph = benchmark(lambda: ParallelDynamicGraph.from_history(record.history))
-    assert graph.internal_edges
+    assert graph.edges_of(0)
 
 
 def test_e6_happened_before_query(benchmark):
     record = Machine(compiled(pipeline(*scale((4, 20), (3, 8)))), seed=SEED, mode="logged").run()
     graph = ParallelDynamicGraph.from_history(record.history)
-    edges = graph.internal_edges
+    edges = record.history.segments
 
     def all_pairs():
         count = 0
         for e1 in edges:
             for e2 in edges:
-                if e1 is not e2 and graph.edge_ordered(e1, e2):
+                if graph.simultaneous(e1, e2):
                     count += 1
         return count
 
-    ordered = benchmark(all_pairs)
-    assert ordered > 0
+    simultaneous = benchmark(all_pairs)
+    assert simultaneous > 0
 
 
 if __name__ == "__main__":

@@ -7,14 +7,17 @@ The workload is a ring of workers: worker *i* updates counters *i* and
 by exactly two processes.  As the ring grows, the naive all-pairs scan
 does quadratically more happened-before checks, while the variable-indexed
 scan's work grows only linearly — the paper's sought-after "cheaper
-algorithm".
+algorithm".  Both scans count one happened-before test per pair tested,
+and the table gives each scan's median wall-clock over alternating
+repeats beside the counts.
 """
 
-from conftest import SEED, report, run_standalone, scale
+from statistics import median
+
+from conftest import SEED, paired_samples, report, run_standalone, scale
 
 from repro import Machine, compile_program
 from repro.core import find_races_indexed, find_races_naive
-from repro.core.parallel_graph import ParallelDynamicGraph
 
 
 def ring_counters(workers: int, rounds: int) -> str:
@@ -73,22 +76,39 @@ def _history_for(workers):
 
 
 def _scaling_table():
-    rows = [("workers", "edges", "naive checks", "indexed checks", "speedup")]
+    rows = [
+        (
+            "workers",
+            "edges",
+            "naive checks",
+            "indexed checks",
+            "speedup",
+            "naive s",
+            "indexed s",
+        )
+    ]
     gaps = []
     for workers in SIZES:
         history = _history_for(workers)
         edges = len(history.segments)
         naive = find_races_naive(history)
-        # A fresh graph per measurement: find_races_indexed reports the
-        # clock comparisons *this* scan performed, and the OrderIndex is
-        # memoized on the graph — a warm index would (correctly) report 0.
-        indexed = find_races_indexed(ParallelDynamicGraph.from_history(history))
-        key = lambda r: (r.seg_id_a, r.seg_id_b, r.variable, r.kind)
-        assert sorted(map(key, naive.races)) == sorted(map(key, indexed.races))
+        indexed = find_races_indexed(history)
+        assert naive.races == indexed.races
         gap = naive.order_checks / max(1, indexed.order_checks)
         gaps.append(gap)
+        naive_s, indexed_s = paired_samples(
+            lambda: find_races_naive(history), lambda: find_races_indexed(history)
+        )
         rows.append(
-            (workers, edges, naive.order_checks, indexed.order_checks, f"{gap:.1f}x")
+            (
+                workers,
+                edges,
+                naive.order_checks,
+                indexed.order_checks,
+                f"{gap:.1f}x",
+                f"{median(naive_s):.5f}",
+                f"{median(indexed_s):.5f}",
+            )
         )
     report("E9: race-scan work vs execution size (ring of counters)", rows)
     return gaps

@@ -120,19 +120,27 @@ def best_time(fn, repeats: int = 3) -> float:
     return best
 
 
-def paired_times(fn_a, fn_b, repeats: int = 5) -> tuple[float, float]:
-    """Best-of-N for two functions, interleaved to cancel machine drift."""
+def paired_samples(fn_a, fn_b, repeats: int = 5) -> tuple[list[float], list[float]]:
+    """N timings of each of two functions, alternated to cancel machine
+    drift."""
     if QUICK:
         repeats = min(repeats, 2)
-    best_a = best_b = float("inf")
+    samples_a: list[float] = []
+    samples_b: list[float] = []
     for _ in range(repeats):
         start = time.perf_counter()
         fn_a()
-        best_a = min(best_a, time.perf_counter() - start)
+        samples_a.append(time.perf_counter() - start)
         start = time.perf_counter()
         fn_b()
-        best_b = min(best_b, time.perf_counter() - start)
-    return best_a, best_b
+        samples_b.append(time.perf_counter() - start)
+    return samples_a, samples_b
+
+
+def paired_times(fn_a, fn_b, repeats: int = 5) -> tuple[float, float]:
+    """Best-of-N for two functions, interleaved to cancel machine drift."""
+    samples_a, samples_b = paired_samples(fn_a, fn_b, repeats)
+    return min(samples_a), min(samples_b)
 
 
 def report(title: str, rows: list[tuple]) -> None:

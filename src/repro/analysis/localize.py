@@ -272,7 +272,7 @@ def _signature(
     # splits one program-level sync unit into two segments whose boundary
     # carries zero behaviour.  A trailing run that ends at an unblock
     # closes no unit, so neither its work nor its variables count.
-    segments = [edge.segment for edge in graph.edges_of(pid)]
+    segments = graph.edges_of(pid)
     work = []
     pending = 0
     closed = 0

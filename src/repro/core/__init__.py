@@ -42,7 +42,7 @@ from .flowback import (
     slice_statements,
     why_value,
 )
-from .parallel_graph import InternalEdge, ParallelDynamicGraph
+from .parallel_graph import ParallelDynamicGraph
 from .queries import AccessHistory, VariableAccess, access_history
 from .races import (
     READ_WRITE,
@@ -92,7 +92,6 @@ __all__ = [
     "GraphView",
     "focused_view",
     "INITIAL",
-    "InternalEdge",
     "PARAM",
     "PPDCommandLine",
     "PPDSession",

@@ -27,6 +27,7 @@ from ..obs import hooks as _obs
 from ..perf import ReplayCache, replay_cache
 from ..runtime.logging import IntervalInfo, Prelog, innermost_open
 from ..runtime.machine import ExecutionRecord
+from ..runtime.tracing import Segment
 from .dynamic_graph import (
     DATA,
     SUBGRAPH,
@@ -42,7 +43,7 @@ from .flowback import (
     subgraph_frontier,
     why_value,
 )
-from .parallel_graph import InternalEdge, ParallelDynamicGraph
+from .parallel_graph import ParallelDynamicGraph
 from .races import Race, RaceScanResult, find_races_indexed
 
 
@@ -54,7 +55,7 @@ class ExternResolution:
     extern_uid: int
     #: internal edges (other processes) that wrote the variable and are the
     #: latest writers not ordered after the import point
-    candidates: list[InternalEdge] = field(default_factory=list)
+    candidates: list[Segment] = field(default_factory=list)
     #: True when several unordered writers could have produced the value —
     #: exactly the §6.3 situation ("we cannot tell which happened first")
     is_race: bool = False
@@ -280,30 +281,23 @@ class PPDSession:
         if extern is None:
             raise ValueError(f"no extern event with uid {extern_uid}")
         var, timestamp = extern.var, extern.timestamp
+        graph = self.parallel_graph
+        nodes = graph.history.nodes
 
-        writers = [
-            edge
-            for edge in self.parallel_graph.internal_edges
-            if var in edge.writes
-        ]
+        writers = [edge for edge in graph.history.segments if var in edge.writes]
         # The actual producer in this execution instance: latest writer
         # whose segment closed before the import.  Writers whose segment
         # was still open at the import time are concurrent - candidates too.
-        before = [
-            e for e in writers if self.parallel_graph.ordered_before_timestamp(e, timestamp)
-        ]
+        before = [e for e in writers if graph.ordered_before_timestamp(e, timestamp)]
         overlapping = [
             e
             for e in writers
-            if not self.parallel_graph.ordered_before_timestamp(e, timestamp)
-            and self.parallel_graph.node(e.start_uid).timestamp <= timestamp
+            if not graph.ordered_before_timestamp(e, timestamp)
+            and nodes[e.start_uid].timestamp <= timestamp
         ]
-        candidates: list[InternalEdge] = []
+        candidates: list[Segment] = []
         if before:
-            latest = max(
-                before,
-                key=lambda e: self.parallel_graph.node(e.end_uid).timestamp,
-            )
+            latest = max(before, key=lambda e: nodes[e.end_uid].timestamp)
             candidates.append(latest)
         candidates.extend(overlapping)
         resolution = ExternResolution(
@@ -325,7 +319,7 @@ class PPDSession:
                     return extern
         return None
 
-    def _chase_writer(self, edge: InternalEdge, var: str):
+    def _chase_writer(self, edge: Segment, var: str):
         """Replay the interval covering *edge* and find its write of *var*."""
         interval = self._interval_covering(edge)
         if interval is None:
@@ -340,18 +334,15 @@ class PPDSession:
             return result, None
         return result, self.graph.nodes.get(writes[-1].uid)
 
-    def _interval_covering(self, edge: InternalEdge) -> Optional[IntervalInfo]:
+    def _interval_covering(self, edge: Segment) -> Optional[IntervalInfo]:
         """The innermost log interval of edge's process overlapping its span.
 
         A process's ``begin`` node precedes its root prelog, so overlap (not
         containment) is the right criterion.
         """
-        start_ts = self.parallel_graph.node(edge.start_uid).timestamp
-        end_ts = (
-            self.parallel_graph.node(edge.end_uid).timestamp
-            if edge.end_uid is not None
-            else None
-        )
+        nodes = self.record.history.nodes
+        start_ts = nodes[edge.start_uid].timestamp
+        end_ts = nodes[edge.end_uid].timestamp if edge.end_uid is not None else None
         log = self.record.logs[edge.pid]
         best: Optional[IntervalInfo] = None
         for info in self.emulation.indexes[edge.pid].values():

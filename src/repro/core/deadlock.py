@@ -15,7 +15,6 @@ import re
 from dataclasses import dataclass, field
 
 from ..runtime.machine import ExecutionRecord
-from .parallel_graph import ParallelDynamicGraph
 
 _REASON_RE = re.compile(r"^(P|lock|recv|send|call|accept)\((\w*)\)$")
 
@@ -126,9 +125,10 @@ def analyze_deadlock(record: ExecutionRecord) -> DeadlockReport:
 
     report.cycle = _find_cycle(report.edges)
 
-    graph = ParallelDynamicGraph.from_history(record.history)
+    nodes = record.history.nodes
     for pid, _reason, _node in report.blocked:
         report.recent_syncs[pid] = [
-            f"{node.op}({node.obj})" for node in graph.nodes_of(pid)
+            f"{nodes[uid].op}({nodes[uid].obj})"
+            for uid in record.history.per_process.get(pid, ())
         ]
     return report

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..runtime.tracing import SyncHistory
-from .parallel_graph import InternalEdge, ParallelDynamicGraph
+from ..runtime.tracing import Segment, SyncHistory
+from .parallel_graph import ParallelDynamicGraph
 
 
 @dataclass
 class VariableAccess:
     """One internal edge's accesses to the queried variable."""
 
-    edge: InternalEdge
+    edge: Segment
     reads: bool
     writes: bool
     #: (AST node id, var) sites for precise reporting
@@ -34,7 +34,7 @@ class VariableAccess:
 
     @property
     def seg_id(self) -> int:
-        return self.edge.segment.seg_id
+        return self.edge.seg_id
 
     @property
     def kind(self) -> str:
@@ -94,35 +94,35 @@ def access_history(
 ) -> AccessHistory:
     """Collect and order every access to *variable* (§6.3's view).
 
-    Pass the session's graph to reuse its ordering index; each unordered
-    pair of accesses is tested once and recorded on both sides.
+    Each unordered pair of accesses is tested once and recorded on both
+    sides.
     """
     graph = (
         history_or_graph
         if isinstance(history_or_graph, ParallelDynamicGraph)
         else ParallelDynamicGraph.from_history(history_or_graph)
     )
+    nodes = graph.history.nodes
     touching = [
         edge
-        for edge in graph.internal_edges
+        for edge in graph.history.segments
         if variable in edge.reads or variable in edge.writes
     ]
-    touching.sort(key=lambda e: graph.node(e.start_uid).timestamp)
+    touching.sort(key=lambda e: nodes[e.start_uid].timestamp)
 
-    index = graph.order_index()
     concurrent: list[set[int]] = [set() for _ in touching]
     for i, edge in enumerate(touching):
         for j in range(i + 1, len(touching)):
             other = touching[j]
-            if index.simultaneous(edge, other):
-                concurrent[i].add(other.segment.seg_id)
-                concurrent[j].add(edge.segment.seg_id)
+            if graph.simultaneous(edge, other):
+                concurrent[i].add(other.seg_id)
+                concurrent[j].add(edge.seg_id)
 
     result = AccessHistory(variable=variable)
     for edge, unordered in zip(touching, concurrent):
         sites = tuple(
             site
-            for site in edge.segment.read_sites + edge.segment.write_sites
+            for site in edge.read_sites + edge.write_sites
             if site[1] == variable
         )[:8]
         result.accesses.append(

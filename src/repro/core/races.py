@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..obs import hooks as _obs
-from ..runtime.tracing import SyncHistory
-from .parallel_graph import InternalEdge, ParallelDynamicGraph
+from ..runtime.tracing import Segment, SyncHistory
+from .parallel_graph import ParallelDynamicGraph
 
 WRITE_WRITE = "write/write"
 READ_WRITE = "read/write"
@@ -52,6 +52,7 @@ class RaceScanResult:
 
     races: list[Race] = field(default_factory=list)
     pairs_examined: int = 0
+    #: happened-before tests performed, one per pair tested
     order_checks: int = 0
     #: pairs skipped before any happened-before test because the static
     #: candidate analysis proved their site pairs non-conflicting
@@ -63,7 +64,7 @@ class RaceScanResult:
         return not self.races
 
 
-def _edge_conflicts(e1: InternalEdge, e2: InternalEdge) -> list[tuple[str, str]]:
+def _edge_conflicts(e1: Segment, e2: Segment) -> list[tuple[str, str]]:
     """(variable, kind) pairs violating Def 6.3 for two edges."""
     conflicts: list[tuple[str, str]] = []
     for var in e1.writes & e2.writes:
@@ -82,8 +83,7 @@ class _SiteIndex:
     def __init__(self) -> None:
         self._by_segment: dict[int, dict[str, tuple[tuple[int, str], ...]]] = {}
 
-    def sites(self, edge: InternalEdge, var: str) -> tuple[tuple[int, str], ...]:
-        segment = edge.segment
+    def sites(self, segment: Segment, var: str) -> tuple[tuple[int, str], ...]:
         by_var = self._by_segment.get(segment.seg_id)
         if by_var is None:
             grouped: dict[str, list[tuple[int, str]]] = {}
@@ -102,16 +102,16 @@ def _race_order(race: Race) -> tuple[int, int, str, str]:
     return (race.seg_id_a, race.seg_id_b, race.variable, race.kind)
 
 
-def _make_races(e1: InternalEdge, e2: InternalEdge, site_index: _SiteIndex) -> list[Race]:
+def _make_races(e1: Segment, e2: Segment, site_index: _SiteIndex) -> list[Race]:
     races = []
-    first, second = (e1, e2) if e1.segment.seg_id < e2.segment.seg_id else (e2, e1)
+    first, second = (e1, e2) if e1.seg_id < e2.seg_id else (e2, e1)
     for var, kind in _edge_conflicts(e1, e2):
         races.append(
             Race(
                 variable=var,
                 kind=kind,
-                seg_id_a=first.segment.seg_id,
-                seg_id_b=second.segment.seg_id,
+                seg_id_a=first.seg_id,
+                seg_id_b=second.seg_id,
                 pid_a=first.pid,
                 pid_b=second.pid,
                 sites_a=site_index.sites(first, var),
@@ -135,7 +135,7 @@ def find_races_naive(
     graph = _as_graph(history_or_graph)
     result = RaceScanResult()
     site_index = _SiteIndex()
-    edges = graph.internal_edges
+    edges = graph.history.segments
     seen: set[tuple[int, int, str]] = set()
     for i, e1 in enumerate(edges):
         for e2 in edges[i + 1:]:
@@ -145,7 +145,7 @@ def find_races_naive(
             if candidates is not None:
                 conflicts = _edge_conflicts(e1, e2)
                 if conflicts and not any(
-                    candidates.may_conflict(e1.segment, e2.segment, var)
+                    candidates.may_conflict(e1, e2, var)
                     for var, _ in conflicts
                 ):
                     result.pairs_pruned += 1
@@ -175,14 +175,11 @@ def find_races_indexed(
     candidates=None,
 ) -> RaceScanResult:
     """Variable-indexed scan: only pairs sharing a variable (with at least
-    one writer) are considered, and ordering goes through the graph's
-    :class:`~repro.perf.order_index.OrderIndex` — the "cheaper algorithm"
-    of §7.  The scan asks for the index at its first order test, so a
-    history with no pair to order (no shared variable has a writer, or
-    the candidates rule every pair out) never builds one.
-    ``order_checks`` counts the *actual* vector-clock comparisons the index
-    performed for this scan (thresholds amortize across pairs), not the
-    number of pair tests; it is 0 when the scan made no order test.
+    one writer) are considered — the "cheaper algorithm" of §7.  Each
+    surviving pair costs one :meth:`ParallelDynamicGraph.simultaneous`
+    test, counted in ``order_checks``; a history with no pair to order
+    (no shared variable has a writer, or the candidates rule every pair
+    out) makes none and derives no clocks.
 
     With *candidates* (:class:`repro.analysis.racecands.RaceCandidates`),
     whole variables outside the candidate set are skipped arithmetically
@@ -191,12 +188,10 @@ def find_races_indexed(
     over-approximation — the property suite asserts this)."""
     graph = _as_graph(history_or_graph)
     result = RaceScanResult()
-    index = None  # the graph's order index, taken at the first order test
-    comparisons_before = 0
 
-    readers: dict[str, list[InternalEdge]] = {}
-    writers: dict[str, list[InternalEdge]] = {}
-    for edge in graph.internal_edges:
+    readers: dict[str, list[Segment]] = {}
+    writers: dict[str, list[Segment]] = {}
+    for edge in graph.history.segments:
         for var in edge.reads:
             readers.setdefault(var, []).append(edge)
         for var in edge.writes:
@@ -205,18 +200,15 @@ def find_races_indexed(
     seen: set[tuple[int, int, str]] = set()
     site_index = _SiteIndex()
 
-    def check(var: str, kind: str, e1: InternalEdge, e2: InternalEdge) -> None:
-        nonlocal index, comparisons_before
-        id1, id2 = e1.segment.seg_id, e2.segment.seg_id
+    def check(var: str, kind: str, e1: Segment, e2: Segment) -> None:
+        id1, id2 = e1.seg_id, e2.seg_id
         if e1.pid == e2.pid or id1 == id2:
             return
         key = (id1, id2, var) if id1 < id2 else (id2, id1, var)
         if key in seen:
             return
-        if index is None:
-            index = graph.order_index()
-            comparisons_before = index.comparisons
-        if index.simultaneous(e1, e2):
+        result.order_checks += 1
+        if graph.simultaneous(e1, e2):
             seen.add(key)
             first, second = (e1, e2) if id1 < id2 else (e2, e1)
             result.races.append(
@@ -245,7 +237,7 @@ def find_races_indexed(
             for e2 in wlist[i + 1:]:
                 result.pairs_examined += 1
                 if candidates is not None and not candidates.may_conflict(
-                    e1.segment, e2.segment, var
+                    e1, e2, var
                 ):
                     result.pairs_pruned += 1
                     continue
@@ -254,18 +246,16 @@ def find_races_indexed(
             for e2 in rlist:
                 result.pairs_examined += 1
                 if candidates is not None and not candidates.may_conflict(
-                    e1.segment, e2.segment, var
+                    e1, e2, var
                 ):
                     result.pairs_pruned += 1
                     continue
-                if var in e2.segment.writes:
+                if var in e2.writes:
                     # e1 writes var too: covered by the write/write
                     # report above.
                     continue
                 check(var, READ_WRITE, e1, e2)
 
-    if index is not None:
-        result.order_checks = index.comparisons - comparisons_before
     result.races.sort(key=_race_order)
     if _obs.enabled:
         _obs.on_race_scan(
@@ -297,10 +287,4 @@ def is_race_free(history_or_graph: SyncHistory | ParallelDynamicGraph) -> bool:
 def _as_graph(value: SyncHistory | ParallelDynamicGraph) -> ParallelDynamicGraph:
     if isinstance(value, ParallelDynamicGraph):
         return value
-    # One graph (and hence one OrderIndex) per history object, so repeated
-    # scans — races_involving per variable, say — share the index.
-    graph = getattr(value, "_ppd_graph", None)
-    if graph is None or len(graph.internal_edges) != len(value.segments):
-        graph = ParallelDynamicGraph.from_history(value)
-        value._ppd_graph = graph  # type: ignore[attr-defined]
-    return graph
+    return ParallelDynamicGraph.from_history(value)

@@ -1,4 +1,4 @@
-"""repro.perf — the replay cache and the happened-before index.
+"""repro.perf — the replay cache and the replay pool.
 
 Replay of a logged e-block interval is deterministic and side-effect
 free: everything the original execution got from its environment comes
@@ -12,10 +12,6 @@ determinism is the licence for everything in this package:
   :mod:`repro.server` sessions, optionally written through to a
   directory so later processes start warm.  Sessions and ``ppd replay``
   replay through it (:meth:`~repro.perf.cache.ReplayCache.replay`);
-* :class:`~repro.perf.order_index.OrderIndex` turns repeated
-  ``simultaneous()`` queries over the parallel dynamic graph into O(1)
-  amortized lookups (per-pid sorted sync-node arrays + monotone
-  ordering thresholds + cached vector-clock comparisons);
 * :class:`~repro.perf.pool.ReplayPool` fans a batch of ``(pid,
   interval_id)`` re-executions out to a process pool (§7: "re-execution
   of e-blocks can exploit the multiprocessor"), with
@@ -42,7 +38,6 @@ from .cache import CacheStats, ReplayCache, record_digest
 __all__ = [
     "SEGMENT_PREFIX",
     "CacheStats",
-    "OrderIndex",
     "RecordSegment",
     "ReplayCache",
     "ReplayPool",
@@ -57,7 +52,6 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "order_index": ("OrderIndex",),
         "pool": ("ReplayPool", "default_jobs"),
         "shm": ("SEGMENT_PREFIX", "RecordSegment", "leaked_segments"),
     },

@@ -48,11 +48,28 @@ def _add_fault_flags(sub) -> None:  # pragma: no cover - exercised via main()
                      help="seed for probabilistic fault points (default 0)")
 
 
+def _refuse_pool_points(plan) -> None:
+    """The ``pool.*`` points fire only inside a replay pool, which no
+    ``ppd`` command starts: a spec naming one would inject nothing."""
+    if plan is None:
+        return
+    named = sorted(name for name in plan.points if name.startswith("pool."))
+    if named:
+        from .faults import FaultSpecError
+
+        raise FaultSpecError(
+            f"{', '.join(named)}: the pool.* points fire only in-process "
+            "(no ppd command starts a replay pool)"
+        )
+
+
 def _install_faults(args) -> None:  # pragma: no cover - exercised via main()
     if getattr(args, "faults", None):
         from . import faults
 
-        faults.install(faults.FaultPlan.parse(args.faults, seed=args.faults_seed))
+        plan = faults.FaultPlan.parse(args.faults, seed=args.faults_seed)
+        _refuse_pool_points(plan)
+        faults.install(plan)
 
 
 def _build_parser():  # pragma: no cover - exercised via main()
@@ -425,9 +442,13 @@ def main(argv: list[str] | None = None) -> int:
     from .lang.errors import PCLError
     from .runtime.errors import PersistError
 
+    env_plan = None
     try:
-        faults.activate_from_env()
+        env_plan = faults.activate_from_env()
+        _refuse_pool_points(env_plan)
     except faults.FaultSpecError as error:
+        if env_plan is not None:
+            faults.uninstall()
         print(f"error: bad {faults.ENV_SPEC} spec: {error}", file=sys.stderr)
         return 2
     args = _build_parser().parse_args(argv)

@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from .clocks import VectorClock, derive_clocks, happened_before_or_equal
+from .clocks import VectorClock, derive_clocks
 from .logging import SyncLog, encode_value
 
 # Trace event kinds.
@@ -224,12 +224,3 @@ class SyncHistory:
             derived = (size, derive_clocks(self.nodes.values(), self.edges))
             self._derived = derived
         return derived[1]
-
-    def node_reaches(self, a_uid: int, b_uid: int) -> bool:
-        """Reflexive happened-before between two sync nodes (§6.1's "+")."""
-        if a_uid == b_uid:
-            return True
-        clocks = self.clocks()
-        return happened_before_or_equal(
-            clocks[a_uid], self.nodes[a_uid].pid, clocks[b_uid]
-        )

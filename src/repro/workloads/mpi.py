@@ -4,8 +4,8 @@ Every earlier workload is a small shared-memory kernel; these are the
 process-group programs the parallel dynamic graph (§6.1) was built to
 explain — scatter/gather, ring all-reduce, broadcast trees, and
 master-worker farms, parameterized by rank count so the scheduler, log
-format, OrderIndex, and race scan run at 10-100× the original process
-counts.
+format, happened-before test, and race scan run at 10-100× the original
+process counts.
 
 Each generator emits one PCL procedure per rank (PCL channels are static
 names, exactly like an MPI communicator wired at startup), with data

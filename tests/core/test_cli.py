@@ -230,6 +230,49 @@ class TestPpdBadInput:
         assert main(["localize", str(path)]) == 2
         self.assert_one_error_line(capsys)
 
+    @staticmethod
+    def replay_with_faults(cli, tmp_path, monkeypatch, spec, given_by):
+        """``ppd replay`` on a saved record with *spec* given by the
+        ``--faults`` flag or the ``PPD_FAULTS`` env var."""
+        from repro.core.cli import main
+        from repro.runtime.persist import save_record
+
+        path = tmp_path / "run.ppd.json"
+        save_record(cli.session.record, str(path))
+        argv = ["replay", str(path)]
+        if given_by == "flag":
+            argv += ["--faults", spec]
+        else:
+            monkeypatch.setenv("PPD_FAULTS", spec)
+        return main(argv)
+
+    @pytest.mark.parametrize("given_by", ["flag", "env"])
+    @pytest.mark.parametrize("point", ["pool.crash", "pool.hang"])
+    def test_pool_fault_point_is_refused(
+        self, cli, tmp_path, monkeypatch, capsys, point, given_by
+    ):
+        """No ``ppd`` command starts a replay pool, so a pool point would
+        inject nothing: the spec is refused like a bad one."""
+        from repro import faults
+
+        assert self.replay_with_faults(cli, tmp_path, monkeypatch, point, given_by) == 2
+        self.assert_one_error_line(capsys)
+        assert not faults.is_active()
+
+    @pytest.mark.parametrize("given_by", ["flag", "env"])
+    def test_socket_stall_is_still_accepted(
+        self, cli, tmp_path, monkeypatch, capsys, given_by
+    ):
+        from repro import faults
+
+        try:
+            spec = "socket.stall"
+            assert self.replay_with_faults(cli, tmp_path, monkeypatch, spec, given_by) == 0
+            assert set(faults.current_plan().points) == {"socket.stall"}
+        finally:
+            faults.uninstall()
+        assert "error" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["lint", "localize"])
     @pytest.mark.parametrize(
         "text", ["proc main() { int x = ²; }\n", 'proc main() { print("abc\\']

@@ -101,15 +101,17 @@ def scan_digest(source: str, seed: int) -> str:
 
 
 #: Generated with the scans as they stood before the per-pair work was
-#: cut (the site index, the direct write-set test, the id comparison).
+#: cut (the site index, the direct write-set test, the id comparison),
+#: with ``order_checks`` counting one happened-before test per pair
+#: tested in every scan.
 DIGESTS = {
-    'bank_race': '83b08e0753536f7d',
-    'bank_race(32,75)@0': 'be7e382cce7dd066',
-    'bank_race(32,75)@1': 'be7e382cce7dd066',
-    'bank_race(32,75)@2': 'be7e382cce7dd066',
-    'bank_race(32,75)@3': 'be7e382cce7dd066',
-    'bank_race(32,75)@4': 'be7e382cce7dd066',
-    'bank_safe': 'c185f2e115c3309d',
+    'bank_race': '44577ebac4e15b62',
+    'bank_race(32,75)@0': 'c274f4dff021207c',
+    'bank_race(32,75)@1': 'c274f4dff021207c',
+    'bank_race(32,75)@2': 'c274f4dff021207c',
+    'bank_race(32,75)@3': 'c274f4dff021207c',
+    'bank_race(32,75)@4': 'c274f4dff021207c',
+    'bank_safe': '98ec0a6564795b1a',
     'buggy_average': '64e4e9d0851dfd93',
     'calc_service.pcl': '478489b0e47b0dc1',
     'compute_heavy': '64e4e9d0851dfd93',
@@ -118,13 +120,13 @@ DIGESTS = {
     'fib_recursive': '64e4e9d0851dfd93',
     'fig41': '64e4e9d0851dfd93',
     'fig53': '08217061335043a9',
-    'fig61': 'b1d077c99dc9dbc4',
+    'fig61': '30777d8b470e29e7',
     'float_math.pcl': '64e4e9d0851dfd93',
     'locked_counters.pcl': '020f896f1bb630f1',
     'matrix_sum': '64e4e9d0851dfd93',
     'message_pipeline.py': 'c41ca669ccacce49',
     'mpi_broadcast_tree': '4f4eda7cb0723e87',
-    'mpi_master_worker': 'cff986882bb8dc57',
+    'mpi_master_worker': 'a921d3f200ea65e3',
     'mpi_ring_allreduce': '7379eb79e3bea161',
     'mpi_scatter_gather': '46eff5c3bf4976f8',
     'nested_calls': '64e4e9d0851dfd93',
@@ -132,7 +134,7 @@ DIGESTS = {
     'producer_consumer': '21b2952ffe94b8cb',
     'ring_reduce.pcl': 'c7911a793c66a83a',
     'rpc_server': '5cb8d740ecd7a538',
-    'semaphore_pipeline.pcl': 'c2d0e71f550e7fc5',
+    'semaphore_pipeline.pcl': '60c5b55982d03fb5',
     'sieve.pcl': '64e4e9d0851dfd93',
     'token_ring.pcl': '4c3e8c66cb71524c',
     'whatif_replay.py': 'dde1c473cde81265',

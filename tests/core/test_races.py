@@ -144,7 +144,8 @@ proc main() { spawn writer(); spawn interloper(); spawn reader(); int r = recv(o
 
 
 class TestLazyOrderIndex:
-    """The indexed scan builds the order index at its first order test."""
+    """The indexed scan derives the history's clocks at its first order
+    test, and only then."""
 
     def _session(self, source):
         from repro import PPDSession
@@ -154,16 +155,16 @@ class TestLazyOrderIndex:
         return session
 
     def _count_builds(self, monkeypatch):
-        from repro.core.parallel_graph import ParallelDynamicGraph
+        from repro.runtime import tracing
 
         builds = []
-        original = ParallelDynamicGraph.order_index
+        original = tracing.derive_clocks
 
-        def counted(graph):
-            builds.append(graph)
-            return original(graph)
+        def counted(nodes, edges):
+            builds.append(1)
+            return original(nodes, edges)
 
-        monkeypatch.setattr(ParallelDynamicGraph, "order_index", counted)
+        monkeypatch.setattr(tracing, "derive_clocks", counted)
         return builds
 
     def test_spmd_scan_builds_no_index(self, monkeypatch):
@@ -177,10 +178,10 @@ class TestLazyOrderIndex:
         assert scan.races == []
 
     def test_scan_with_pairs_builds_it_once(self, monkeypatch):
-        # Counters as they stood when every scan built the index on entry.
         session = self._session(bank_race(4, 3))
         builds = self._count_builds(monkeypatch)
         scan = session.races()
         assert len(builds) == 1
-        assert (scan.pairs_examined, scan.order_checks, scan.pairs_pruned) == (26, 12, 4)
+        # One happened-before test per pair tested.
+        assert (scan.pairs_examined, scan.order_checks, scan.pairs_pruned) == (26, 6, 4)
         assert len(scan.races) == 6

@@ -1,6 +1,9 @@
-"""OrderIndex: indexed happened-before must equal the direct clocks.
+"""The one happened-before test must equal explicit reachability.
 
-Randomization comes from the scheduler seed: each seed yields a different
+:class:`ParallelDynamicGraph` answers every ordering question from the
+history's vector clocks; here each answer is checked against the
+transitive closure of program order and the sync edges.  Randomization
+comes from the scheduler seed: each seed yields a different
 interleaving, hence a different synchronization history — the property
 surface the §6 ordering queries must hold over.
 """
@@ -10,13 +13,14 @@ import pytest
 from repro import Machine, compile_program
 from repro.core.parallel_graph import ParallelDynamicGraph
 from repro.core.races import find_races_indexed, find_races_naive
-from repro.perf import OrderIndex
 from repro.workloads import (
     bank_race,
     dining_philosophers,
     fig61_program,
     producer_consumer,
 )
+from tests.runtime.test_clocks import _reachability
+
 
 def _ring_counters(workers: int, rounds: int) -> str:
     """Bench E9's scaling workload (inlined — benchmarks/ is not a
@@ -81,49 +85,40 @@ class TestIndexEqualsDirect:
     def test_simultaneous_matches_direct_clocks(self, all_histories):
         for label, history in all_histories:
             graph = ParallelDynamicGraph.from_history(history)
-            index = OrderIndex(history)
-            edges = graph.internal_edges
+            reach = _reachability(history)
+
+            def before(a, b):
+                return a.end_uid is not None and b.start_uid in reach[a.end_uid]
+
+            edges = history.segments
             for i, e1 in enumerate(edges):
                 for e2 in edges[i + 1:]:
-                    assert index.simultaneous(e1, e2) == graph.simultaneous(
-                        e1, e2
-                    ), f"{label}: segs {e1.segment.seg_id}/{e2.segment.seg_id}"
+                    expected = not before(e1, e2) and not before(e2, e1)
+                    assert graph.simultaneous(e1, e2) == expected, (
+                        f"{label}: segs {e1.seg_id}/{e2.seg_id}"
+                    )
 
     def test_edge_ordered_matches_direct_clocks(self, all_histories):
         for label, history in all_histories:
             graph = ParallelDynamicGraph.from_history(history)
-            index = OrderIndex(history)
-            for e1 in graph.internal_edges:
-                for e2 in graph.internal_edges:
-                    if e1.segment.seg_id == e2.segment.seg_id:
+            reach = _reachability(history)
+            for e1 in history.segments:
+                for e2 in history.segments:
+                    if e1.seg_id == e2.seg_id:
                         continue
-                    assert index.edge_ordered(e1, e2) == graph.edge_ordered(
-                        e1, e2
-                    ), f"{label}: {e1.segment.seg_id}->{e2.segment.seg_id}"
+                    expected = e1.end_uid is not None and e2.start_uid in reach[e1.end_uid]
+                    assert graph.edge_ordered(e1, e2) == expected, (
+                        f"{label}: {e1.seg_id}->{e2.seg_id}"
+                    )
 
     def test_node_ordered_matches_node_reaches(self, all_histories):
         for label, history in all_histories:
-            index = OrderIndex(history)
+            graph = ParallelDynamicGraph.from_history(history)
+            reach = _reachability(history)
             uids = list(history.nodes)
             for a in uids:
                 for b in uids:
-                    assert index.node_ordered(a, b) == history.node_reaches(
-                        a, b
-                    ), f"{label}: {a}->{b}"
-
-    def test_index_uses_fewer_comparisons_than_all_pairs(self, all_histories):
-        for label, history in all_histories:
-            graph = ParallelDynamicGraph.from_history(history)
-            index = OrderIndex(history)
-            cross_pairs = 0
-            edges = graph.internal_edges
-            for i, e1 in enumerate(edges):
-                for e2 in edges[i + 1:]:
-                    if e1.pid != e2.pid:
-                        cross_pairs += 1
-                        index.simultaneous(e1, e2)
-            if cross_pairs:
-                assert index.comparisons <= 2 * cross_pairs, label
+                    assert graph.node_ordered(a, b) == (b in reach[a]), f"{label}: {a}->{b}"
 
 
 class TestScansAgree:
@@ -144,33 +139,33 @@ class TestScansAgree:
             assert again.races == naive.races, label
 
     def test_indexed_comparisons_not_worse_than_pre_index_scan(self):
-        """The §7 'cheaper algorithm' claim, pinned on bench E9's ring
-        workload: the index performs no more clock comparisons than the
-        pre-index scan made ``simultaneous()`` calls — even though each of
-        those calls internally cost up to *two* clock comparisons."""
-        from repro.core.races import WRITE_WRITE, _as_graph, _edge_conflicts
+        """``order_checks`` counts one happened-before test per pair
+        tested, pinned on bench E9's ring workload against a replica of
+        the scan's pair enumeration that counts ``simultaneous()``
+        calls."""
+        from repro.core.races import WRITE_WRITE, _edge_conflicts
 
         for workers in (2, 4):
             source = _ring_counters(workers, rounds=3)
             record = Machine(compile_program(source), seed=2, mode="logged").run()
             assert record.failure is None and record.deadlock is None
-            graph = _as_graph(record.history)
+            graph = ParallelDynamicGraph.from_history(record.history)
             readers, writers = {}, {}
-            for edge in graph.internal_edges:
+            for edge in record.history.segments:
                 for var in edge.reads:
                     readers.setdefault(var, []).append(edge)
                 for var in edge.writes:
                     writers.setdefault(var, []).append(edge)
 
-            # Replica of the scan as it was before the OrderIndex existed:
-            # order_checks += 1 per candidate that got past the seen-set.
+            # Replica of the scan: one test per candidate pair that got
+            # past the seen-set.
             seen, pre_change_checks = set(), 0
 
             def old_check(var, e1, e2):
                 nonlocal pre_change_checks
-                if e1.pid == e2.pid or e1.segment.seg_id == e2.segment.seg_id:
+                if e1.pid == e2.pid or e1.seg_id == e2.seg_id:
                     return
-                a, b = sorted((e1.segment.seg_id, e2.segment.seg_id))
+                a, b = sorted((e1.seg_id, e2.seg_id))
                 if (a, b, var) in seen:
                     return
                 pre_change_checks += 1
@@ -188,8 +183,8 @@ class TestScansAgree:
                         old_check(var, e1, e2)
 
             scan = find_races_indexed(record.history)
-            assert scan.order_checks <= pre_change_checks, (
-                f"workers={workers}: {scan.order_checks} > {pre_change_checks}"
+            assert scan.order_checks == pre_change_checks, (
+                f"workers={workers}: {scan.order_checks} != {pre_change_checks}"
             )
             assert scan.races == find_races_naive(record.history).races
 
@@ -199,7 +194,7 @@ class TestGraphIndexes:
         _, history = all_histories[0]
         graph = ParallelDynamicGraph.from_history(history)
         for pid in history.per_process:
-            expected = [e for e in graph.internal_edges if e.pid == pid]
+            expected = [e for e in history.segments if e.pid == pid]
             assert graph.edges_of(pid) == expected
         assert "_edges_by_pid" in graph.__dict__
 
@@ -208,17 +203,3 @@ class TestGraphIndexes:
         graph = ParallelDynamicGraph.from_history(history)
         for pid, uids in history.per_process.items():
             assert [n.uid for n in graph.nodes_of(pid)] == uids
-
-    def test_order_index_rebuilds_when_history_grows(self, all_histories):
-        _, history = all_histories[0]
-        graph = ParallelDynamicGraph.from_history(history)
-        first = graph.order_index()
-        assert graph.order_index() is first  # memoized
-        # Simulate a manually grown history (tests build these in place).
-        segment = history.segments[0]
-        history.segments.append(segment)
-        graph.internal_edges = [
-            type(graph.internal_edges[0])(seg) for seg in history.segments
-        ]
-        assert graph.order_index() is not first
-        history.segments.pop()

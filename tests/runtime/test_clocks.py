@@ -2,7 +2,9 @@
 explicit reachability over the synchronization graph.
 
 Clocks are derived by the history (:meth:`SyncHistory.clocks`) from
-program order and the sync edges; no run records one.
+program order and the sync edges; no run records one.  The parallel
+dynamic graph's node, edge and simultaneity tests are held to the same
+reachability here.
 """
 
 import json
@@ -16,10 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import compile_program, Machine
+from repro.core import ParallelDynamicGraph
 from repro.runtime import VectorClock, happened_before_or_equal
 from repro.runtime.logging import SyncLog
 from repro.runtime.persist import load_record, record_to_json
-from repro.workloads import bank_safe, fig61_program, pipeline
+from repro.workloads import bank_safe, dining_philosophers, fig61_program, pipeline
 from tests.test_fuzz_parallel import parallel_programs
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
@@ -90,7 +93,10 @@ def _reachability(history):
 
 
 def assert_clocks_match_reachability(record):
+    """Every node pair and every segment pair — same process, across
+    processes, open or closed — against the explicit closure."""
     history = record.history
+    graph = ParallelDynamicGraph.from_history(history)
     reach = _reachability(history)
     clocks = history.clocks()
     nodes = list(history.nodes.values())
@@ -99,7 +105,26 @@ def assert_clocks_match_reachability(record):
             expected = b.uid in reach[a.uid]
             actual = happened_before_or_equal(clocks[a.uid], a.pid, clocks[b.uid])
             assert actual == expected, (a, b)
-            assert history.node_reaches(a.uid, b.uid) == expected, (a, b)
+            assert graph.node_ordered(a.uid, b.uid) == expected, (a, b)
+
+    def before(a, b):
+        # end(a) -> start(b); an open segment precedes nothing
+        return a.end_uid is not None and b.start_uid in reach[a.end_uid]
+
+    for a in history.segments:
+        for b in history.segments:
+            pair = (a.seg_id, b.seg_id)
+            assert graph.edge_ordered(a, b) == before(a, b), pair
+            unordered = not before(a, b) and not before(b, a)
+            assert graph.simultaneous(a, b) == (a is not b and unordered), pair
+
+
+_FAILS_AFTER_SYNC = """
+shared int SV;
+sem s = 0;
+proc worker() { SV = 1; V(s); SV = 3; }
+proc main() { spawn worker(); P(s); int x = SV; assert(x == 2); join(); }
+"""
 
 
 class TestClocksAgainstExplicitReachability:
@@ -115,6 +140,22 @@ class TestClocksAgainstExplicitReachability:
 
     def test_pipeline(self):
         record = Machine(compile_program(pipeline(2, 3)), seed=3).run()
+        assert_clocks_match_reachability(record)
+
+    def test_deadlocked_run(self):
+        compiled = compile_program(dining_philosophers(3))
+        record = next(
+            record
+            for record in (Machine(compiled, seed=seed).run() for seed in range(40))
+            if record.deadlock is not None
+        )
+        assert sum(s.end_uid is None for s in record.history.segments) > 1
+        assert_clocks_match_reachability(record)
+
+    def test_failed_run(self):
+        record = Machine(compile_program(_FAILS_AFTER_SYNC), seed=0).run()
+        assert record.failure is not None
+        assert any(s.end_uid is None for s in record.history.segments)
         assert_clocks_match_reachability(record)
 
     def test_every_example(self):
@@ -195,16 +236,17 @@ class TestDerivedClocks:
 
     def test_adding_an_edge_after_a_query_derives_again(self):
         history = Machine(compile_program(bank_safe(2, 2)), seed=1).run().history
+        graph = ParallelDynamicGraph.from_history(history)
         before = history.clocks()
         src, dst = next(
             (a.uid, b.uid)
             for a in history.nodes.values()
             for b in history.nodes.values()
-            if a.pid != b.pid and a.uid < b.uid and not history.node_reaches(a.uid, b.uid)
+            if a.pid != b.pid and a.uid < b.uid and not graph.node_ordered(a.uid, b.uid)
         )
         history.add_edge(src, dst, "sem")
         assert history.clocks() is not before
-        assert history.node_reaches(src, dst)
+        assert graph.node_ordered(src, dst)
 
     def test_threads_querying_a_fresh_load_agree(self, tmp_path):
         """Threads (more than the cores) race on the first ordering query of
@@ -214,18 +256,19 @@ class TestDerivedClocks:
         path.write_text(record_to_json(record))
         uids = sorted(record.history.nodes)
         pairs = [(a, b) for a in uids for b in uids]
-        expected = [record.history.node_reaches(a, b) for a, b in pairs]
+        graph = ParallelDynamicGraph.from_history(record.history)
+        expected = [graph.node_ordered(a, b) for a, b in pairs]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(3):
-                history = load_record(str(path)).history
+                graph = ParallelDynamicGraph.from_history(load_record(str(path)).history)
                 barrier = threading.Barrier(THREADS, timeout=30)
                 answers: list = [None] * THREADS
 
                 def ask(slot: int) -> None:
                     barrier.wait()
-                    answers[slot] = [history.node_reaches(a, b) for a, b in pairs]
+                    answers[slot] = [graph.node_ordered(a, b) for a, b in pairs]
 
                 threads = [
                     threading.Thread(target=ask, args=(slot,)) for slot in range(THREADS)

@@ -172,10 +172,10 @@ class TestOrderingAndRaces:
         call_edges = [
             e
             for e in graph.edges_of(caller_pid)
-            if graph.node(e.start_uid).op == "call"
+            if record.history.nodes[e.start_uid].op == "call"
         ]
         assert call_edges
-        assert all(e.is_empty for e in call_edges)
+        assert all(e.event_count == 0 for e in call_edges)
 
     def test_rendezvous_synchronises_shared_access(self):
         """State handed across the rendezvous is ordered: race-free."""
